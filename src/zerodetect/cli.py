@@ -24,8 +24,10 @@ from .detectors import zd_groth, zd_ost
 from .errors import BadValue, CmatFormatError, ZeroDetectError
 from .experiments import (
     FIGURE_IDS,
+    _fmt,
     emit_plotdata,
     parse_experiment_config,
+    read_flat_config,
     run_batch,
     write_report_csv,
 )
@@ -48,14 +50,6 @@ class _UsageError(BadValue):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route through our codes
         raise _UsageError(message)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return "{:.17g}".format(float(v))
 
 
 def _load_matrix(path: str, group_size: int | None) -> MeasurementMatrix:
@@ -199,35 +193,15 @@ def _cmd_detect(args) -> int:
 
 # bounds subcommand ----------------------------------------------------------
 
-_BOUNDS_INT_KEYS = ("n", "p", "k", "theta", "q", "r")
-_BOUNDS_FLOAT_KEYS = ("sigma2", "a", "t", "c1", "c2", "c_mu", "c_nu", "mu0")
-_BOUNDS_LIST_KEYS = ("x_magnitudes", "group_norms")
-_BOUNDS_STR_KEYS = ("noise_convention",)
-_BOUNDS_KEYS = _BOUNDS_INT_KEYS + _BOUNDS_FLOAT_KEYS + _BOUNDS_LIST_KEYS + _BOUNDS_STR_KEYS
+_BOUNDS_KEYS = {
+    **dict.fromkeys(("n", "p", "k", "theta", "q", "r"), int),
+    **dict.fromkeys(("sigma2", "a", "t", "c1", "c2", "c_mu", "c_nu", "mu0"), float),
+    "x_magnitudes": (float,), "group_norms": (float,), "noise_convention": str,
+}
 
 
 def _parse_bounds_config(path: str) -> dict:
-    cfg: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise BadValue(f"line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _BOUNDS_KEYS:
-            raise BadValue(f"line {lineno}: unknown bounds key {key!r}")
-        try:
-            if key in _BOUNDS_INT_KEYS:
-                cfg[key] = int(value)
-            elif key in _BOUNDS_FLOAT_KEYS:
-                cfg[key] = float(value)
-            elif key in _BOUNDS_LIST_KEYS:
-                cfg[key] = tuple(float(v) for v in value.split(",") if v.strip())
-            else:
-                cfg[key] = value
-        except ValueError as exc:
-            raise BadValue(f"line {lineno}: bad value for {key!r}") from exc
+    cfg = read_flat_config(path, _BOUNDS_KEYS)
     for required in ("sigma2", "n", "p", "k"):
         if required not in cfg:
             raise BadValue(f"bounds config is missing required key {required!r}")
@@ -342,9 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--verbose", action="store_true",
                         help="print a human summary after the CSV output")
-    common.add_argument("--threads", type=int, default=0, metavar="N",
-                        help="worker threads (0 = auto); outputs are "
-                             "schedule-independent, current evaluation is serial")
 
     parser = _Parser(prog="zerodetect",
                      description="Zero-support detection toolkit")

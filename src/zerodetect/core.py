@@ -261,14 +261,21 @@ def normalize_columns(m) -> MeasurementMatrix:
 
 
 def hermitian_apply(m, y) -> np.ndarray:
-    """Correlate measurements with every column: s_j = <a_j, y> = a_j^H y."""
+    """Correlate measurements with every column: s_j = <a_j, y> = a_j^H y.
+
+    y is one vector (n,) or a stack (T, n) whose rows come out exactly as they
+    would alone. Non-finite measurements are rejected, not ranked.
+    """
     a = _matrix_of(m)
     y = np.asarray(y, dtype=np.complex128)
-    if y.ndim != 1 or y.shape[0] != a.shape[0]:
+    if y.ndim not in (1, 2) or y.shape[-1] != a.shape[0]:
         raise DimensionMismatch(
-            f"expected a length-{a.shape[0]} vector, got shape {y.shape}"
+            f"expected length-{a.shape[0]} vectors, got shape {y.shape}"
         )
-    return a.conj().T @ y
+    if not np.all(np.isfinite(y)):
+        raise BadValue("measurements must be finite")
+    # (y^H a)^H row by row: no copy of a^H, one matrix-vector product per row
+    return (y.conj()[..., np.newaxis, :] @ a)[..., 0, :].conj()
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MeasurementMatrix, SupportSet, hermitian_apply
-from .errors import BadValue, NoGroups, ThetaOutOfRange
+from .core import GroupPartition, MeasurementMatrix, SupportSet, hermitian_apply
+from .errors import BadValue, DimensionMismatch, NoGroups, ThetaOutOfRange
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,14 +47,23 @@ def _check_theta(theta: int, limit: int, what: str) -> None:
         raise ThetaOutOfRange(f"theta must be in 1..{limit} ({what}), got {theta}")
 
 
-def _ascending_selection(scores: np.ndarray, theta: int) -> np.ndarray:
-    # stable sort keeps equal scores in index order (smaller index wins)
-    return np.argsort(scores, kind="stable")[:theta]
+def select(scores: np.ndarray, theta: int, largest: bool = False) -> np.ndarray:
+    """0-based positions of the theta smallest (or largest) scores along the
+    last axis, best first. Equal scores go to the smaller index either way."""
+    keys = -scores if largest else scores
+    return np.argsort(keys, axis=-1, kind="stable")[..., :theta]
 
 
-def _descending_selection(scores: np.ndarray, theta: int) -> np.ndarray:
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    return order[:theta]
+def group_norms(s: np.ndarray, groups: GroupPartition) -> np.ndarray:
+    """Block norms ||A_i^H y||_2 from correlations s of shape (..., p)."""
+    return np.linalg.norm(s.reshape(*s.shape[:-1], groups.q, groups.r), axis=-1)
+
+
+def _correlations(y, m: MeasurementMatrix) -> np.ndarray:
+    y = np.asarray(y)
+    if y.ndim != 1:
+        raise DimensionMismatch(f"expected one measurement vector, got shape {y.shape}")
+    return hermitian_apply(m, y)
 
 
 def _result(selection: np.ndarray, scores: np.ndarray, theta: int, mode: str,
@@ -72,23 +81,21 @@ def _result(selection: np.ndarray, scores: np.ndarray, theta: int, mode: str,
 def zd_ost(y, m: MeasurementMatrix, theta: int) -> DetectionResult:
     """Keep the theta columns with the smallest correlation magnitudes."""
     _check_theta(theta, m.p, "columns")
-    scores = np.abs(hermitian_apply(m, y))
-    return _result(_ascending_selection(scores, theta), scores, theta, "element", m.p)
+    scores = np.abs(_correlations(y, m))
+    return _result(select(scores, theta), scores, theta, "element", m.p)
 
 
 def zd_groth(y, m: MeasurementMatrix, theta: int) -> DetectionResult:
     """Keep the theta groups with the smallest block correlation norms."""
     if m.groups is None:
         raise NoGroups("group thresholding needs a group partition")
-    q, r = m.groups.q, m.groups.r
-    _check_theta(theta, q, "groups")
-    s = hermitian_apply(m, y)
-    scores = np.linalg.norm(s.reshape(q, r), axis=1)
-    return _result(_ascending_selection(scores, theta), scores, theta, "group", q)
+    _check_theta(theta, m.groups.q, "groups")
+    scores = group_norms(_correlations(y, m), m.groups)
+    return _result(select(scores, theta), scores, theta, "group", m.groups.q)
 
 
 def ost_topk(y, m: MeasurementMatrix, theta: int) -> DetectionResult:
     """Baseline: keep the theta LARGEST correlation magnitudes (ties to low index)."""
     _check_theta(theta, m.p, "columns")
-    scores = np.abs(hermitian_apply(m, y))
-    return _result(_descending_selection(scores, theta), scores, theta, "element", m.p)
+    scores = np.abs(_correlations(y, m))
+    return _result(select(scores, theta, largest=True), scores, theta, "element", m.p)

@@ -41,7 +41,7 @@ class MixedDegree(ZeroDetectError, ValueError):
     """Galois-ring operands live in rings of different extension degree."""
 
 
-class ThetaOutOfRange(ZeroDetectError, ValueError):
+class ThetaOutOfRange(BadValue):
     """Requested estimate size is outside [1, p] (or [1, q] for groups)."""
 
 

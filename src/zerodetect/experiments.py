@@ -27,10 +27,11 @@ from .core import (
     RngSpec,
     SignalInstance,
     SupportSet,
+    hermitian_apply,
     read_cmat,
 )
-from .detectors import ost_topk, zd_groth, zd_ost
-from .errors import BadK, BadValue, IncompleteReport, NoGroups
+from .detectors import group_norms, ost_topk, select
+from .errors import BadK, BadValue, IncompleteReport, NoGroups, ThetaOutOfRange
 from .matrices import KerdockSpec, attach_groups, build_bernoulli, build_kerdock
 from .theory import NOISE_CONVENTIONS
 
@@ -41,6 +42,9 @@ FIGURE_IDS = ("1", "2", "3", "4a", "4b")
 
 _Z95 = 1.959963984540054
 _FLOAT_FMT = "{:.17g}"
+# a block of trials holds at most this many signal entries, which keeps the
+# block's signals and correlations near 1 MB each
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -58,35 +62,32 @@ class UniformAmplitude:
         return rng.uniform(self.lo, self.hi, size)
 
 
+def _draw_signal(domain: int, width: int, k: int, law: UniformAmplitude,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Coefficient vector with k of its `domain` blocks of `width` entries
+    active: uniform block choice, law-distributed magnitudes, uniform phases."""
+    if not 0 <= k <= domain:
+        raise BadK(f"need 0 <= k <= {domain}, got k={k}")
+    x = np.zeros(domain * width, dtype=np.complex128)
+    if k > 0:
+        blocks = rng.choice(domain, size=k, replace=False)
+        mags = law.sample(rng, k * width)
+        phases = rng.uniform(0.0, 2.0 * np.pi, k * width)
+        x[(blocks[:, np.newaxis] * width + np.arange(width)).ravel()] = mags * np.exp(1j * phases)
+    return x
+
+
 def gen_tone_signal(p: int, k: int, law: UniformAmplitude,
                     rng: np.random.Generator) -> SignalInstance:
     """k-sparse coefficient vector: uniform support, law-distributed magnitudes,
     uniform phases."""
-    if not 0 <= k <= p:
-        raise BadK(f"need 0 <= k <= p, got k={k}, p={p}")
-    x = np.zeros(p, dtype=np.complex128)
-    if k > 0:
-        support = rng.choice(p, size=k, replace=False)
-        mags = law.sample(rng, k)
-        phases = rng.uniform(0.0, 2.0 * np.pi, k)
-        x[support] = mags * np.exp(1j * phases)
-    return SignalInstance.from_vector(x)
+    return SignalInstance.from_vector(_draw_signal(p, 1, k, law, rng))
 
 
 def gen_group_signal(q: int, r: int, k: int, law: UniformAmplitude,
                      rng: np.random.Generator) -> SignalInstance:
     """Signal active on k whole groups: every entry of a chosen group is nonzero."""
-    if not 0 <= k <= q:
-        raise BadK(f"need 0 <= k <= q, got k={k}, q={q}")
-    x = np.zeros(q * r, dtype=np.complex128)
-    if k > 0:
-        groups = rng.choice(q, size=k, replace=False)
-        mags = law.sample(rng, k * r)
-        phases = rng.uniform(0.0, 2.0 * np.pi, k * r)
-        coeffs = (mags * np.exp(1j * phases)).reshape(k, r)
-        for row, g in enumerate(groups):
-            x[g * r:(g + 1) * r] = coeffs[row]
-    return SignalInstance.from_vector(x)
+    return SignalInstance.from_vector(_draw_signal(q, r, k, law, rng))
 
 
 def gen_noise(n: int, sigma2: float, convention: str,
@@ -185,30 +186,70 @@ class FullSupportResult(NamedTuple):
     fdp: float
 
 
-def _top_k_selection(y, m: MeasurementMatrix, k: int) -> tuple[int, ...]:
-    if k == 0:
-        return ()
-    return ost_topk(y, m, k).estimate.indices
-
-
 def baseline_full_support(y, m: MeasurementMatrix, support: SupportSet) -> FullSupportResult:
     """Oracle-sparsity support recovery: top-k scores versus the true support."""
     k = len(support)
-    selected = _top_k_selection(y, m, k)
     if k == 0:
         return FullSupportResult(False, 0.0)
+    selected = ost_topk(y, m, k).estimate.indices
     wrong = len(set(selected) - support.to_set())
     return FullSupportResult(selected != support.indices, wrong / k)
 
 
-def group_zero_support(signal: SignalInstance, m: MeasurementMatrix) -> SupportSet:
-    """Groups of the partition containing no support element of the signal."""
+def _group_active(support: np.ndarray, m: MeasurementMatrix) -> np.ndarray:
     if m.groups is None:
         raise NoGroups("matrix has no group partition")
-    active = {m.groups.group_of_column(i) for i in signal.support.indices}
-    return SupportSet.from_indices(
-        (g for g in range(1, m.groups.q + 1) if g not in active), m.groups.q
-    )
+    return support.reshape(*support.shape[:-1], m.groups.q, m.groups.r).any(axis=-1)
+
+
+def group_zero_support(signal: SignalInstance, m: MeasurementMatrix) -> SupportSet:
+    """Groups of the partition containing no support element of the signal."""
+    active = _group_active(signal.x != 0, m)
+    return SupportSet.from_zero_based(np.flatnonzero(~active), m.groups.q)
+
+
+# detector -> (ranks group norms, keeps the largest scores, target mask)
+_DETECTORS = {
+    "zd_ost": (False, False, "zeros"),
+    "zd_groth": (True, False, "group_zeros"),
+    "ost_topk": (False, True, "support"),
+    "ost_topk_full_support": (False, True, "support"),
+}
+
+
+def _check_detection(detector: str, theta: int, m: MeasurementMatrix) -> None:
+    if detector not in _DETECTORS:
+        raise BadValue(f"unknown detector {detector!r}")
+    if detector == "zd_groth" and m.groups is None:
+        raise NoGroups("group thresholding needs a group partition")
+    limit = m.groups.q if detector == "zd_groth" else m.p
+    if detector != "ost_topk_full_support" and not 1 <= theta <= limit:
+        raise ThetaOutOfRange(f"theta must be in 1..{limit} for {detector}, got {theta}")
+
+
+def _detect_block(combos, m: MeasurementMatrix, y: np.ndarray, support: np.ndarray):
+    """(fdp, zero fraction, hit) arrays over a block of trials, one triple per
+    (detector, estimate size) in combos, from the block's measurements y (T, n)
+    and its signals' nonzero masks (T, p)."""
+    s = hermitian_apply(m, y)
+    scores = {False: np.abs(s)}
+    targets = {"support": support, "zeros": ~support}
+    if any(det == "zd_groth" for det, _ in combos):
+        targets["group_zeros"] = ~_group_active(support, m)
+        scores[True] = group_norms(s, m.groups)
+    out = []
+    for det, theta in combos:
+        _check_detection(det, theta, m)
+        grouped, largest, target = _DETECTORS[det]
+        full = det == "ost_topk_full_support"
+        used = int(support[0].sum()) if full else theta  # the k of every trial in the block
+        picked = select(scores[grouped], used, largest)
+        inter = np.take_along_axis(targets[target], picked, axis=-1).sum(axis=-1)
+        size = targets[target].sum(axis=-1)
+        fdp = (used - inter) / used if used else np.zeros(inter.shape)
+        zf = np.divide(inter, size, out=np.full(inter.shape, np.nan), where=size > 0)
+        out.append((fdp, zf, inter == used if full else inter > 0))
+    return out
 
 
 def evaluate_detection(detector: str, theta: int, m: MeasurementMatrix,
@@ -219,41 +260,26 @@ def evaluate_detection(detector: str, theta: int, m: MeasurementMatrix,
     group-level); the top-k baselines are scored against the support, with
     the full-support baseline's hit meaning exact recovery.
     """
-    if detector == "zd_ost":
-        selected = set(zd_ost(y, m, theta).estimate.indices)
-        target = signal.zero_support.to_set()
-        used = theta
-    elif detector == "zd_groth":
-        selected = set(zd_groth(y, m, theta).estimate.indices)
-        target = group_zero_support(signal, m).to_set()
-        used = theta
-    elif detector == "ost_topk":
-        selected = set(ost_topk(y, m, theta).estimate.indices)
-        target = signal.support.to_set()
-        used = theta
-    elif detector == "ost_topk_full_support":
-        picked = _top_k_selection(y, m, signal.k)
-        selected = set(picked)
-        target = signal.support.to_set()
-        used = signal.k
-        inter = len(selected & target)
-        fdp = (used - inter) / used if used else 0.0
-        zf = inter / len(target) if target else float("nan")
-        return TrialMetrics(fdp, zf, picked == signal.support.indices)
-    else:
-        raise BadValue(f"unknown detector {detector!r}")
-    inter = len(selected & target)
-    fdp = (used - inter) / used
-    zf = inter / len(target) if target else float("nan")
-    return TrialMetrics(fdp, zf, inter > 0)
+    (fdp, zf, hit), = _detect_block([(detector, theta)], m, np.asarray(y)[np.newaxis],
+                                    (signal.x != 0)[np.newaxis])
+    return TrialMetrics(float(fdp[0]), float(zf[0]), bool(hit[0]))
 
 
-def _gen_trial_signal(config: ExperimentConfig, m: MeasurementMatrix, k: int,
-                      rng: np.random.Generator) -> SignalInstance:
+def _measure_block(config: ExperimentConfig, m: MeasurementMatrix, k: int,
+                   trials: range) -> tuple[np.ndarray, np.ndarray]:
+    """Signals (T, p) and measurements y = A x + w (T, n) of the given trials;
+    trial t draws its signal, then its noise, from substream (master seed, k, t)."""
+    spec = RngSpec(config.master_seed)
     law = config.amplitude_law
-    if config.signal_model == "group":
-        return gen_group_signal(m.groups.q, m.groups.r, k, law, rng)
-    return gen_tone_signal(m.p, k, law, rng)
+    domain, width = (m.groups.q, m.groups.r) if config.signal_model == "group" else (m.p, 1)
+    x = np.empty((len(trials), m.p), dtype=np.complex128)
+    w = np.empty((len(trials), m.n), dtype=np.complex128)
+    for i, t in enumerate(trials):
+        rng = spec.substream(k, t)
+        x[i] = _draw_signal(domain, width, k, law, rng)
+        w[i] = gen_noise(m.n, config.sigma2, config.noise_convention, rng)
+    # one matrix-vector product per row, the same arithmetic as A @ x
+    return x, (x[:, np.newaxis, :] @ m.matrix.T)[:, 0, :] + w
 
 
 def effective_theta(config: ExperimentConfig, detector: str, theta: int) -> int:
@@ -267,16 +293,14 @@ def run_trial(config: ExperimentConfig, k: int, theta: int, detector: str,
               trial_index: int, matrix: MeasurementMatrix | None = None) -> TrialMetrics:
     """One full pipeline: generate, measure, detect, score.
 
-    theta is the literal estimate size handed to the detector (run_batch
-    applies the matched-budget scaling before calling). The signal and noise
-    depend only on (master seed, k, trial index).
+    This is run_batch's engine on a one-trial block, so it reproduces a batch's
+    per-trial values. theta is the literal estimate size handed to the detector
+    (run_batch applies the matched-budget scaling before calling).
     """
     m = build_matrix(config) if matrix is None else matrix
-    rng = RngSpec(config.master_seed).substream(k, trial_index)
-    signal = _gen_trial_signal(config, m, k, rng)
-    w = gen_noise(m.n, config.sigma2, config.noise_convention, rng)
-    y = m.matrix @ signal.x + w
-    return evaluate_detection(detector, theta, m, y, signal)
+    x, y = _measure_block(config, m, k, range(trial_index, trial_index + 1))
+    (fdp, zf, hit), = _detect_block([(detector, theta)], m, y, x != 0)
+    return TrialMetrics(float(fdp[0]), float(zf[0]), bool(hit[0]))
 
 
 def wilson_interval(successes: float, n: int, z: float = _Z95) -> tuple[float, float]:
@@ -354,26 +378,20 @@ class TrialBatchReport:
 
 
 def _validate_grids(config: ExperimentConfig, m: MeasurementMatrix) -> None:
-    q = m.groups.q if m.groups is not None else None
-    if config.signal_model == "group":
-        if m.groups is None:
-            raise NoGroups("group signals need a partitioned matrix")
-        k_limit = q
-    else:
-        k_limit = m.p
+    if config.signal_model == "group" and m.groups is None:
+        raise NoGroups("group signals need a partitioned matrix")
+    k_limit = m.groups.q if config.signal_model == "group" else m.p
     for k in config.k_grid:
         if not 0 <= k <= k_limit:
             raise BadK(f"k={k} outside [0, {k_limit}]")
     for det in config.detectors:
-        if det == "zd_groth" and m.groups is None:
-            raise NoGroups("zd_groth needs a partitioned matrix")
-        limit = q if det == "zd_groth" else m.p
         for theta in config.theta_grid:
-            eff = effective_theta(config, det, theta)
-            if not 1 <= eff <= limit:
-                raise BadValue(
-                    f"theta={theta} gives estimate size {eff} outside [1, {limit}] for {det}"
-                )
+            _check_detection(det, effective_theta(config, det, theta), m)
+
+
+def _running_sum(start: float, values: np.ndarray) -> float:
+    # one add per value in trial order; np.sum adds pairwise and rounds differently
+    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
 
 
 def run_batch(config: ExperimentConfig, keep_trials: bool = False) -> TrialBatchReport:
@@ -381,60 +399,50 @@ def run_batch(config: ExperimentConfig, keep_trials: bool = False) -> TrialBatch
 
     Signals and noise are generated once per (k, trial) and shared by every
     detector and estimate size, exactly as run_trial would regenerate them.
+    Trials run in blocks: one stacked product each for y = A x + w and the
+    correlations, then one selection per (detector, estimate size). Products
+    go row by row and sums in trial order, so no value depends on block size.
     """
     m = build_matrix(config)
     _validate_grids(config, m)
-    combos = [
-        (det, tg, effective_theta(config, det, tg))
-        for det in config.detectors
-        for tg in config.theta_grid
-    ]
+    combos = [(det, tg, effective_theta(config, det, tg))
+              for det in config.detectors for tg in config.theta_grid]
+    block = max(1, _BLOCK_ENTRIES // m.p)
 
-    sums: dict[tuple[int, int, str], dict] = {}
+    sums: dict[tuple[int, int, str], list] = {}
     records: list[TrialRecord] = []
     for k in config.k_grid:
         for det, tg, _ in combos:
-            sums[(k, tg, det)] = {"fdp": 0.0, "zf": 0.0, "zf_n": 0, "hits": 0}
-        for t in range(config.trials):
-            rng = RngSpec(config.master_seed).substream(k, t)
-            signal = _gen_trial_signal(config, m, k, rng)
-            w = gen_noise(m.n, config.sigma2, config.noise_convention, rng)
-            y = m.matrix @ signal.x + w
-            for det, tg, eff in combos:
-                metrics = evaluate_detection(det, eff, m, y, signal)
+            sums[(k, tg, det)] = [0.0, 0.0, 0, 0]  # fdp, zf, zf trials, hits
+        for start in range(0, config.trials, block):
+            trials = range(start, min(start + block, config.trials))
+            x, y = _measure_block(config, m, k, trials)
+            metrics = _detect_block([(det, eff) for det, _, eff in combos], m, y, x != 0)
+            for (det, tg, _), (fdp, zf, hit) in zip(combos, metrics):
                 acc = sums[(k, tg, det)]
-                acc["fdp"] += metrics.fdp
-                if not math.isnan(metrics.zero_fraction):
-                    acc["zf"] += metrics.zero_fraction
-                    acc["zf_n"] += 1
-                acc["hits"] += bool(metrics.hit)
-                if keep_trials:
-                    records.append(
-                        TrialRecord(k, eff, det, t, metrics.fdp,
-                                    metrics.zero_fraction, metrics.hit)
-                    )
+                defined = zf[~np.isnan(zf)]
+                acc[0] = _running_sum(acc[0], fdp)
+                acc[1] = _running_sum(acc[1], defined)
+                acc[2] += defined.size
+                acc[3] += int(np.count_nonzero(hit))
+            if keep_trials:
+                columns = [list(zip(*(a.tolist() for a in triple))) for triple in metrics]
+                records.extend(TrialRecord(k, eff, det, t, *rows[i])
+                               for i, t in enumerate(trials)
+                               for (det, _, eff), rows in zip(combos, columns))
 
-    cells = []
     n = config.trials
+    cells = []
     for k in config.k_grid:
         for tg in config.theta_grid:
             for det in config.detectors:
-                acc = sums[(k, tg, det)]
-                eff = effective_theta(config, det, tg)
-                fdp_lo, fdp_hi = wilson_interval(acc["fdp"], n)
-                if acc["zf_n"]:
-                    zf_mean = acc["zf"] / acc["zf_n"]
-                    zf_lo, zf_hi = wilson_interval(acc["zf"], acc["zf_n"])
-                else:
-                    zf_mean = zf_lo = zf_hi = float("nan")
-                misses = n - acc["hits"]
-                pe_lo, pe_hi = wilson_interval(misses, n)
-                cells.append(BatchCell(
-                    k=k, theta=eff, theta_grid=tg, detector=det, trials=n,
-                    fdp_mean=acc["fdp"] / n, fdp_lo=fdp_lo, fdp_hi=fdp_hi,
-                    zero_fraction_mean=zf_mean, zero_fraction_lo=zf_lo,
-                    zero_fraction_hi=zf_hi, zero_fraction_trials=acc["zf_n"],
-                    pe=misses / n, pe_lo=pe_lo, pe_hi=pe_hi,
+                fdp, zf, zf_n, hits = sums[(k, tg, det)]
+                zf_ci = wilson_interval(zf, zf_n) if zf_n else (math.nan, math.nan)
+                cells.append(BatchCell(  # fields in declaration order
+                    k, effective_theta(config, det, tg), tg, det, n,
+                    fdp / n, *wilson_interval(fdp, n),
+                    zf / zf_n if zf_n else math.nan, *zf_ci, zf_n,
+                    (n - hits) / n, *wilson_interval(n - hits, n),
                 ))
     q = m.groups.q if m.groups is not None else None
     return TrialBatchReport(
@@ -562,17 +570,23 @@ def emit_plotdata(report: TrialBatchReport, figure_id, out_dir) -> list[Path]:
 # ---------------------------------------------------------------------------
 # flat key = value config files
 
-_GRID_KEYS = ("k_grid", "theta_grid", "detectors")
-_INT_KEYS = ("kerdock_m", "rows", "cols", "matrix_seed", "trials",
-             "group_size", "master_seed")
-_FLOAT_KEYS = ("amplitude_lo", "amplitude_hi", "sigma2")
-_STR_KEYS = ("matrix_family", "matrix_file", "signal_model", "noise_convention")
-CONFIG_KEYS = _GRID_KEYS + _INT_KEYS + _FLOAT_KEYS + _STR_KEYS
+# key -> value type; a 1-tuple marks a comma-separated list of that type
+CONFIG_KEYS = {
+    "k_grid": (int,), "theta_grid": (int,), "detectors": (str,),
+    **dict.fromkeys(("kerdock_m", "rows", "cols", "matrix_seed", "trials",
+                     "group_size", "master_seed"), int),
+    **dict.fromkeys(("amplitude_lo", "amplitude_hi", "sigma2"), float),
+    **dict.fromkeys(("matrix_family", "matrix_file", "signal_model", "noise_convention"), str),
+}
 
 
-def parse_experiment_config(path) -> ExperimentConfig:
-    """Read a flat `key = value` file ('#' comments allowed); unknown keys error."""
-    overrides: dict = {}
+def read_flat_config(path, kinds: dict) -> dict:
+    """Read a flat `key = value` file ('#' comments allowed) into typed values.
+
+    kinds maps every accepted key to its type, or to a 1-tuple of it for a
+    comma-separated list. Unknown and repeated keys are errors.
+    """
+    values: dict = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -581,21 +595,21 @@ def parse_experiment_config(path) -> ExperimentConfig:
         if "=" not in line:
             raise BadValue(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in kinds:
             raise BadValue(f"line {lineno}: unknown configuration key {key!r}")
-        if key in overrides:
+        if key in values:
             raise BadValue(f"line {lineno}: duplicate key {key!r}")
+        kind = kinds[key]
         try:
-            if key in _INT_KEYS:
-                overrides[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                overrides[key] = float(value)
-            elif key == "detectors":
-                overrides[key] = tuple(v.strip() for v in value.split(",") if v.strip())
-            elif key in _GRID_KEYS:
-                overrides[key] = tuple(int(v) for v in value.split(",") if v.strip())
+            if isinstance(kind, tuple):
+                values[key] = tuple(kind[0](v.strip()) for v in value.split(",") if v.strip())
             else:
-                overrides[key] = value
+                values[key] = kind(value)
         except ValueError as exc:
             raise BadValue(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
-    return ExperimentConfig(**overrides)
+    return values
+
+
+def parse_experiment_config(path) -> ExperimentConfig:
+    """Read a flat `key = value` experiment file; unknown keys error."""
+    return ExperimentConfig(**read_flat_config(path, CONFIG_KEYS))

@@ -90,6 +90,24 @@ def test_detect_theta_zero_is_bad_value(tmp_path, capsys):
     assert "ERROR BadValue" in capsys.readouterr().err
 
 
+def test_detect_rejects_non_finite_measurement(tmp_path, capsys):
+    mat = tmp_path / "eye.cmat"
+    write_cmat(mat, np.eye(4))
+    code = run("detect", "--matrix", str(mat), "--yinline", "0,1e999,3,0",
+               "--theta", "1", "--out", str(tmp_path / "r.csv"))
+    assert code == 1
+    assert "ERROR BadValue" in capsys.readouterr().err
+
+
+def test_threads_flag_is_gone(tmp_path, capsys):
+    mat = tmp_path / "eye.cmat"
+    write_cmat(mat, np.eye(4))
+    code = run("detect", "--matrix", str(mat), "--yinline", "0,0,3,0",
+               "--theta", "1", "--threads", "2", "--out", str(tmp_path / "r.csv"))
+    assert code == 1
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_detect_y_from_file_and_length_check(tmp_path, capsys):
     mat = tmp_path / "eye.cmat"
     write_cmat(mat, np.eye(3))

@@ -126,6 +126,27 @@ def test_hermitian_apply_dimension_mismatch():
         hermitian_apply(np.eye(3), np.ones(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, np.inf)])
+def test_hermitian_apply_rejects_non_finite(bad):
+    y = np.array([1.0, bad, 0.0], dtype=np.complex128)
+    with pytest.raises(BadValue):
+        hermitian_apply(np.eye(3), y)
+    with pytest.raises(BadValue):
+        hermitian_apply(np.eye(3), np.stack([np.ones(3), y]))
+
+
+def test_hermitian_apply_stack_rows_equal_single_vectors():
+    rng = np.random.default_rng(26)
+    a = _random_complex(rng, (6, 20))
+    ys = _random_complex(rng, (5, 6))
+    stacked = hermitian_apply(a, ys)
+    assert stacked.shape == (5, 20)
+    for t in range(5):
+        assert np.array_equal(stacked[t], hermitian_apply(a, ys[t]))
+    # the conjugate-free form computes the same numbers as a^H y
+    assert np.array_equal(hermitian_apply(a, ys[0]), a.conj().T @ ys[0])
+
+
 # ---------------------------------------------------------------------------
 # types
 

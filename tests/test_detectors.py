@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from zerodetect.core import MeasurementMatrix, RngSpec
-from zerodetect.detectors import ost_topk, zd_groth, zd_ost
-from zerodetect.errors import DimensionMismatch, NoGroups, ThetaOutOfRange
+from zerodetect.detectors import ost_topk, select, zd_groth, zd_ost
+from zerodetect.errors import BadValue, DimensionMismatch, NoGroups, ThetaOutOfRange
 from zerodetect.matrices import KerdockSpec, attach_groups, build_bernoulli, build_kerdock
 
 I4 = MeasurementMatrix(np.eye(4))
@@ -148,3 +148,32 @@ def test_result_invariants():
     assert tuple(sorted(res.ranking)) == res.estimate.indices
     with pytest.raises(ValueError):
         res.scores[0] = 9.0  # score vector is read-only
+
+
+def test_dimension_mismatch_for_stacked_measurements():
+    with pytest.raises(DimensionMismatch):
+        zd_ost(np.ones((2, 4)), I4, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_measurements_are_rejected(bad):
+    y = np.array([0.0, bad, 3.0, 0.0])
+    with pytest.raises(BadValue):
+        zd_ost(y, I4, 1)
+    with pytest.raises(BadValue):
+        zd_groth(y, attach_groups(I4, 2), 1)
+    with pytest.raises(BadValue):
+        zd_ost(np.full(4, bad), I4, 2)
+
+
+def test_select_kernel_matches_sort_oracles_with_ties():
+    rng = np.random.default_rng(51)
+    scores = rng.integers(0, 4, size=(30, 12)).astype(float)  # many ties
+    for theta in (1, 5, 12):
+        low = select(scores, theta)
+        high = select(scores, theta, largest=True)
+        for t in range(30):
+            row = scores[t]
+            assert np.array_equal(low[t], np.argsort(row, kind="stable")[:theta])
+            assert np.array_equal(high[t], np.lexsort((np.arange(12), -row))[:theta])
+            assert np.array_equal(select(row, theta, largest=True), high[t])

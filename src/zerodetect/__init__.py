@@ -28,7 +28,6 @@ from .coherence import (
     coherence_report,
     group_coherence_property_check,
     group_coherences,
-    spectral_norm,
     stoc_estimate,
     worst_case_coherence,
 )

@@ -7,9 +7,9 @@ Definitions (natural logarithms everywhere):
   mu_g   = max_{i != j} ||A_i^H A_j||_2                   (group worst-case)
   nu_g   = max_i ||sum_{j != i} A_i^H A_j||_2 / (q - 1)   (group average)
 
-Spectral norms are computed by power iteration with a deterministic start
-vector so that reports are reproducible; dense SVD is used only as a test
-oracle.
+Every statistic is exact, through LAPACK: mu and mu_g come from one scan of
+A^H A in row slabs (memory bounded by one slab, never the p x p Gram) with
+batched spectral norms of its r x r blocks; nu and nu_g come from A 1 in O(np).
 """
 
 from dataclasses import dataclass
@@ -20,16 +20,15 @@ import numpy as np
 from .core import MeasurementMatrix, RngSpec
 from .errors import BadK, BadValue, DimensionMismatch, NoGroups, SingleColumn, ZeroZ
 
-POWER_ITERATION_TOL = 1e-10
-POWER_ITERATION_CAP = 10_000
-
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """All coherence statistics of one matrix, plus the pair attaining mu.
+    """All coherence statistics of one matrix, plus the pairs attaining them.
 
-    argmax_pair indices are 1-based columns (or 1-based groups for the group
-    statistics, reported separately).
+    argmax_pair holds the 1-based columns attaining mu and argmax_group_pair
+    the 1-based groups attaining mu_group. Ties go to the first pair in
+    row-major order of the Gram matrix (of the q x q block norms for groups).
+    Every statistic is exact to rounding, through LAPACK.
     """
 
     mu: float
@@ -71,84 +70,77 @@ class StocEstimate:
             raise BadValue("delta_hat must lie in [0, 1]")
 
 
-def _gram(m: MeasurementMatrix) -> np.ndarray:
-    a = m.matrix
-    return a.conj().T @ a
+# Gram entries per slab: 16 MB of complex128, rounded to whole groups
+_SLAB_ENTRIES = 1 << 20
+
+
+def _first_max(values: np.ndarray, best: float, pair: tuple[int, int],
+               row0: int) -> tuple[float, tuple[int, int]]:
+    # row-major argmax of a slab whose first row is row0; a later slab takes
+    # over only when strictly larger, so the first pair overall wins ties
+    k = int(np.argmax(values))
+    if values.flat[k] > best:
+        i, j = divmod(k, values.shape[1])
+        i += row0
+        return float(values.flat[k]), (min(i, j) + 1, max(i, j) + 1)
+    return best, pair
+
+
+def _gram_scan(m: MeasurementMatrix, r: int | None = None):
+    """(mu, pair, mu_g, group_pair) from A^H A walked in row slabs of at most
+    _SLAB_ENTRIES entries (or one group's rows), never the whole p x p Gram.
+
+    Self-pairs are masked below zero, so whenever p >= 2 (q >= 2 for groups)
+    a reported pair is two distinct columns (groups). mu_g needs r.
+    """
+    a, p = m.matrix, m.p
+    step = r or 1
+    rows = max(step, _SLAB_ENTRIES // p // step * step)
+    mu, pair = -1.0, (1, 1)
+    mu_g, group_pair = -1.0, (1, 2)
+    for start in range(0, p, rows):
+        g = a[:, start:start + rows].conj().T @ a
+        h = g.shape[0]
+        mag = np.abs(g)
+        mag[np.arange(h), start + np.arange(h)] = -1.0
+        mu, pair = _first_max(mag, mu, pair, start)
+        if r is not None:
+            b = h // r
+            blocks = g.reshape(b, r, p // r, r).swapaxes(1, 2)
+            norms = np.linalg.norm(blocks, ord=2, axis=(-2, -1))
+            norms[np.arange(b), start // r + np.arange(b)] = -1.0
+            mu_g, group_pair = _first_max(norms, mu_g, group_pair, start // r)
+    if r is None:
+        mu_g = group_pair = None
+    return max(mu, 0.0), pair, mu_g, group_pair
 
 
 def worst_case_coherence(m: MeasurementMatrix) -> float:
     """Largest |a_i^H a_j| over distinct columns (0 for a single column)."""
-    if m.p < 2:
-        return 0.0
-    g = np.abs(_gram(m))
-    np.fill_diagonal(g, 0.0)
-    return float(g.max())
+    return _gram_scan(m)[0]
 
 
 def coherence_argmax_pair(m: MeasurementMatrix) -> tuple[int, int]:
-    """1-based column pair attaining the worst-case coherence."""
-    if m.p < 2:
-        return (1, 1)
-    g = np.abs(_gram(m))
-    np.fill_diagonal(g, 0.0)
-    i, j = np.unravel_index(int(np.argmax(g)), g.shape)
-    return (int(min(i, j)) + 1, int(max(i, j)) + 1)
+    """1-based column pair attaining mu, the first in row-major Gram order."""
+    return _gram_scan(m)[1]
 
 
 def average_coherence(m: MeasurementMatrix) -> float:
     """Largest off-diagonal Gram row sum modulus, normalized by p - 1."""
     if m.p < 2:
         raise SingleColumn("average coherence needs p >= 2")
-    g = _gram(m)
-    rowsum = g.sum(axis=1) - np.diag(g)
+    a = m.matrix
+    rowsum = a.conj().T @ a.sum(axis=1) - np.einsum("ij,ij->j", a.conj(), a)
     return float(np.abs(rowsum).max() / (m.p - 1))
 
 
-# Fixed seeds for the power-iteration start vectors. Structured inputs (the
-# all-ones vector in particular) can be exactly orthogonal to the leading
-# singular subspace, so generic but reproducible starts are used, and two
-# independent ones guard against an unlucky near-orthogonal overlap.
-_START_SEEDS = (0x5EC7_0001, 0x5EC7_0002)
-
-
-def _power_iteration(b: np.ndarray, v: np.ndarray, rel_tol: float,
-                     max_iter: int, scale: float) -> float:
-    w = b @ v
-    if np.linalg.norm(w) <= 1e-30 * scale:
-        return 0.0
-    lam = 0.0
-    for _ in range(max_iter):
-        v = w / np.linalg.norm(w)
-        w = b @ v
-        lam_new = float(np.real(np.vdot(v, w)))
-        if abs(lam_new - lam) <= rel_tol * max(lam_new, np.finfo(float).tiny):
-            return lam_new
-        lam = lam_new
-    return lam
-
-
-def spectral_norm(c: np.ndarray, rel_tol: float = POWER_ITERATION_TOL,
-                  max_iter: int = POWER_ITERATION_CAP) -> float:
-    """Largest singular value via power iteration on the Gram product c^H c.
-
-    Deterministic: start vectors come from fixed seeds, so equal inputs give
-    equal outputs across runs and machines.
-    """
-    c = np.asarray(c, dtype=np.complex128)
-    b = c.conj().T @ c
-    r = b.shape[0]
-    scale = float(np.abs(b).max(initial=0.0))
-    if scale == 0.0:
-        return 0.0
-
-    lam = 0.0
-    for seed in _START_SEEDS:
-        g = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        parts = g.standard_normal((2, r))
-        v = parts[0] + 1j * parts[1]
-        v /= np.linalg.norm(v)
-        lam = max(lam, _power_iteration(b, v, rel_tol, max_iter, scale))
-    return float(np.sqrt(max(lam, 0.0)))
+def _average_group_coherence(m: MeasurementMatrix) -> float:
+    # nu_g = max_i ||A_i^H (sum_j A_j - A_i)||_2 / (q - 1), in O(np)
+    q, r = m.groups.q, m.groups.r
+    blocks = m.matrix.reshape(m.n, q, r).swapaxes(0, 1)
+    rest = blocks.sum(axis=0) - blocks
+    c = blocks.conj().swapaxes(1, 2) @ rest
+    return float(np.linalg.norm(c, ord=2, axis=(-2, -1)).max() / (q - 1))
 
 
 class GroupCoherences(NamedTuple):
@@ -161,30 +153,10 @@ def group_coherences(m: MeasurementMatrix) -> GroupCoherences:
     """Worst-case and average group coherence of a block-partitioned matrix."""
     if m.groups is None:
         raise NoGroups("matrix has no group partition")
-    q, r = m.groups.q, m.groups.r
-    if q < 2:
+    if m.groups.q < 2:
         raise NoGroups("group coherences need q >= 2")
-    a = m.matrix
-    blocks = [a[:, m.groups.block(i)] for i in range(1, q + 1)]
-
-    mu_g = 0.0
-    pair = (1, 2)
-    for i in range(q):
-        ai_h = blocks[i].conj().T
-        for j in range(i + 1, q):
-            s = spectral_norm(ai_h @ blocks[j])
-            if s > mu_g:
-                mu_g, pair = s, (i + 1, j + 1)
-
-    total = np.zeros((m.n, r), dtype=np.complex128)
-    for blk in blocks:
-        total += blk
-    nu_g = 0.0
-    for i in range(q):
-        s = spectral_norm(blocks[i].conj().T @ (total - blocks[i]))
-        nu_g = max(nu_g, s)
-    nu_g /= q - 1
-    return GroupCoherences(mu_g, nu_g, pair)
+    _, _, mu_g, pair = _gram_scan(m, m.groups.r)
+    return GroupCoherences(mu_g, _average_group_coherence(m), pair)
 
 
 class CoherencePropertyCheck(NamedTuple):
@@ -279,10 +251,9 @@ def stoc_estimate(
 
 def coherence_report(m: MeasurementMatrix) -> CoherenceReport:
     """Compute every applicable coherence statistic of a matrix."""
-    mu = worst_case_coherence(m)
+    grouped = m.groups is not None and m.groups.q >= 2
+    mu, pair, mu_g, group_pair = _gram_scan(m, m.groups.r if grouped else None)
     nu = average_coherence(m)
-    pair = coherence_argmax_pair(m)
-    if m.groups is not None and m.groups.q >= 2:
-        mu_g, nu_g, gpair = group_coherences(m)
-        return CoherenceReport(mu, nu, mu_g, nu_g, pair, gpair)
+    if grouped:
+        return CoherenceReport(mu, nu, mu_g, _average_group_coherence(m), pair, group_pair)
     return CoherenceReport(mu, nu, None, None, pair)

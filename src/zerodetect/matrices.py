@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coherence import worst_case_coherence
 from .core import GroupPartition, MeasurementMatrix, RngSpec
 from .errors import ConstructionError, IndivisibleGroupSize, InvalidSpec
 from .galois import gr_mul, gr_trace, gr_xi, modulus_poly, teichmuller_set
@@ -68,24 +69,6 @@ def kerdock_codewords(spec: KerdockSpec) -> np.ndarray:
     return words.T
 
 
-def _verify_kerdock_coherence(a: np.ndarray, target: float) -> None:
-    # exhaustive pairwise check, blockwise to bound memory; any duplicate
-    # column would show up as an off-diagonal modulus near 1 >> target
-    p = a.shape[1]
-    ah = a.conj().T
-    block = 2048
-    for start in range(0, p, block):
-        g = np.abs(ah[start:start + block] @ a)
-        for i in range(g.shape[0]):
-            g[i, start + i] = 0.0
-        worst = float(g.max())
-        if worst > target + 1e-8:
-            raise ConstructionError(
-                f"column enumeration produced overlapping columns: "
-                f"max off-diagonal coherence {worst!r} exceeds {target!r}"
-            )
-
-
 def build_kerdock(spec: KerdockSpec) -> MeasurementMatrix:
     """Deterministic M x M^2 Kerdock frame with unit-modulus-scaled entries.
 
@@ -93,9 +76,14 @@ def build_kerdock(spec: KerdockSpec) -> MeasurementMatrix:
     exactly 1/sqrt(M); both are enforced at construction time.
     """
     words = kerdock_codewords(spec)
-    a = _I_POWERS[words] / np.sqrt(spec.rows)
-    _verify_kerdock_coherence(a, spec.coherence)
-    return MeasurementMatrix(a)
+    m = MeasurementMatrix(_I_POWERS[words] / np.sqrt(spec.rows))
+    worst = worst_case_coherence(m)
+    if worst > spec.coherence + 1e-8:
+        raise ConstructionError(
+            f"column enumeration produced overlapping columns: "
+            f"max off-diagonal coherence {worst!r} exceeds {spec.coherence!r}"
+        )
+    return m
 
 
 def kerdock_meta(spec: KerdockSpec) -> dict[str, str]:

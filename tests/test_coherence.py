@@ -1,16 +1,21 @@
 """Coherence statistics, property checks, and the orthogonality estimator."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zerodetect import coherence
 from zerodetect.coherence import (
     CoherenceReport,
     average_coherence,
+    coherence_argmax_pair,
     coherence_property_check,
     coherence_report,
     group_coherence_property_check,
     group_coherences,
-    spectral_norm,
     stoc_estimate,
     worst_case_coherence,
 )
@@ -106,14 +111,6 @@ def test_coherences_invariant_under_left_unitary(kerdock16):
     assert abs(g0.nu_group - g1.nu_group) < 1e-8
 
 
-def test_spectral_norm_against_svd():
-    rng = np.random.default_rng(34)
-    for shape in [(3, 3), (8, 8), (5, 2)]:
-        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        assert abs(spectral_norm(c) - np.linalg.svd(c, compute_uv=False)[0]) < 1e-9
-    assert spectral_norm(np.zeros((4, 4))) == 0.0
-
-
 def test_group_coherences_orthonormal_blocks():
     m = attach_groups(MeasurementMatrix(np.eye(8)), 2)
     mu_g, nu_g, _ = group_coherences(m)
@@ -152,6 +149,45 @@ def test_group_coherences_r1_matches_elementwise(kerdock16):
     mu_g, nu_g, _ = group_coherences(m)
     assert abs(mu_g - worst_case_coherence(kerdock16)) < 1e-10
     assert abs(nu_g - average_coherence(kerdock16)) < 1e-10
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 8), q=st.integers(2, 8), r=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_slab_scan_matches_dense_oracles(data, n, q, r, seed):
+    # any slab size, from one Gram entry to more than the whole Gram, gives
+    # the full-Gram and per-pair SVD values, and the reported pairs attain them
+    p = q * r
+    slab = data.draw(st.integers(1, p * p + 1), label="slab_entries")
+    m = attach_groups(_random_unit_matrix(np.random.default_rng(seed), n, p), r)
+    a = m.matrix
+    g = a.conj().T @ a
+    mag = np.abs(g)
+    np.fill_diagonal(mag, 0.0)
+    mu = mag.max()
+    nu = np.abs(g.sum(axis=1) - np.diag(g)).max() / (p - 1)
+    blocks = [a[:, i * r:(i + 1) * r] for i in range(q)]
+
+    def norm2(c):
+        return np.linalg.svd(c, compute_uv=False)[0]
+
+    mu_g = max(norm2(blocks[i].conj().T @ blocks[j])
+               for i in range(q) for j in range(q) if i != j)
+    total = sum(blocks)
+    nu_g = max(norm2(blocks[i].conj().T @ (total - blocks[i])) for i in range(q)) / (q - 1)
+
+    with mock.patch.object(coherence, "_SLAB_ENTRIES", slab):
+        got_mu = worst_case_coherence(m)
+        i, j = coherence_argmax_pair(m)
+        got_nu = average_coherence(m)
+        got = group_coherences(m)
+    assert abs(got_mu - mu) <= 1e-12
+    assert abs(got_nu - nu) <= 1e-12
+    assert abs(got.mu_group - mu_g) <= 1e-9
+    assert abs(got.nu_group - nu_g) <= 1e-9
+    assert i < j and abs(abs(np.vdot(a[:, i - 1], a[:, j - 1])) - got_mu) <= 1e-12
+    gi, gj = got.argmax_pair
+    assert gi < gj and abs(norm2(blocks[gi - 1].conj().T @ blocks[gj - 1]) - got.mu_group) <= 1e-9
 
 
 def test_group_coherences_requires_partition(kerdock16):

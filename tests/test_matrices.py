@@ -1,10 +1,13 @@
 """Kerdock and Bernoulli constructions, and group attachment."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from zerodetect import matrices
 from zerodetect.core import RngSpec
-from zerodetect.errors import IndivisibleGroupSize, InvalidSpec
+from zerodetect.errors import ConstructionError, IndivisibleGroupSize, InvalidSpec
 from zerodetect.matrices import (
     KerdockSpec,
     attach_groups,
@@ -47,6 +50,14 @@ def test_kerdock_worst_case_coherence_exhaustive(kerdock16):
     g = np.abs(a.conj().T @ a)
     np.fill_diagonal(g, 0.0)
     assert abs(g.max() - 0.25) < 1e-10
+
+
+def test_kerdock_duplicate_column_is_rejected():
+    words = matrices.kerdock_codewords(KerdockSpec(3))
+    words[:, 7] = words[:, 3]
+    with mock.patch.object(matrices, "kerdock_codewords", return_value=words):
+        with pytest.raises(ConstructionError, match="overlapping columns"):
+            build_kerdock(KerdockSpec(3))
 
 
 @pytest.mark.parametrize("m", [1, 3])

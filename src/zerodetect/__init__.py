@@ -47,7 +47,6 @@ from .experiments import (
     run_trial,
     write_report_csv,
 )
-from .galois import GaloisRingElement, gr_add, gr_mul, gr_pow, gr_trace
 from .matrices import (
     KerdockSpec,
     attach_groups,

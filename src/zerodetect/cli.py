@@ -56,7 +56,10 @@ def _load_matrix(path: str, group_size: int | None) -> MeasurementMatrix:
     entries, meta = read_cmat(path)
     m = MeasurementMatrix(entries)
     if group_size is None and "group_size" in meta:
-        group_size = int(meta["group_size"])
+        try:
+            group_size = int(meta["group_size"])
+        except ValueError as exc:
+            raise CmatFormatError(f"bad group_size meta value {meta['group_size']!r}") from exc
     if group_size is not None:
         m = attach_groups(m, group_size)
     return m

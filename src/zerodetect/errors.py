@@ -37,10 +37,6 @@ class InvalidSpec(ZeroDetectError, ValueError):
     """A matrix-family specification is malformed (e.g. even Kerdock degree)."""
 
 
-class MixedDegree(ZeroDetectError, ValueError):
-    """Galois-ring operands live in rings of different extension degree."""
-
-
 class ThetaOutOfRange(BadValue):
     """Requested estimate size is outside [1, p] (or [1, q] for groups)."""
 

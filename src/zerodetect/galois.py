@@ -1,23 +1,20 @@
-"""Arithmetic in the Galois ring GR(4, m).
+"""The Galois ring GR(4, m) through its modulus and its trace sequence.
 
 GR(4, m) = Z4[x] / (g(x)) where g is a monic basic irreducible polynomial of
 degree m: the Hensel lift of a primitive binary polynomial h, obtained from
-g(x^2) = (-1)^m h(x) h(-x) (mod 4). The ring has 4^m elements. The residue
-class xi of x is a Teichmuller unit of multiplicative order 2^m - 1, and the
-Teichmuller set {0, 1, xi, ..., xi^(2^m - 2)} is a full set of representatives
-of the residue field GF(2^m). Every element decomposes uniquely as a + 2b
-with a, b in the Teichmuller set; the Frobenius automorphism maps a + 2b to
-a^2 + 2b^2, and the trace down to Z4 is the sum of the m Frobenius iterates.
+g(x^2) = (-1)^m h(x) h(-x) (mod 4). The residue class xi of x is a unit of
+multiplicative order 2^m - 1, and its conjugates xi^(2^i), i < m, are the m
+roots of g. The trace of xi^k down to Z4 is therefore the k-th power sum of
+the roots of g, which Newton's identities give from the coefficients of g
+alone: the Kerdock construction needs nothing else from the ring.
 
-Elements are immutable coefficient vectors over Z4 in the basis
-(1, xi, ..., xi^(m-1)); the modulus for each degree is fixed by the table
-below so that results are reproducible across runs and machines.
+The modulus for each degree is fixed by the table below so that results are
+reproducible across runs and machines.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadValue, ConstructionError, MixedDegree
+from .errors import BadValue, ConstructionError
 
 # Primitive binary polynomials by degree, coefficients ascending (constant
 # term first). Standard table entries; primitivity is asserted by the tests.
@@ -64,172 +61,20 @@ def modulus_poly(m: int) -> tuple[int, ...]:
     return hensel_lift(PRIMITIVE_BINARY_POLYS[m])
 
 
-@dataclass(frozen=True)
-class GaloisRingElement:
-    """Element of GR(4, m) as a coefficient vector over Z4."""
+def trace_sequence(m: int, length: int) -> tuple[int, ...]:
+    """(s_0, ..., s_{length-1}) with s_k = Tr(xi^k) in Z4, for GR(4, m).
 
-    m: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise BadValue("extension degree must be >= 1")
-        if len(self.coeffs) != self.m:
-            raise BadValue(f"expected {self.m} coefficients, got {len(self.coeffs)}")
-        if any(not isinstance(c, int) or not 0 <= c <= 3 for c in self.coeffs):
-            raise BadValue("coefficients must be integers in {0, 1, 2, 3}")
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other):
-        return gr_add(self, other)
-
-    def __sub__(self, other):
-        return gr_sub(self, other)
-
-    def __mul__(self, other):
-        return gr_mul(self, other)
-
-    def __pow__(self, exponent: int):
-        return gr_pow(self, exponent)
-
-
-def gr_zero(m: int) -> GaloisRingElement:
-    return GaloisRingElement(m, (0,) * m)
-
-
-def gr_one(m: int) -> GaloisRingElement:
-    return GaloisRingElement(m, (1,) + (0,) * (m - 1))
-
-
-def gr_xi(m: int) -> GaloisRingElement:
-    """The residue class of x, a Teichmuller unit of order 2^m - 1."""
-    if m == 1:
-        # degree-1 modulus x + 3: xi = -3 = 1
-        return gr_one(1)
-    return GaloisRingElement(m, (0, 1) + (0,) * (m - 2))
-
-
-def _check_same_ring(a: GaloisRingElement, b: GaloisRingElement) -> None:
-    if a.m != b.m:
-        raise MixedDegree(f"operands live in GR(4,{a.m}) and GR(4,{b.m})")
-
-
-def gr_add(a: GaloisRingElement, b: GaloisRingElement) -> GaloisRingElement:
-    _check_same_ring(a, b)
-    return GaloisRingElement(a.m, tuple((x + y) % 4 for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def gr_neg(a: GaloisRingElement) -> GaloisRingElement:
-    return GaloisRingElement(a.m, tuple((-x) % 4 for x in a.coeffs))
-
-
-def gr_sub(a: GaloisRingElement, b: GaloisRingElement) -> GaloisRingElement:
-    return gr_add(a, gr_neg(b))
-
-
-def gr_scale(a: GaloisRingElement, s: int) -> GaloisRingElement:
-    return GaloisRingElement(a.m, tuple((s * x) % 4 for x in a.coeffs))
-
-
-def gr_mul(a: GaloisRingElement, b: GaloisRingElement) -> GaloisRingElement:
-    _check_same_ring(a, b)
-    m = a.m
-    g = modulus_poly(m)
-    prod = [0] * (2 * m - 1)
-    for i, x in enumerate(a.coeffs):
-        if x == 0:
-            continue
-        for j, y in enumerate(b.coeffs):
-            prod[i + j] = (prod[i + j] + x * y) % 4
-    # reduce mod g (monic): x^m = -(g_0 + g_1 x + ... + g_{m-1} x^{m-1})
-    for k in range(2 * m - 2, m - 1, -1):
-        c = prod[k]
-        if c == 0:
-            continue
-        prod[k] = 0
-        for j in range(m):
-            prod[k - m + j] = (prod[k - m + j] - c * g[j]) % 4
-    return GaloisRingElement(m, tuple(prod[:m]))
-
-
-def gr_pow(a: GaloisRingElement, exponent: int) -> GaloisRingElement:
-    if not isinstance(exponent, int) or exponent < 0:
-        raise BadValue("exponent must be a non-negative integer")
-    result = gr_one(a.m)
-    base = a
-    e = exponent
-    while e:
-        if e & 1:
-            result = gr_mul(result, base)
-        base = gr_mul(base, base)
-        e >>= 1
-    return result
-
-
-@lru_cache(maxsize=None)
-def teichmuller_set(m: int) -> tuple[GaloisRingElement, ...]:
-    """(0, 1, xi, xi^2, ..., xi^(2^m - 2)): zero plus the cyclic Teichmuller units."""
-    xi = gr_xi(m)
-    order = 2**m - 1
-    elems = [gr_zero(m), gr_one(m)]
-    cur = gr_one(m)
-    for _ in range(order - 1):
-        cur = gr_mul(cur, xi)
-        elems.append(cur)
-    closing = gr_mul(cur, xi)
-    if closing != gr_one(m):
-        raise ConstructionError(f"xi does not have order {order} in GR(4,{m})")
-    if len(set(elems)) != 2**m:
-        raise ConstructionError("Teichmuller representatives are not distinct")
-    return tuple(elems)
-
-
-@lru_cache(maxsize=None)
-def _teichmuller_by_residue(m: int) -> dict[tuple[int, ...], GaloisRingElement]:
-    # mod-2 reduction of the Teichmuller set covers GF(2^m) exactly once
-    table = {}
-    for t in teichmuller_set(m):
-        table[tuple(c % 2 for c in t.coeffs)] = t
-    if len(table) != 2**m:
-        raise ConstructionError("Teichmuller residues do not cover the residue field")
-    return table
-
-
-def teichmuller_lift(a: GaloisRingElement) -> GaloisRingElement:
-    """The Teichmuller representative congruent to a modulo 2."""
-    return _teichmuller_by_residue(a.m)[tuple(c % 2 for c in a.coeffs)]
-
-
-def two_adic_decomposition(a: GaloisRingElement) -> tuple[GaloisRingElement, GaloisRingElement]:
-    """Write a = t0 + 2 t1 with t0, t1 in the Teichmuller set."""
-    t0 = teichmuller_lift(a)
-    d = gr_sub(a, t0)
-    if any(c % 2 for c in d.coeffs):
-        raise ConstructionError("2-adic remainder is not even")
-    half = GaloisRingElement(a.m, tuple(c // 2 for c in d.coeffs))
-    t1 = teichmuller_lift(half)
-    return t0, t1
-
-
-def gr_frobenius(a: GaloisRingElement) -> GaloisRingElement:
-    """The Frobenius automorphism: t0 + 2 t1 -> t0^2 + 2 t1^2."""
-    t0, t1 = two_adic_decomposition(a)
-    return gr_add(gr_mul(t0, t0), gr_scale(gr_mul(t1, t1), 2))
-
-
-def gr_trace(a: GaloisRingElement) -> int:
-    """Z4-linear trace down to Z4: the sum of the m Frobenius iterates.
-
-    The iterates sum to a Frobenius-fixed element, whose coefficient vector
-    is supported on the constant term only.
+    s_k is the k-th power sum of the roots of g = modulus_poly(m), so Newton's
+    identities give it from s_0 = m and the coefficients g_i (g_m = 1):
+      s_k = -(g_{m-1} s_{k-1} + ... + g_{m-k+1} s_1 + k g_{m-k})   for k <= m,
+      s_k = -(g_{m-1} s_{k-1} + ... + g_0 s_{k-m})                 for k > m.
+    The sequence is periodic with period 2^m - 1, the order of xi.
     """
-    total = gr_zero(a.m)
-    cur = a
-    for _ in range(a.m):
-        total = gr_add(total, cur)
-        cur = gr_frobenius(cur)
-    if any(total.coeffs[1:]):
-        raise ConstructionError("trace did not land in Z4")
-    return total.coeffs[0]
+    g = modulus_poly(m)
+    s = [m % 4]
+    for k in range(1, length):
+        acc = sum(g[m - i] * s[k - i] for i in range(1, min(k - 1, m) + 1))
+        if k <= m:
+            acc += k * g[m - k]
+        s.append(-acc % 4)
+    return tuple(s[:length])

@@ -1,22 +1,27 @@
 """Measurement-matrix families: deterministic Kerdock frames and random Bernoulli.
 
 The Kerdock frame with degree parameter m (odd) is the M x M^2 matrix,
-M = 2^(m+1), whose rows are indexed by the Teichmuller set plus zero of
-GR(4, m+1) and whose columns are indexed by the ring elements lambda; entry
-(t, lambda) is i^Tr(lambda * t) / sqrt(M). Distinct columns are either
-orthogonal or have inner-product modulus exactly 1/sqrt(M), which is the
-worst-case coherence of the frame; the constructor verifies this exhaustively
-and fails loudly if the enumeration ever produced duplicate columns.
+M = 2^(m+1), built from the Galois ring GR(4, u), u = m + 1. Its rows are
+indexed by t in (0, 1, xi, ..., xi^(M-2)), its columns by the ring elements
+lambda, and entry (t, lambda) is i^Tr(lambda * t) / sqrt(M). The trace is
+Z4-linear, so the whole Z4 word table follows from the u x M traces
+Tr(xi^j t), read off one Z4 sequence s_e = Tr(xi^e) (galois.trace_sequence).
+
+Distinct columns are either orthogonal or have inner-product modulus exactly
+1/sqrt(M), the worst-case coherence of the frame. The constructor checks that
+the word table is Z4-linear in lambda; then every inner product depends only
+on the difference of its two columns' lambdas, so the one Gram row of the
+column lambda = 0 gives the exact worst-case coherence, which must not exceed
+1/sqrt(M). A duplicated or overlapping column fails one of the two checks.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coherence import worst_case_coherence
 from .core import GroupPartition, MeasurementMatrix, RngSpec
 from .errors import ConstructionError, IndivisibleGroupSize, InvalidSpec
-from .galois import gr_mul, gr_trace, gr_xi, modulus_poly, teichmuller_set
+from .galois import modulus_poly, trace_sequence
 
 _I_POWERS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
@@ -41,7 +46,7 @@ class KerdockSpec:
 
     @property
     def ring_degree(self) -> int:
-        # rows are indexed by the Teichmuller set (plus 0) of GR(4, m+1)
+        # rows are indexed by 0 and the powers of xi in GR(4, m+1)
         return self.m + 1
 
     @property
@@ -49,24 +54,36 @@ class KerdockSpec:
         return 1.0 / np.sqrt(self.rows)
 
 
+def _lex_digits(u: int) -> np.ndarray:
+    # (u, 4^u) Z4 coefficient vectors of every lambda, first coefficient slowest
+    return np.indices((4,) * u).reshape(u, -1)
+
+
 def kerdock_codewords(spec: KerdockSpec) -> np.ndarray:
     """Z4 words underlying the frame: shape (M, M^2), entry Tr(lambda * t).
 
     Columns are ordered lexicographically by the coefficient vector of lambda
-    (coefficient of 1 most significant); rows follow the Teichmuller order
-    (0, 1, xi, xi^2, ...).
+    in the basis (1, xi, ..., xi^(u-1)), coefficient of 1 most significant;
+    rows follow t = 0, 1, xi, xi^2, ....
     """
     u = spec.ring_degree
-    positions = teichmuller_set(u)
-    basis = [gr_xi(u) ** j for j in range(u)]
+    M = spec.rows
+    # Tr(xi^j * 0) = 0 and Tr(xi^j * xi^e) = s_{j+e}
+    s = np.array(trace_sequence(u, M + u - 2), dtype=np.int64)
+    tau = np.zeros((u, M), dtype=np.int64)
+    tau[:, 1:] = s[np.add.outer(np.arange(u), np.arange(M - 1))]
     # trace is Z4-linear, so Tr(lambda t) = sum_j lambda_j Tr(xi^j t)
-    tau = np.array(
-        [[gr_trace(gr_mul(bj, t)) for t in positions] for bj in basis],
-        dtype=np.int64,
-    )  # (u, M)
-    digits = np.indices((4,) * u).reshape(u, -1)  # lex order, first coeff slowest
-    words = (digits.T @ tau) % 4  # (M^2, M)
+    words = _lex_digits(u).T @ tau  # (M^2, M)
+    words &= 3  # mod 4
     return words.T
+
+
+def _is_z4_linear(words: np.ndarray, u: int) -> bool:
+    # the columns of lambda = xi^j sit at 4^(u-1-j); every column must be the
+    # Z4 combination of them that its lambda names
+    span = words[:, 4 ** np.arange(u - 1, -1, -1)] @ _lex_digits(u)
+    span &= 3  # mod 4
+    return np.array_equal(words, span)
 
 
 def build_kerdock(spec: KerdockSpec) -> MeasurementMatrix:
@@ -76,8 +93,16 @@ def build_kerdock(spec: KerdockSpec) -> MeasurementMatrix:
     exactly 1/sqrt(M); both are enforced at construction time.
     """
     words = kerdock_codewords(spec)
-    m = MeasurementMatrix(_I_POWERS[words] / np.sqrt(spec.rows))
-    worst = worst_case_coherence(m)
+    if not _is_z4_linear(words, spec.ring_degree):
+        raise ConstructionError(
+            "column enumeration produced overlapping columns: the words are not "
+            "Z4-linear in lambda, so no single Gram row bounds the coherence"
+        )
+    m = MeasurementMatrix((_I_POWERS / np.sqrt(spec.rows))[words])
+    # under linearity a_lambda^H a_lambda' depends only on lambda' - lambda,
+    # so the row of lambda = 0 holds every off-diagonal modulus
+    a = m.matrix
+    worst = float(np.abs(a[:, 0].conj() @ a)[1:].max())
     if worst > spec.coherence + 1e-8:
         raise ConstructionError(
             f"column enumeration produced overlapping columns: "

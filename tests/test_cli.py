@@ -137,6 +137,20 @@ def test_malformed_matrix_file_is_io_error(tmp_path, capsys):
     assert "ERROR CmatFormatError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["coherence", "stoc", "detect"])
+def test_bad_group_size_meta_is_format_error(tmp_path, capsys, cmd):
+    bad = tmp_path / "bad.cmat"
+    bad.write_text("2 2\n# meta: group_size=abc\n1+0j 0+0j\n0+0j 1+0j\n")
+    args = {
+        "coherence": ["--out", str(tmp_path / "c.csv")],
+        "stoc": ["--k", "1", "--eps", "0.5", "--trials", "2", "--out", str(tmp_path / "s.csv")],
+        "detect": ["--yinline", "1,0", "--theta", "1", "--out", str(tmp_path / "r.csv")],
+    }[cmd]
+    assert run(cmd, "--matrix", str(bad), *args) == 2
+    err = capsys.readouterr().err
+    assert "ERROR CmatFormatError" in err and "group_size" in err
+
+
 def test_coherence_report_matches_library(kerdock_file, tmp_path):
     out = tmp_path / "report.csv"
     assert run("coherence", "--matrix", str(kerdock_file), "--group-size", "8",

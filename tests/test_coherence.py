@@ -299,6 +299,19 @@ def test_coherence_report_fields(kerdock16_r8):
     assert abs(abs(np.vdot(a[:, i - 1], a[:, j - 1])) - 0.25) < 1e-12
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_coherence_report_two_columns(n, seed):
+    # at p = 2, nu equals mu in exact arithmetic but is a different sum, so
+    # the two may round in either order
+    m = _random_unit_matrix(np.random.default_rng(seed), n, 2)
+    rep = coherence_report(m)
+    a = m.matrix
+    assert abs(rep.mu - abs(np.vdot(a[:, 0], a[:, 1]))) <= 1e-12
+    assert abs(rep.nu - rep.mu) <= 1e-12
+    assert rep.argmax_pair == (1, 2)
+
+
 def test_coherence_report_rejects_inverted_order():
     with pytest.raises(BadValue):
         CoherenceReport(mu=0.1, nu=0.2, mu_group=None, nu_group=None, argmax_pair=(1, 2))

@@ -1,5 +1,6 @@
 """Kerdock and Bernoulli constructions, and group attachment."""
 
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -58,6 +59,50 @@ def test_kerdock_duplicate_column_is_rejected():
     with mock.patch.object(matrices, "kerdock_codewords", return_value=words):
         with pytest.raises(ConstructionError, match="overlapping columns"):
             build_kerdock(KerdockSpec(3))
+
+
+def test_kerdock_linear_duplicate_is_rejected():
+    # a word table built from traces with a repeated row is still Z4-linear,
+    # but lambda = xi^0 - xi^1 gives the zero word, a copy of column 0
+    u = KerdockSpec(3).ring_degree
+    tau = matrices.kerdock_codewords(KerdockSpec(3))[:, 4 ** np.arange(u - 1, -1, -1)].T
+    tau[1] = tau[0]
+    digits = np.indices((4,) * u).reshape(u, -1)
+    words = ((digits.T @ tau) % 4).T
+    with mock.patch.object(matrices, "kerdock_codewords", return_value=words):
+        with pytest.raises(ConstructionError, match=r"overlapping columns: max off-diagonal coherence 1\.0 "):
+            build_kerdock(KerdockSpec(3))
+
+
+# SHA-256 of the Z4 word tables (as C-ordered int64) and of the frame entries
+# (C-ordered complex128), frozen from GR(4, m+1) element arithmetic
+KERDOCK_DIGESTS = {
+    1: ("504dfa7d3d82d0e3cdebd0d8264fbcf3a5d06d0a97552756a75fc97627cded33",
+        "a7b92b65f10f7226d6c32c39c70b52f10effee199fd6d56d3ca5b5ff854599f5"),
+    3: ("dd7481175e222a24ce6bb66e4d9e2b5285211ebd694882d702130222245b1077",
+        "a01c3f42b7039132286b2f3568f5e6ad6f8910f8742db4eef65ccf9b31819a4d"),
+    5: ("8551ec1f9cb5c14392fb5e6875c8d3aa3314866700ec3048f763c7a0df822762",
+        "fcf575dcc3f5bb05b2a563d005b5b46f9339db199ab147d61413dfd16a9593c3"),
+}
+
+
+def _sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("m", sorted(KERDOCK_DIGESTS))
+def test_kerdock_golden_digests(m):
+    words_digest, matrix_digest = KERDOCK_DIGESTS[m]
+    assert _sha256(matrices.kerdock_codewords(KerdockSpec(m)).astype(np.int64)) == words_digest
+    mat = build_kerdock(KerdockSpec(m)).matrix
+    assert mat.dtype == np.complex128
+    assert _sha256(mat) == matrix_digest
+
+
+def test_kerdock_m7_is_buildable():
+    mat = build_kerdock(KerdockSpec(7)).matrix
+    assert mat.shape == (256, 65536)
+    assert np.all(mat[:, 0] == 1.0 / 16.0)  # lambda = 0: the constant column
 
 
 @pytest.mark.parametrize("m", [1, 3])

@@ -36,7 +36,6 @@ from .experiments import (
     ExperimentConfig,
     TrialBatchReport,
     UniformAmplitude,
-    baseline_full_support,
     build_matrix,
     emit_plotdata,
     gen_group_signal,

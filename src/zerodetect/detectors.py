@@ -2,9 +2,13 @@
 
 All detectors correlate the measurements with every column (score vector
 |a_i^H y|, or block norms ||A_i^H y||_2 in the group variant) and keep the
-theta smallest scores; the baselines keep the largest. Ties break toward the
-smaller index so results are reproducible. Columns are unit-norm by the
-MeasurementMatrix invariant, so scores are never renormalized.
+theta smallest scores; the baselines keep the largest. Columns are unit-norm
+by the MeasurementMatrix invariant, so scores are never renormalized.
+
+Selection is exact and partial, never a sort of a whole score row: with keys
+= scores (-scores for the largest) and v the theta-th smallest key, it takes
+every key below v, then keys equal to v in index order, so ties go to the
+smaller index. The batch engine keeps that set; detectors rank it best first.
 """
 
 from dataclasses import dataclass
@@ -47,11 +51,33 @@ def _check_theta(theta: int, limit: int, what: str) -> None:
         raise ThetaOutOfRange(f"theta must be in 1..{limit} ({what}), got {theta}")
 
 
+def select_mask(keys: np.ndarray, theta: int) -> np.ndarray:
+    """Boolean mask of the theta smallest keys along the last axis: every key
+    below the theta-th smallest value v, then keys equal to v in index order."""
+    p = keys.shape[-1]
+    if theta == 0 or theta >= p:
+        return np.full(keys.shape, theta > 0)
+    if theta == 1:  # argmin also takes the first of equal keys
+        return np.arange(p) == keys.argmin(axis=-1)[..., np.newaxis]
+    v = np.partition(keys, theta - 1, axis=-1)[..., theta - 1, np.newaxis]
+    mask = keys <= v
+    if np.count_nonzero(mask) == mask.size // p * theta:  # no row has surplus ties at v
+        return mask
+    below, at = keys < v, keys == v
+    room = theta - np.count_nonzero(below, axis=-1)[..., np.newaxis]
+    return below | (at & (np.cumsum(at, axis=-1) <= room))
+
+
 def select(scores: np.ndarray, theta: int, largest: bool = False) -> np.ndarray:
     """0-based positions of the theta smallest (or largest) scores along the
-    last axis, best first. Equal scores go to the smaller index either way."""
+    last axis, best first, equal scores by index: the order a stable sort of
+    the whole row gives, from a stable sort of select_mask's theta entries."""
     keys = -scores if largest else scores
-    return np.argsort(keys, axis=-1, kind="stable")[..., :theta]
+    mask = select_mask(keys, theta)
+    shape = keys.shape[:-1] + (theta,)
+    picked = np.nonzero(mask)[-1].reshape(shape)
+    order = keys[mask].reshape(shape).argsort(axis=-1, kind="stable")
+    return np.take_along_axis(picked, order, axis=-1)
 
 
 def group_norms(s: np.ndarray, groups: GroupPartition) -> np.ndarray:

@@ -26,11 +26,10 @@ from .core import (
     MeasurementMatrix,
     RngSpec,
     SignalInstance,
-    SupportSet,
     hermitian_apply,
     read_cmat,
 )
-from .detectors import group_norms, ost_topk, select
+from .detectors import group_norms, select_mask
 from .errors import BadK, BadValue, IncompleteReport, NoGroups, ThetaOutOfRange
 from .matrices import KerdockSpec, attach_groups, build_bernoulli, build_kerdock
 from .theory import NOISE_CONVENTIONS
@@ -181,33 +180,6 @@ class TrialMetrics(NamedTuple):
     hit: bool
 
 
-class FullSupportResult(NamedTuple):
-    error: bool  # selected set differs from the true support
-    fdp: float
-
-
-def baseline_full_support(y, m: MeasurementMatrix, support: SupportSet) -> FullSupportResult:
-    """Oracle-sparsity support recovery: top-k scores versus the true support."""
-    k = len(support)
-    if k == 0:
-        return FullSupportResult(False, 0.0)
-    selected = ost_topk(y, m, k).estimate.indices
-    wrong = len(set(selected) - support.to_set())
-    return FullSupportResult(selected != support.indices, wrong / k)
-
-
-def _group_active(support: np.ndarray, m: MeasurementMatrix) -> np.ndarray:
-    if m.groups is None:
-        raise NoGroups("matrix has no group partition")
-    return support.reshape(*support.shape[:-1], m.groups.q, m.groups.r).any(axis=-1)
-
-
-def group_zero_support(signal: SignalInstance, m: MeasurementMatrix) -> SupportSet:
-    """Groups of the partition containing no support element of the signal."""
-    active = _group_active(signal.x != 0, m)
-    return SupportSet.from_zero_based(np.flatnonzero(~active), m.groups.q)
-
-
 # detector -> (ranks group norms, keeps the largest scores, target mask)
 _DETECTORS = {
     "zd_ost": (False, False, "zeros"),
@@ -230,21 +202,24 @@ def _check_detection(detector: str, theta: int, m: MeasurementMatrix) -> None:
 def _detect_block(combos, m: MeasurementMatrix, y: np.ndarray, support: np.ndarray):
     """(fdp, zero fraction, hit) arrays over a block of trials, one triple per
     (detector, estimate size) in combos, from the block's measurements y (T, n)
-    and its signals' nonzero masks (T, p)."""
+    and its signals' nonzero masks (T, p); the metrics need sets, not rankings."""
+    for det, theta in combos:
+        _check_detection(det, theta, m)
     s = hermitian_apply(m, y)
     scores = {False: np.abs(s)}
     targets = {"support": support, "zeros": ~support}
     if any(det == "zd_groth" for det, _ in combos):
-        targets["group_zeros"] = ~_group_active(support, m)
+        targets["group_zeros"] = ~support.reshape(len(y), m.groups.q, m.groups.r).any(axis=-1)
         scores[True] = group_norms(s, m.groups)
+    # keys per (score kind, direction), built once per block; smaller is better
+    keys = {(grouped, largest): -scores[grouped] if largest else scores[grouped]
+            for grouped, largest, _ in {_DETECTORS[det] for det, _ in combos}}
     out = []
     for det, theta in combos:
-        _check_detection(det, theta, m)
         grouped, largest, target = _DETECTORS[det]
         full = det == "ost_topk_full_support"
         used = int(support[0].sum()) if full else theta  # the k of every trial in the block
-        picked = select(scores[grouped], used, largest)
-        inter = np.take_along_axis(targets[target], picked, axis=-1).sum(axis=-1)
+        inter = (targets[target] & select_mask(keys[grouped, largest], used)).sum(axis=-1)
         size = targets[target].sum(axis=-1)
         fdp = (used - inter) / used if used else np.zeros(inter.shape)
         zf = np.divide(inter, size, out=np.full(inter.shape, np.nan), where=size > 0)

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zerodetect.core import MeasurementMatrix, RngSpec
-from zerodetect.detectors import ost_topk, select, zd_groth, zd_ost
+from zerodetect.detectors import ost_topk, select, select_mask, zd_groth, zd_ost
 from zerodetect.errors import BadValue, DimensionMismatch, NoGroups, ThetaOutOfRange
 from zerodetect.matrices import KerdockSpec, attach_groups, build_bernoulli, build_kerdock
 
@@ -177,3 +179,37 @@ def test_select_kernel_matches_sort_oracles_with_ties():
             assert np.array_equal(low[t], np.argsort(row, kind="stable")[:theta])
             assert np.array_equal(high[t], np.lexsort((np.arange(12), -row))[:theta])
             assert np.array_equal(select(row, theta, largest=True), high[t])
+
+
+def _sort_select(scores, theta, largest=False):
+    """Reference: the stable sort of whole score rows that select replaced."""
+    keys = -scores if largest else scores
+    return np.argsort(keys, axis=-1, kind="stable")[..., :theta]
+
+
+# few distinct values, so that ties are common; 0.0 and -0.0 must tie
+_QUANTIZED = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.5])
+
+
+@st.composite
+def _score_rows(draw):
+    p = draw(st.integers(1, 12))
+    t = draw(st.integers(1, 4))
+    values = draw(st.lists(_QUANTIZED, min_size=t * p, max_size=t * p))
+    scores = np.array(values).reshape(t, p)
+    if t == 1 and draw(st.booleans()):
+        scores = scores[0]  # a lone row, as the detectors pass it
+    return scores, draw(st.integers(0, p)), draw(st.booleans())
+
+
+@given(_score_rows())
+def test_partial_selection_matches_sort_oracle(case):
+    scores, theta, largest = case
+    expected = _sort_select(scores, theta, largest)
+    if theta:
+        assert np.array_equal(select(scores, theta, largest), expected)
+    # the batch engine's mask holds the oracle's first theta positions (theta = 0: none)
+    keys = -scores if largest else scores
+    want = np.zeros(scores.shape, dtype=bool)
+    np.put_along_axis(want, expected, True, axis=-1)
+    assert np.array_equal(select_mask(keys, theta), want)

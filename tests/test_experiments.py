@@ -5,19 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from zerodetect.core import MeasurementMatrix, RngSpec, SupportSet
+from zerodetect.core import MeasurementMatrix, RngSpec, SignalInstance
 from zerodetect.errors import BadK, BadValue, IncompleteReport, NoGroups
 from zerodetect.experiments import (
     ExperimentConfig,
     UniformAmplitude,
-    baseline_full_support,
     build_matrix,
     effective_theta,
     emit_plotdata,
+    evaluate_detection,
     gen_group_signal,
     gen_noise,
     gen_tone_signal,
-    group_zero_support,
     parse_experiment_config,
     run_batch,
     run_trial,
@@ -137,33 +136,41 @@ def test_run_trial_golden_tuples(kerdock16):
 
 
 def test_baseline_full_support_cases(kerdock16):
+    # the full-support baseline keeps the top k scores; hit means exact recovery
     m = _unitary(16, 69)
     rng = RngSpec(70).substream(3, 0)
     sig = gen_tone_signal(16, 3, LAW, rng)
     y = m.matrix @ sig.x
-    assert baseline_full_support(y, m, sig.support) == (False, 0.0)
-    empty = SupportSet((), 16)
-    assert baseline_full_support(y, m, empty) == (False, 0.0)
-    # frozen golden: noisy Kerdock instance, k = 8
+    assert evaluate_detection("ost_topk_full_support", 3, m, y, sig) == (0.0, 1.0, True)
+    empty = SignalInstance.from_vector(np.zeros(16))
+    fdp, zf, hit = evaluate_detection("ost_topk_full_support", 0, m, y, empty)
+    assert (fdp, hit) == (0.0, True) and math.isnan(zf)
+    # frozen golden: noisy Kerdock instance, k = 8 (5 of the top 8 are wrong)
     rng = RngSpec(99).substream(8, 0)
     sig = gen_tone_signal(256, 8, LAW, rng)
     w = gen_noise(16, 500.0, "total", rng)
     y = kerdock16.matrix @ sig.x + w
-    got = baseline_full_support(y, kerdock16, sig.support)
-    assert got == (True, 0.625)
+    golden = (0.625, 0.375, False)
+    assert evaluate_detection("ost_topk_full_support", 8, kerdock16, y, sig) == golden
+    cfg = ExperimentConfig(sigma2=500.0, k_grid=(8,), theta_grid=(1,), trials=1,
+                           master_seed=99, detectors=("ost_topk_full_support",))
+    assert run_trial(cfg, 8, 8, "ost_topk_full_support", 0, matrix=kerdock16) == golden
 
 
 def test_group_zero_support(kerdock16):
-    m = attach_groups(kerdock16, 8)
+    # zd_groth is scored against the groups that hold no support element
     x = np.zeros(256, dtype=np.complex128)
     x[0] = 1.0   # group 1
     x[250] = 2.0  # group 32
-    from zerodetect.core import SignalInstance
     sig = SignalInstance.from_vector(x)
-    zeros = group_zero_support(sig, m)
-    assert zeros.indices == tuple(range(2, 32))
+    eye = attach_groups(MeasurementMatrix(np.eye(256)), 8)
+    # y = x: groups 2..31 score 0, so theta = 30 selects exactly them
+    assert evaluate_detection("zd_groth", 30, eye, x, sig) == (0.0, 1.0, True)
+    assert evaluate_detection("zd_groth", 32, eye, x, sig) == (2 / 32, 1.0, True)
+    m = attach_groups(kerdock16, 8)
+    assert evaluate_detection("zd_groth", 32, m, m.matrix @ x, sig) == (2 / 32, 1.0, True)
     with pytest.raises(NoGroups):
-        group_zero_support(sig, kerdock16)
+        evaluate_detection("zd_groth", 1, kerdock16, kerdock16.matrix @ x, sig)
 
 
 def test_effective_theta_matched_budget():

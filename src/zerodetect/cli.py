@@ -239,12 +239,8 @@ def _cmd_bounds(args) -> int:
     sigma = math.sqrt(cfg["sigma2"])
     convention = cfg.get("noise_convention", "total")
     mu0 = cfg.get("mu0", mu * math.sqrt(math.log(p)))
-    params = theory.BoundParams(
-        mu0=mu0, sigma=sigma,
-        a=cfg.get("a", 2.0), t=cfg.get("t", 0.5),
-        c1=cfg.get("c1", 2.0), c2=cfg.get("c2", 0.5),
-        c_mu=cfg.get("c_mu", 1.0), c_nu=cfg.get("c_nu", 1.0),
-    )
+    constants = {key: cfg[key] for key in ("a", "t", "c1", "c2", "c_mu", "c_nu") if key in cfg}
+    params = theory.BoundParams(mu0=mu0, sigma=sigma, **constants)
 
     rows = [f"mu,{_fmt(mu)},1", f"nu,{_fmt(nu)},1", f"mu0,{_fmt(mu0)},1"]
     sig_stats = None

@@ -53,22 +53,25 @@ class CoherenceReport:
 class StocEstimate:
     """Empirical violation rate of the orthogonality inequalities.
 
-    delta_hat estimates the failure probability delta for the supplied probe
-    vector z over uniformly random size-k supports.
+    Stores k, epsilon, the number of trials (uniformly random size-k
+    supports), the violations among them and the probe's z_strategy.
+    delta_hat = violations / trials is derived; it estimates the failure
+    probability delta for the supplied probe vector z.
     """
 
     k: int
     epsilon: float
     trials: int
     violations: int
-    delta_hat: float
     z_strategy: str
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise BadValue("trials must be >= 1")
-        if not 0.0 <= self.delta_hat <= 1.0:
-            raise BadValue("delta_hat must lie in [0, 1]")
+        if self.trials < 1 or not 0 <= self.violations <= self.trials:
+            raise BadValue("need trials >= 1 and 0 <= violations <= trials")
+
+    @property
+    def delta_hat(self) -> float:
+        return self.violations / self.trials
 
 
 # Gram entries per slab: 16 MB of complex128, rounded to whole groups
@@ -246,8 +249,7 @@ def stoc_estimate(
         off_support = np.abs(s[perm[k:]]).max()
         if on_support > budget or off_support > budget:
             violations += 1
-    return StocEstimate(k, float(epsilon), trials, violations,
-                        violations / trials, z_strategy)
+    return StocEstimate(k, float(epsilon), trials, violations, z_strategy)
 
 
 def coherence_report(m: MeasurementMatrix) -> CoherenceReport:

@@ -9,6 +9,7 @@ concurrent tasks; the operations are pure functions.
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -118,10 +119,7 @@ class SupportSet:
 
     @classmethod
     def from_indices(cls, indices, domain_size: int) -> "SupportSet":
-        ix = sorted(int(i) for i in indices)
-        if len(set(ix)) != len(ix):
-            raise BadValue("duplicate indices in support set")
-        return cls(tuple(ix), domain_size)
+        return cls(tuple(sorted(int(i) for i in indices)), domain_size)
 
     @classmethod
     def from_zero_based(cls, indices, domain_size: int) -> "SupportSet":
@@ -144,47 +142,42 @@ class SupportSet:
         return len(self.indices)
 
     def __contains__(self, i) -> bool:
-        return i in set(self.indices)
+        return i in self.indices
 
 
 @dataclass(frozen=True, eq=False)
 class SignalInstance:
-    """A p-vector together with its support I, zero-support E and sparsity k.
+    """A p-vector x with its support I, zero-support E and sparsity k.
 
-    Invariants: x is nonzero exactly on I, E is the complement of I, |I| = k.
+    Only x is stored: a nonempty, finite 1-D complex vector, locked read-only.
+    I (where x is nonzero), E (where x is zero), k = |I| and p are derived.
     """
 
     x: np.ndarray
-    support: SupportSet
-    zero_support: SupportSet
-    k: int
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.complex128)
-        if x.ndim != 1:
-            raise BadValue("signal must be a 1-D vector")
+        if x.ndim != 1 or x.size < 1:
+            raise BadValue("signal must be a nonempty 1-D vector")
+        if not np.all(np.isfinite(x)):
+            raise BadValue("signal entries must be finite")
         object.__setattr__(self, "x", _locked_copy(x))
-        p = x.shape[0]
-        if self.support.domain_size != p or self.zero_support.domain_size != p:
-            raise BadValue("support domain size does not match signal length")
-        if len(self.support) != self.k:
-            raise BadValue(f"|support| = {len(self.support)} but k = {self.k}")
-        if self.zero_support.indices != self.support.complement().indices:
-            raise BadValue("zero-support is not the complement of the support")
-        on = self.x[self.support.to_zero_based()]
-        off = self.x[self.zero_support.to_zero_based()]
-        if np.any(on == 0):
-            raise BadValue("signal is zero somewhere on its declared support")
-        if np.any(off != 0):
-            raise BadValue("signal is nonzero somewhere on its declared zero-support")
 
     @classmethod
     def from_vector(cls, x) -> "SignalInstance":
-        x = np.asarray(x, dtype=np.complex128)
-        nz = np.nonzero(x)[0]
-        p = x.shape[0]
-        support = SupportSet.from_zero_based(nz, p)
-        return cls(x, support, support.complement(), len(nz))
+        return cls(x)
+
+    @cached_property
+    def support(self) -> SupportSet:
+        return SupportSet.from_zero_based(np.flatnonzero(self.x), self.p)
+
+    @cached_property
+    def zero_support(self) -> SupportSet:
+        return SupportSet.from_zero_based(np.flatnonzero(self.x == 0), self.p)
+
+    @property
+    def k(self) -> int:
+        return int(np.count_nonzero(self.x))
 
     @property
     def p(self) -> int:

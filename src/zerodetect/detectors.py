@@ -12,6 +12,7 @@ smaller index. The batch engine keeps that set; detectors rank it best first.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,16 +24,15 @@ from .errors import BadValue, DimensionMismatch, NoGroups, ThetaOutOfRange
 class DetectionResult:
     """Selected index set plus the full score vector that produced it.
 
-    ranking lists the selected 1-based indices in selection order (best
-    first); estimate is the same set sorted by index. The score vector is
-    retained so downstream reports can re-rank without re-running detection.
+    Stores ranking (the selected 1-based indices, best first), the scores of
+    every column or group (so reports can re-rank without re-running
+    detection) and mode. theta = len(ranking) and estimate, the same set
+    sorted by index, are derived; estimate is built on first use.
     """
 
-    estimate: SupportSet
-    scores: np.ndarray
-    theta: int
-    mode: str  # "element" | "group"
     ranking: tuple[int, ...]
+    scores: np.ndarray
+    mode: str  # "element" | "group"
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=float)
@@ -40,10 +40,14 @@ class DetectionResult:
         object.__setattr__(self, "scores", scores)
         if self.mode not in ("element", "group"):
             raise BadValue(f"unknown detection mode {self.mode!r}")
-        if len(self.estimate) != self.theta or len(self.ranking) != self.theta:
-            raise BadValue("estimate size does not match theta")
-        if tuple(sorted(self.ranking)) != self.estimate.indices:
-            raise BadValue("ranking and estimate disagree")
+
+    @property
+    def theta(self) -> int:
+        return len(self.ranking)
+
+    @cached_property
+    def estimate(self) -> SupportSet:
+        return SupportSet.from_indices(self.ranking, len(self.scores))
 
 
 def _check_theta(theta: int, limit: int, what: str) -> None:
@@ -92,23 +96,15 @@ def _correlations(y, m: MeasurementMatrix) -> np.ndarray:
     return hermitian_apply(m, y)
 
 
-def _result(selection: np.ndarray, scores: np.ndarray, theta: int, mode: str,
-            domain: int) -> DetectionResult:
-    ranking = tuple(int(i) + 1 for i in selection)
-    return DetectionResult(
-        estimate=SupportSet.from_zero_based(selection, domain),
-        scores=scores,
-        theta=theta,
-        mode=mode,
-        ranking=ranking,
-    )
+def _result(selection: np.ndarray, scores: np.ndarray, mode: str) -> DetectionResult:
+    return DetectionResult(tuple((selection + 1).tolist()), scores, mode)
 
 
 def zd_ost(y, m: MeasurementMatrix, theta: int) -> DetectionResult:
     """Keep the theta columns with the smallest correlation magnitudes."""
     _check_theta(theta, m.p, "columns")
     scores = np.abs(_correlations(y, m))
-    return _result(select(scores, theta), scores, theta, "element", m.p)
+    return _result(select(scores, theta), scores, "element")
 
 
 def zd_groth(y, m: MeasurementMatrix, theta: int) -> DetectionResult:
@@ -117,11 +113,11 @@ def zd_groth(y, m: MeasurementMatrix, theta: int) -> DetectionResult:
         raise NoGroups("group thresholding needs a group partition")
     _check_theta(theta, m.groups.q, "groups")
     scores = group_norms(_correlations(y, m), m.groups)
-    return _result(select(scores, theta), scores, theta, "group", m.groups.q)
+    return _result(select(scores, theta), scores, "group")
 
 
 def ost_topk(y, m: MeasurementMatrix, theta: int) -> DetectionResult:
     """Baseline: keep the theta LARGEST correlation magnitudes (ties to low index)."""
     _check_theta(theta, m.p, "columns")
     scores = np.abs(_correlations(y, m))
-    return _result(select(scores, theta, largest=True), scores, theta, "element", m.p)
+    return _result(select(scores, theta, largest=True), scores, "element")

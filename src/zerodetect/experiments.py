@@ -54,8 +54,8 @@ class UniformAmplitude:
     hi: float = 1000.0
 
     def __post_init__(self):
-        if not 0 < self.lo <= self.hi:
-            raise BadValue(f"need 0 < lo <= hi, got [{self.lo}, {self.hi}]")
+        if not 0 < self.lo <= self.hi < math.inf:
+            raise BadValue(f"need 0 < lo <= hi < inf, got [{self.lo}, {self.hi}]")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size)
@@ -96,8 +96,8 @@ def gen_noise(n: int, sigma2: float, convention: str,
     "total": per-entry variance sigma2 (components sigma2/2 each), so
     E||w||^2 = n sigma2. "per_component": each component has variance sigma2.
     """
-    if sigma2 < 0:
-        raise BadValue("sigma2 must be >= 0")
+    if not 0 <= sigma2 < math.inf:
+        raise BadValue(f"sigma2 must be finite and >= 0, got {sigma2!r}")
     if convention not in NOISE_CONVENTIONS:
         raise BadValue(f"unknown noise convention {convention!r}")
     if sigma2 == 0:
@@ -138,18 +138,22 @@ class ExperimentConfig:
             raise BadValue(f"unknown noise convention {self.noise_convention!r}")
         if self.trials < 1:
             raise BadValue("trials must be >= 1")
-        if self.sigma2 < 0:
-            raise BadValue("sigma2 must be >= 0")
+        if not 0 <= self.sigma2 < math.inf:
+            raise BadValue(f"sigma2 must be finite and >= 0, got {self.sigma2!r}")
+        if not 0 < self.amplitude_lo <= self.amplitude_hi < math.inf:
+            raise BadValue("need 0 < amplitude_lo <= amplitude_hi < inf, got "
+                           f"[{self.amplitude_lo}, {self.amplitude_hi}]")
         if not self.detectors:
             raise BadValue("at least one detector is required")
         for d in self.detectors:
             if d not in DETECTOR_NAMES:
                 raise BadValue(f"unknown detector {d!r}")
-        if len(set(self.detectors)) != len(self.detectors):
-            raise BadValue("duplicate detectors")
+        for name in ("k_grid", "theta_grid", "detectors"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise BadValue(f"duplicate {name} entries")
         if self.signal_model == "group" and self.group_size is None:
             raise BadValue("group signals need group_size")
-        UniformAmplitude(self.amplitude_lo, self.amplitude_hi)  # range check
 
     @property
     def amplitude_law(self) -> UniformAmplitude:
@@ -450,18 +454,6 @@ def write_report_csv(report: TrialBatchReport, path) -> None:
             c.detector if name == "detector" else _fmt(getattr(c, name))
             for name in cols
         ))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def write_trials_csv(report: TrialBatchReport, path) -> None:
-    if report.per_trial is None:
-        raise IncompleteReport("batch was run without keep_trials")
-    lines = ["k,theta,detector,trial,fdp,zero_fraction,hit"]
-    for r in report.per_trial:
-        lines.append(
-            f"{r.k},{r.theta},{r.detector},{r.trial},"
-            f"{_fmt(r.fdp)},{_fmt(r.zero_fraction)},{_fmt(r.hit)}"
-        )
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

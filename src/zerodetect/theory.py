@@ -15,6 +15,7 @@ two readings.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -72,55 +73,53 @@ class BoundParams:
 class SignalStats:
     """SNR, per-entry largest-to-average ratios, and the minimum SNR.
 
-    sorted_magnitudes holds |x_(1)| >= ... >= |x_(k)|; lar[m-1] is
-    |x_(m)|^2 / (||x||^2 / k), so the lar entries are nonincreasing and sum
-    to k.
+    Stores sorted_magnitudes |x_(1)| >= ... >= |x_(k)| (positive and finite,
+    locked read-only), snr and snr_min. k, x_min = |x_(k)| and lar are
+    derived: lar[m-1] is |x_(m)|^2 / (||x||^2 / k), so the lar entries are
+    nonincreasing and sum to k.
     """
 
+    sorted_magnitudes: np.ndarray
     snr: float
     snr_min: float
-    lar: np.ndarray
-    x_min: float
-    sorted_magnitudes: np.ndarray
 
     def __post_init__(self):
-        lar = np.asarray(self.lar, dtype=float)
         mags = np.asarray(self.sorted_magnitudes, dtype=float)
-        lar.setflags(write=False)
         mags.setflags(write=False)
-        object.__setattr__(self, "lar", lar)
         object.__setattr__(self, "sorted_magnitudes", mags)
-        k = lar.shape[0]
-        if k < 1:
+        if mags.size == 0:
             raise EmptySupport("statistics need at least one nonzero entry")
-        if np.any(np.diff(lar) > 1e-12):
-            raise BadValue("largest-to-average ratios must be nonincreasing")
-        if abs(float(lar.sum()) - k) > 1e-8 * max(k, 1):
-            raise BadValue("largest-to-average ratios must sum to k")
+        if mags.ndim != 1 or not (np.all(np.isfinite(mags)) and np.all(mags > 0)
+                                  and np.all(np.diff(mags) <= 0)):
+            raise BadValue("magnitudes must be positive, finite and nonincreasing")
 
     @property
     def k(self) -> int:
-        return int(self.lar.shape[0])
+        return int(self.sorted_magnitudes.shape[0])
+
+    @property
+    def x_min(self) -> float:
+        return float(self.sorted_magnitudes[-1])
+
+    @cached_property
+    def lar(self) -> np.ndarray:
+        mags = self.sorted_magnitudes
+        lar = mags**2 / (float(np.sum(mags**2)) / self.k)
+        lar.setflags(write=False)
+        return lar
 
 
 def stats_from_magnitudes(magnitudes, sigma: float, n: int,
                           convention: str = "total") -> SignalStats:
     """Signal statistics from the nonzero magnitudes alone (order irrelevant)."""
-    mags = np.sort(np.abs(np.asarray(magnitudes, dtype=float)))[::-1]
-    k = mags.shape[0]
-    if k < 1:
-        raise EmptySupport("statistics need at least one nonzero entry")
-    if np.any(mags <= 0):
-        raise BadValue("magnitudes must be positive")
     if sigma <= 0:
         raise BadValue("sigma must be > 0")
     if n < 1:
         raise BadValue("n must be >= 1")
-    energy = float(np.sum(mags**2))
-    snr = energy / (n * noise_energy_per_measurement(sigma, convention))
-    lar = mags**2 / (energy / k)
-    x_min = float(mags[-1])
-    return SignalStats(snr, x_min**2 / sigma**2, lar, x_min, mags)
+    mags = np.sort(np.abs(np.asarray(magnitudes, dtype=float)))[::-1]
+    snr = float(np.sum(mags**2)) / (n * noise_energy_per_measurement(sigma, convention))
+    # the min is mags[-1]; initial=inf lets an empty mags reach SignalStats, which rejects it
+    return SignalStats(mags, snr, float(np.min(mags, initial=np.inf)) ** 2 / sigma**2)
 
 
 def signal_stats(signal: SignalInstance, sigma: float, n: int,
@@ -130,11 +129,7 @@ def signal_stats(signal: SignalInstance, sigma: float, n: int,
     SNR = ||x||^2 / E||w||^2 with E||w||^2 = n * (per-entry noise energy);
     SNR_min = x_min^2 / sigma^2 regardless of convention.
     """
-    if signal.k < 1:
-        raise EmptySupport("signal has empty support")
-    return stats_from_magnitudes(
-        np.abs(signal.x[signal.support.to_zero_based()]), sigma, n, convention
-    )
+    return stats_from_magnitudes(np.abs(signal.x[signal.x != 0]), sigma, n, convention)
 
 
 class Epsilon0(NamedTuple):

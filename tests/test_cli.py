@@ -226,6 +226,17 @@ def test_bounds_rejects_bad_config(kerdock_file, tmp_path, capsys):
                "--out", str(tmp_path / "b.csv")) == 1
 
 
+def test_bounds_rejects_non_finite_magnitudes(kerdock_file, tmp_path, capsys):
+    report = tmp_path / "coh.csv"
+    assert run("coherence", "--matrix", str(kerdock_file), "--out", str(report)) == 0
+    cfg = tmp_path / "bounds.cfg"
+    cfg.write_text("sigma2 = 500\nn = 16\np = 256\nk = 2\nx_magnitudes = nan, 1\n")
+    out = tmp_path / "b.csv"
+    assert run("bounds", "--config", str(cfg), "--report", str(report), "--out", str(out)) == 1
+    assert "ERROR BadValue" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _write_sim_config(path, **extra):
     lines = [
         "matrix_family = bernoulli",
@@ -266,6 +277,14 @@ def test_simulate_byte_identical_across_runs(tmp_path):
         assert run("simulate", "--config", str(cfg), "--out-dir", str(out_dir)) == 0
         blobs.append((out_dir / "report.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_simulate_rejects_non_finite_noise(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    _write_sim_config(cfg)
+    cfg.write_text(cfg.read_text().replace("sigma2 = 4.0", "sigma2 = nan"))
+    assert run("simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 1
+    assert "sigma2" in capsys.readouterr().err
 
 
 def test_simulate_unknown_config_key(tmp_path, capsys):

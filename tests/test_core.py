@@ -198,7 +198,13 @@ def test_signal_instance_invariants():
     assert sig.support.indices == (2, 4)
     assert sig.zero_support.indices == (1, 3)
     with pytest.raises(BadValue):
-        SignalInstance(x, SupportSet((2,), 4), SupportSet((1, 3, 4), 4), 1)
+        SignalInstance(x.reshape(2, 2))  # x is the only field, a 1-D vector
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)])
+def test_signal_instance_rejects_non_finite(bad):
+    with pytest.raises(BadValue, match="finite"):
+        SignalInstance.from_vector([bad, 1.0, 0.0])
 
 
 def test_rng_spec_determinism_and_streams():

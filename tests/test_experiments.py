@@ -412,3 +412,27 @@ def test_config_validation():
         ExperimentConfig(signal_model="group")  # needs group_size
     with pytest.raises(BadValue):
         ExperimentConfig(noise_convention="weird")
+
+
+@pytest.mark.parametrize("key", ["k_grid", "theta_grid"])
+def test_config_rejects_duplicate_grid_entries(key):
+    # both entries would add into one cell and overflow its counts
+    with pytest.raises(BadValue, match=key):
+        ExperimentConfig(**{key: (4, 4)})
+
+
+@pytest.mark.parametrize("line", ["sigma2 = nan", "sigma2 = inf", "amplitude_hi = inf",
+                                  "amplitude_lo = nan"])
+def test_parse_experiment_config_rejects_non_finite(tmp_path, line):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"matrix_family = kerdock\n{line}\n")
+    with pytest.raises(BadValue, match=line.split()[0]):
+        parse_experiment_config(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_noise_and_amplitude_laws_reject_non_finite(bad):
+    with pytest.raises(BadValue, match="sigma2"):
+        gen_noise(4, bad, "total", RngSpec(68).generator())
+    with pytest.raises(BadValue):
+        UniformAmplitude(1.0, bad)

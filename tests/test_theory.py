@@ -85,6 +85,12 @@ def test_signal_stats_rejects_empty_support():
         signal_stats(sig, sigma=1.0, n=2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_stats_from_magnitudes_rejects_non_finite(bad):
+    with pytest.raises(BadValue, match="finite"):
+        stats_from_magnitudes([bad, 1.0], sigma=1.0, n=2)
+
+
 # ---------------------------------------------------------------------------
 # epsilon0
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MeasurementMatrix, RngSpec
+from .core import MeasurementMatrix, RngSpec, _keyed_streams
 from .errors import BadK, BadValue, DimensionMismatch, NoGroups, SingleColumn, ZeroZ
 
 
@@ -219,8 +219,9 @@ def stoc_estimate(
     Each trial draws a uniform random permutation of the columns, takes the
     first k as the support block, and counts a violation when either
     ||(A_S^H A_S - I) z||_inf or ||A_{S^c}^H A_S z||_inf exceeds eps ||z||_2.
-    Per-trial streams are derived from (rng, trial index), so the count is
-    independent of evaluation order.
+    Trial t permutes with substream (rng, t), so the count is independent of
+    evaluation order. All the keys come from one pass, and one Philox is
+    re-keyed per trial; its permutations are those of rng.substream(t).
     """
     p = m.p
     if not 1 <= k < p:
@@ -240,8 +241,8 @@ def stoc_estimate(
     ah = a.conj().T
     budget = epsilon * z_norm
     violations = 0
-    for t in range(trials):
-        perm = rng.substream(t).permutation(p)
+    for gen in _keyed_streams(rng.substream_keys(trials=range(trials))):
+        perm = gen.permutation(p)
         head = perm[:k]
         u = a[:, head] @ z
         s = ah @ u

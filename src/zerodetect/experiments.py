@@ -26,6 +26,7 @@ from .core import (
     MeasurementMatrix,
     RngSpec,
     SignalInstance,
+    _keyed_streams,
     hermitian_apply,
     read_cmat,
 )
@@ -61,19 +62,44 @@ class UniformAmplitude:
         return rng.uniform(self.lo, self.hi, size)
 
 
+def _check_k(domain: int, k: int) -> None:
+    if not 0 <= k <= domain:
+        raise BadK(f"need 0 <= k <= {domain}, got k={k}")
+
+
+def _signal_draws(rng: np.random.Generator, domain: int, width: int, k: int,
+                  law: UniformAmplitude):
+    """One trial's raw signal draws, in stream order: k of `domain` blocks, then
+    k * width magnitudes and k * width phases."""
+    return (rng.choice(domain, size=k, replace=False), law.sample(rng, k * width),
+            rng.uniform(0.0, 2.0 * np.pi, k * width))
+
+
+def _assemble_signals(domain: int, width: int, blocks: np.ndarray, mags: np.ndarray,
+                      phases: np.ndarray) -> np.ndarray:
+    """Coefficient vectors (T, domain * width) from the block choices (T, k) and
+    the magnitudes and phases (T, k * width) of T trials; entry j of a chosen
+    block b is column b * width + j."""
+    t = len(blocks)
+    x = np.zeros((t, domain, width), dtype=np.complex128)
+    x[np.arange(t)[:, np.newaxis], blocks] = (mags * np.exp(1j * phases)).reshape(t, -1, width)
+    return x.reshape(t, domain * width)
+
+
+def _noise_scale(sigma2: float, convention: str) -> float:
+    """Standard deviation of each real component of the noise (see gen_noise)."""
+    return math.sqrt(sigma2 / 2) if convention == "total" else math.sqrt(sigma2)
+
+
 def _draw_signal(domain: int, width: int, k: int, law: UniformAmplitude,
                  rng: np.random.Generator) -> np.ndarray:
     """Coefficient vector with k of its `domain` blocks of `width` entries
     active: uniform block choice, law-distributed magnitudes, uniform phases."""
-    if not 0 <= k <= domain:
-        raise BadK(f"need 0 <= k <= {domain}, got k={k}")
-    x = np.zeros(domain * width, dtype=np.complex128)
-    if k > 0:
-        blocks = rng.choice(domain, size=k, replace=False)
-        mags = law.sample(rng, k * width)
-        phases = rng.uniform(0.0, 2.0 * np.pi, k * width)
-        x[(blocks[:, np.newaxis] * width + np.arange(width)).ravel()] = mags * np.exp(1j * phases)
-    return x
+    _check_k(domain, k)
+    if k == 0:
+        return np.zeros(domain * width, dtype=np.complex128)
+    draws = _signal_draws(rng, domain, width, k, law)
+    return _assemble_signals(domain, width, *(d[np.newaxis] for d in draws))[0]
 
 
 def gen_tone_signal(p: int, k: int, law: UniformAmplitude,
@@ -102,9 +128,8 @@ def gen_noise(n: int, sigma2: float, convention: str,
         raise BadValue(f"unknown noise convention {convention!r}")
     if sigma2 == 0:
         return np.zeros(n, dtype=np.complex128)
-    scale = math.sqrt(sigma2 / 2) if convention == "total" else math.sqrt(sigma2)
     parts = rng.standard_normal((2, n))
-    return scale * (parts[0] + 1j * parts[1])
+    return _noise_scale(sigma2, convention) * (parts[0] + 1j * parts[1])
 
 
 @dataclass(frozen=True)
@@ -246,17 +271,29 @@ def evaluate_detection(detector: str, theta: int, m: MeasurementMatrix,
 
 def _measure_block(config: ExperimentConfig, m: MeasurementMatrix, k: int,
                    trials: range) -> tuple[np.ndarray, np.ndarray]:
-    """Signals (T, p) and measurements y = A x + w (T, n) of the given trials;
-    trial t draws its signal, then its noise, from substream (master seed, k, t)."""
-    spec = RngSpec(config.master_seed)
+    """Signals (T, p) and measurements y = A x + w (T, n) of the given trials.
+
+    Trial t draws its signal, then its noise, from substream (master seed, k, t):
+    the block derives all its keys in one pass and re-keys one Philox per trial,
+    which gives the draws of RngSpec.substream(k, t). Each trial only draws;
+    the signals and noise are assembled once per block. k = 0 draws no signal
+    and sigma2 = 0 no noise.
+    """
     law = config.amplitude_law
     domain, width = (m.groups.q, m.groups.r) if config.signal_model == "group" else (m.p, 1)
-    x = np.empty((len(trials), m.p), dtype=np.complex128)
-    w = np.empty((len(trials), m.n), dtype=np.complex128)
-    for i, t in enumerate(trials):
-        rng = spec.substream(k, t)
-        x[i] = _draw_signal(domain, width, k, law, rng)
-        w[i] = gen_noise(m.n, config.sigma2, config.noise_convention, rng)
+    _check_k(domain, k)
+    size = (len(trials), k * width)
+    blocks = np.empty((len(trials), k), dtype=np.intp)
+    mags, phases = np.empty(size), np.empty(size)
+    parts = np.zeros((len(trials), 2, m.n))
+    keys = RngSpec(config.master_seed).substream_keys(k, trials=trials)
+    for i, rng in enumerate(_keyed_streams(keys)):
+        if k:
+            blocks[i], mags[i], phases[i] = _signal_draws(rng, domain, width, k, law)
+        if config.sigma2:
+            rng.standard_normal(out=parts[i])
+    x = _assemble_signals(domain, width, blocks, mags, phases)
+    w = _noise_scale(config.sigma2, config.noise_convention) * (parts[:, 0] + 1j * parts[:, 1])
     # one matrix-vector product per row, the same arithmetic as A @ x
     return x, (x[:, np.newaxis, :] @ m.matrix.T)[:, 0, :] + w
 

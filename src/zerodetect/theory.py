@@ -14,7 +14,7 @@ two readings.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -39,9 +39,10 @@ def noise_energy_per_measurement(sigma: float, convention: str) -> float:
 class BoundParams:
     """Free constants of the guarantee calculators, validated at construction.
 
-    a > 1 and t in (0, 1) drive the single-zero bounds (c1 = 32/t,
-    c2 = 800/(1-t), c = 16 (2 + 1/a)^2); c1 >= 2 and c2 in (0, 1) drive the
-    group bounds; c_mu and c_nu are the group-coherence-property constants.
+    Every constant must be finite. a > 1 and t in (0, 1) drive the
+    single-zero bounds (c1 = 32/t, c2 = 800/(1-t), c = 16 (2 + 1/a)^2);
+    c1 >= 2 and c2 in (0, 1) drive the group bounds; c_mu and c_nu are the
+    group-coherence-property constants.
     """
 
     mu0: float
@@ -54,6 +55,9 @@ class BoundParams:
     c_nu: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise BadValue(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         checks = [
             (self.mu0 > 0, "mu0 must be > 0"),
             (self.sigma > 0, "sigma must be > 0"),
@@ -275,17 +279,19 @@ def fdp_bound_groupwise(group_norms: np.ndarray, sigma: float, mu_g: float,
                         q: int, r: int, c3: float, theta: int) -> GroupFdpBound:
     """False-discovery bound for group zero detection.
 
-    group_norms must be the nonincreasing block norms ||x_(1)||_2 >= ...;
+    group_norms must be the finite, nonincreasing block norms ||x_(1)||_2 >= ...;
     m is the largest index whose norm meets the threshold. Both forms of the
     success-probability floor are reported (they differ by o(1/q)).
     """
     norms = np.asarray(group_norms, dtype=float)
     if norms.ndim != 1 or norms.shape[0] < 1:
         raise BadValue("group_norms must be a nonempty vector")
+    if not np.all(np.isfinite(norms)):
+        raise BadValue("group norms must be finite")
     if np.any(np.diff(norms) > 1e-12):
         raise BadValue("group norms must be sorted nonincreasing")
-    if sigma < 0 or mu_g < 0:
-        raise BadValue("sigma and mu_g must be >= 0")
+    if not (0 <= sigma < math.inf and 0 <= mu_g < math.inf):
+        raise BadValue(f"sigma and mu_g must be finite and >= 0, got {sigma!r}, {mu_g!r}")
     if q < 2 or r < 1 or theta < 1:
         raise BadValue("need q >= 2, r >= 1, theta >= 1")
     k = norms.shape[0]

@@ -237,6 +237,19 @@ def test_bounds_rejects_non_finite_magnitudes(kerdock_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["group_norms = nan, 1", "mu0 = inf"])
+def test_bounds_rejects_non_finite_constants(kerdock_file, tmp_path, capsys, line):
+    report = tmp_path / "coh.csv"
+    assert run("coherence", "--matrix", str(kerdock_file), "--group-size", "8",
+               "--out", str(report)) == 0
+    cfg = tmp_path / "bounds.cfg"
+    cfg.write_text(f"sigma2 = 500\nn = 16\np = 256\nk = 8\ntheta = 4\nq = 32\nr = 8\n{line}\n")
+    out = tmp_path / "b.csv"
+    assert run("bounds", "--config", str(cfg), "--report", str(report), "--out", str(out)) == 1
+    assert "ERROR BadValue" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _write_sim_config(path, **extra):
     lines = [
         "matrix_family = bernoulli",

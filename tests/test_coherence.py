@@ -268,6 +268,16 @@ def test_stoc_golden_value(kerdock16):
     assert est.delta_hat == 0.7624
 
 
+@pytest.mark.parametrize("k, eps, seed, violations", [
+    (4, 0.4, 5, 4709), (16, 0.5, 1112, 3348), (32, 0.5, 2**40 + 3, 3615)])
+def test_stoc_frozen_counts(kerdock16, k, eps, seed, violations):
+    # frozen from the loop that built one substream per trial; none is 0 or
+    # 5000, where any permutation stream would give the same count
+    parts = np.random.default_rng(k).standard_normal((2, k))
+    est = stoc_estimate(kerdock16, k, eps, parts[0] + 1j * parts[1], 5000, RngSpec(seed))
+    assert est.violations == violations
+
+
 def test_stoc_reproducible(kerdock16):
     z = np.full(8, 1 / np.sqrt(8), dtype=np.complex128)
     a = stoc_estimate(kerdock16, 8, 0.4, z, 200, RngSpec(3))

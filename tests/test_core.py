@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zerodetect.core import (
     GroupPartition,
@@ -9,6 +11,7 @@ from zerodetect.core import (
     RngSpec,
     SignalInstance,
     SupportSet,
+    _keyed_streams,
     column_norms,
     format_cmat_entry,
     hermitian_apply,
@@ -227,6 +230,56 @@ def test_rng_spec_validation():
         RngSpec(2**64)
     with pytest.raises(BadValue):
         RngSpec(0).substream(-3)
+
+
+# zero encodes as one SeedSequence word, and these sit at the word boundaries
+_WORD_EDGES = (0, 2**32 - 1, 2**32, 2**64 - 1)
+_words = st.one_of(st.sampled_from(_WORD_EDGES), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=_words, stream=_words, prefix=st.lists(_words, max_size=3), start=_words,
+       count=st.integers(0, 6))
+def test_substream_keys_match_numpy_seed_sequence(seed, stream, prefix, start, count):
+    # a tripwire on the numpy version: substream_keys reimplements SeedSequence's
+    # hash, so a numpy release that changes SeedSequence fails here
+    spec = RngSpec(seed, stream)
+    spawn = tuple(w for v in (stream, *prefix) for w in (v & 0xFFFFFFFF, v >> 32))
+    blocks = [range(t, t + 1) for t in _WORD_EDGES] + [range(start, min(start + count, 2**64))]
+    for trials in blocks:
+        ref = [np.random.SeedSequence(seed, spawn_key=spawn + (t & 0xFFFFFFFF, t >> 32))
+               .generate_state(2, np.uint64) for t in trials]
+        keys = spec.substream_keys(*prefix, trials=trials)
+        assert keys.dtype == np.uint64 and keys.shape == (len(trials), 2)
+        assert np.array_equal(keys, np.array(ref, dtype=np.uint64).reshape(-1, 2))
+
+
+@pytest.mark.parametrize("trials", [
+    range(2**32 - 100, 2**32 + 100), range(0, 1), range(2**64 - 1, 2**64)])
+def test_keyed_streams_draw_as_substreams(trials):
+    # a tripwire on the numpy version: re-keying writes Philox's state layout by
+    # hand, so a numpy release that changes it or its seeding fails here
+    spec = RngSpec(20260808, 3)
+    for t, rng in zip(trials, _keyed_streams(spec.substream_keys(16, trials=trials))):
+        ref = spec.substream(16, t)
+        # full-range uint32 draws come first and return raw words, where bounded
+        # draws could reject the zero words of a stale buffer or cached half;
+        # an odd count of them leaves a cached half for the rest of the trial
+        for draw in (lambda g: g.integers(0, 2**32, 3, dtype=np.uint32),
+                     lambda g: g.uniform(1.0, 1000.0, 16),
+                     lambda g: g.choice(256, size=16, replace=False),
+                     lambda g: g.standard_normal((2, 16)),
+                     lambda g: g.permutation(256)):
+            assert np.array_equal(draw(rng), draw(ref))
+
+
+def test_substream_keys_validation():
+    spec = RngSpec(1)
+    assert spec.substream_keys(trials=range(0)).shape == (0, 2)
+    for prefix, trials in [((), range(-1, 2)), ((), range(1, -2, -1)),
+                           ((), range(2**64, 2**64 + 1)), ((-1,), range(1)), ((2**64,), range(1))]:
+        with pytest.raises(BadValue):
+            spec.substream_keys(*prefix, trials=trials)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,12 @@ def test_bound_params_ranges():
             BoundParams(**bad)
 
 
+@pytest.mark.parametrize("name", ["mu0", "a", "c_mu", "c_nu"])
+def test_bound_params_reject_infinite_constants(name):
+    with pytest.raises(BadValue, match=f"{name} must be finite"):
+        BoundParams(**{"mu0": 0.1, "sigma": 1.0, name: math.inf})
+
+
 # ---------------------------------------------------------------------------
 # signal statistics
 
@@ -303,6 +309,14 @@ def test_group_fdp_seeded_matches_oracle_and_floors():
     assert abs(got.success_floor_product - (1 - 1 / 32) * (1 - math.e**2 / 32)) < 1e-15
     # the two floors differ by o(1/q)
     assert abs(got.success_floor - got.success_floor_product) < 1.0 / 32
+
+
+@pytest.mark.parametrize("norms, sigma, mu_g", [
+    ([math.nan, 1.0], 1.0, 0.1), ([math.inf, 1.0], 1.0, 0.1), ([2.0, 1.0], math.inf, 0.1),
+    ([2.0, 1.0], math.nan, 0.1), ([2.0, 1.0], 1.0, math.inf), ([2.0, 1.0], 1.0, math.nan)])
+def test_group_fdp_rejects_non_finite(norms, sigma, mu_g):
+    with pytest.raises(BadValue, match="finite"):
+        fdp_bound_groupwise(norms, sigma, mu_g, 4, 2, 10.0, 1)
 
 
 def test_group_fdp_requires_sorted():

@@ -16,6 +16,7 @@ from .coherence import coherence_report, stoc_estimate
 from .core import (
     MeasurementMatrix,
     RngSpec,
+    locked,
     parse_cmat_entry,
     read_cmat,
     write_cmat,
@@ -54,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_matrix(path: str, group_size: int | None) -> MeasurementMatrix:
     entries, meta = read_cmat(path)
-    m = MeasurementMatrix(entries)
+    m = MeasurementMatrix(locked(entries))
     if group_size is None and "group_size" in meta:
         try:
             group_size = int(meta["group_size"])

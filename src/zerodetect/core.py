@@ -7,6 +7,7 @@ All types here are immutable after construction and safe to share across
 concurrent tasks; the operations are pure functions.
 """
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -24,20 +25,18 @@ UNIT_NORM_TOL = 1e-10
 ZERO_COLUMN_TOL = 1e-14
 
 
-def as_complex_matrix(entries) -> np.ndarray:
-    """Validate and return a dense complex matrix (n, p >= 1, all entries finite)."""
-    a = np.asarray(entries, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise BadValue(f"expected a 2-D matrix with n, p >= 1, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        raise BadValue("matrix entries must be finite")
-    return np.ascontiguousarray(a)
+def locked(a: np.ndarray) -> np.ndarray:
+    """Mark a fresh array read-only and return it; its owner writes it no more."""
+    a.setflags(write=False)
+    return a
 
 
-def _locked_copy(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, copy=True)
-    out.setflags(write=False)
-    return out
+def as_int(value, what: str, error: type[BadValue] = BadValue) -> int:
+    """Any integer (numpy's too) as an int; anything else raises error."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {type(value).__name__} {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -70,17 +69,29 @@ class GroupPartition:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementMatrix:
-    """Complex n x p matrix with unit-norm columns, optionally block-partitioned."""
+    """Complex n x p matrix with unit-norm columns, optionally block-partitioned.
+
+    The matrix is read-only. A locked, C-contiguous complex128 ndarray that owns
+    its memory (base None) is adopted as it is; any other input is copied.
+    """
 
     matrix: np.ndarray
     groups: GroupPartition | None = None
 
     def __post_init__(self):
-        a = _locked_copy(as_complex_matrix(self.matrix))
-        object.__setattr__(self, "matrix", a)
-        norms = column_norms(a)
-        bad = np.nonzero(np.abs(norms - 1.0) > UNIT_NORM_TOL)[0]
+        a = self.matrix
+        if not (type(a) is np.ndarray and a.dtype == np.complex128 and a.base is None
+                and a.flags.c_contiguous and not a.flags.writeable):
+            a = locked(np.array(a, dtype=np.complex128, order="C"))
+            object.__setattr__(self, "matrix", a)
+        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+            raise BadValue(f"expected a 2-D matrix with n, p >= 1, got shape {a.shape}")
+        v = a.view(np.float64)  # (re, im) pairs: norms without full-size temporaries
+        norms = np.sqrt(np.einsum("ij,ij->j", v, v).reshape(-1, 2).sum(axis=1))
+        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN, inf fail
         if bad.size:
+            if not np.all(np.isfinite(v)):
+                raise BadValue("matrix entries must be finite")
             j = int(bad[0])
             raise BadValue(
                 f"column {j + 1} has norm {norms[j]!r}, not unit within {UNIT_NORM_TOL}"
@@ -109,13 +120,15 @@ class SupportSet:
     def __post_init__(self):
         if self.domain_size < 1:
             raise BadValue("domain size must be >= 1")
+        indices = tuple(as_int(i, "index") for i in self.indices)
         prev = 0
-        for i in self.indices:
-            if not isinstance(i, int) or not 1 <= i <= self.domain_size:
+        for i in indices:
+            if not 1 <= i <= self.domain_size:
                 raise BadValue(f"index {i} outside 1..{self.domain_size}")
             if i <= prev:
                 raise BadValue("indices must be strictly increasing (sorted, no duplicates)")
             prev = i
+        object.__setattr__(self, "indices", indices)
 
     @classmethod
     def from_indices(cls, indices, domain_size: int) -> "SupportSet":
@@ -161,7 +174,7 @@ class SignalInstance:
             raise BadValue("signal must be a nonempty 1-D vector")
         if not np.all(np.isfinite(x)):
             raise BadValue("signal entries must be finite")
-        object.__setattr__(self, "x", _locked_copy(x))
+        object.__setattr__(self, "x", locked(np.array(x)))
 
     @classmethod
     def from_vector(cls, x) -> "SignalInstance":
@@ -317,9 +330,15 @@ class RngSpec:
 
 
 def _matrix_of(m) -> np.ndarray:
+    # a MeasurementMatrix's array, or m as a dense complex matrix (n, p >= 1, all finite)
     if isinstance(m, MeasurementMatrix):
         return m.matrix
-    return as_complex_matrix(m)
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise BadValue(f"expected a 2-D matrix with n, p >= 1, got shape {a.shape}")
+    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+        raise BadValue("matrix entries must be finite")
+    return np.ascontiguousarray(a)
 
 
 def column_norms(m) -> np.ndarray:
@@ -339,7 +358,7 @@ def normalize_columns(m) -> MeasurementMatrix:
     small = np.nonzero(norms < ZERO_COLUMN_TOL)[0]
     if small.size:
         raise ZeroColumn(int(small[0]) + 1)
-    return MeasurementMatrix(a / norms[np.newaxis, :], groups=groups)
+    return MeasurementMatrix(locked(a / norms[np.newaxis, :]), groups=groups)
 
 
 def hermitian_apply(m, y) -> np.ndarray:

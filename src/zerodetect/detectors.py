@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GroupPartition, MeasurementMatrix, SupportSet, hermitian_apply
+from .core import GroupPartition, MeasurementMatrix, SupportSet, as_int, hermitian_apply
 from .errors import BadValue, DimensionMismatch, NoGroups, ThetaOutOfRange
 
 
@@ -50,9 +50,11 @@ class DetectionResult:
         return SupportSet.from_indices(self.ranking, len(self.scores))
 
 
-def _check_theta(theta: int, limit: int, what: str) -> None:
-    if not isinstance(theta, int) or not 1 <= theta <= limit:
+def _check_theta(theta: int, limit: int, what: str) -> int:
+    theta = as_int(theta, "theta", ThetaOutOfRange)
+    if not 1 <= theta <= limit:
         raise ThetaOutOfRange(f"theta must be in 1..{limit} ({what}), got {theta}")
+    return theta
 
 
 def select_mask(keys: np.ndarray, theta: int) -> np.ndarray:
@@ -102,7 +104,7 @@ def _result(selection: np.ndarray, scores: np.ndarray, mode: str) -> DetectionRe
 
 def zd_ost(y, m: MeasurementMatrix, theta: int) -> DetectionResult:
     """Keep the theta columns with the smallest correlation magnitudes."""
-    _check_theta(theta, m.p, "columns")
+    theta = _check_theta(theta, m.p, "columns")
     scores = np.abs(_correlations(y, m))
     return _result(select(scores, theta), scores, "element")
 
@@ -111,13 +113,13 @@ def zd_groth(y, m: MeasurementMatrix, theta: int) -> DetectionResult:
     """Keep the theta groups with the smallest block correlation norms."""
     if m.groups is None:
         raise NoGroups("group thresholding needs a group partition")
-    _check_theta(theta, m.groups.q, "groups")
+    theta = _check_theta(theta, m.groups.q, "groups")
     scores = group_norms(_correlations(y, m), m.groups)
     return _result(select(scores, theta), scores, "group")
 
 
 def ost_topk(y, m: MeasurementMatrix, theta: int) -> DetectionResult:
     """Baseline: keep the theta LARGEST correlation magnitudes (ties to low index)."""
-    _check_theta(theta, m.p, "columns")
+    theta = _check_theta(theta, m.p, "columns")
     scores = np.abs(_correlations(y, m))
     return _result(select(scores, theta, largest=True), scores, "element")

@@ -28,6 +28,7 @@ from .core import (
     SignalInstance,
     _keyed_streams,
     hermitian_apply,
+    locked,
     read_cmat,
 )
 from .detectors import group_norms, select_mask
@@ -197,7 +198,7 @@ def build_matrix(config: ExperimentConfig) -> MeasurementMatrix:
         if config.matrix_file is None:
             raise BadValue("file family needs matrix_file")
         entries, _ = read_cmat(config.matrix_file)
-        m = MeasurementMatrix(entries)
+        m = MeasurementMatrix(locked(entries))
     if config.group_size is not None:
         m = attach_groups(m, config.group_size)
     return m

@@ -6,6 +6,10 @@ indexed by t in (0, 1, xi, ..., xi^(M-2)), its columns by the ring elements
 lambda, and entry (t, lambda) is i^Tr(lambda * t) / sqrt(M). The trace is
 Z4-linear, so the whole Z4 word table follows from the u x M traces
 Tr(xi^j t), read off one Z4 sequence s_e = Tr(xi^e) (galois.trace_sequence).
+The table is uint8 in the frame's own (M, M^2) layout, grown from those rows
+by one broadcast add per coefficient of lambda; uint8 arithmetic wraps mod
+256, so every value stays exact mod 4. The frame indexes i^word with it and
+is handed to MeasurementMatrix locked, so it is never copied.
 
 Distinct columns are either orthogonal or have inner-product modulus exactly
 1/sqrt(M), the worst-case coherence of the frame. The constructor checks that
@@ -19,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GroupPartition, MeasurementMatrix, RngSpec
+from .core import GroupPartition, MeasurementMatrix, RngSpec, locked
 from .errors import ConstructionError, IndivisibleGroupSize, InvalidSpec
 from .galois import modulus_poly, trace_sequence
 
 _I_POWERS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
+_Z4 = np.arange(4, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -54,13 +59,18 @@ class KerdockSpec:
         return 1.0 / np.sqrt(self.rows)
 
 
-def _lex_digits(u: int) -> np.ndarray:
-    # (u, 4^u) Z4 coefficient vectors of every lambda, first coefficient slowest
-    return np.indices((4,) * u).reshape(u, -1)
+def _z4_span(tau: np.ndarray) -> np.ndarray:
+    # (M, 4^u) table of sum_j lambda_j tau_j mod 4 over every lambda, first
+    # coefficient slowest: grown from the last one, a broadcast add per row
+    span = np.zeros((tau.shape[1], 1), dtype=tau.dtype)
+    for row in tau[::-1]:
+        span = (row[:, None, None] * _Z4[:, None] + span[:, None, :]).reshape(len(row), -1)
+    span &= 3
+    return span
 
 
 def kerdock_codewords(spec: KerdockSpec) -> np.ndarray:
-    """Z4 words underlying the frame: shape (M, M^2), entry Tr(lambda * t).
+    """Z4 words of the frame, laid out as it: C-contiguous uint8 (M, M^2), entry Tr(lambda * t).
 
     Columns are ordered lexicographically by the coefficient vector of lambda
     in the basis (1, xi, ..., xi^(u-1)), coefficient of 1 most significant;
@@ -69,21 +79,17 @@ def kerdock_codewords(spec: KerdockSpec) -> np.ndarray:
     u = spec.ring_degree
     M = spec.rows
     # Tr(xi^j * 0) = 0 and Tr(xi^j * xi^e) = s_{j+e}
-    s = np.array(trace_sequence(u, M + u - 2), dtype=np.int64)
-    tau = np.zeros((u, M), dtype=np.int64)
+    s = np.array(trace_sequence(u, M + u - 2), dtype=np.uint8)
+    tau = np.zeros((u, M), dtype=np.uint8)
     tau[:, 1:] = s[np.add.outer(np.arange(u), np.arange(M - 1))]
     # trace is Z4-linear, so Tr(lambda t) = sum_j lambda_j Tr(xi^j t)
-    words = _lex_digits(u).T @ tau  # (M^2, M)
-    words &= 3  # mod 4
-    return words.T
+    return _z4_span(tau)
 
 
 def _is_z4_linear(words: np.ndarray, u: int) -> bool:
     # the columns of lambda = xi^j sit at 4^(u-1-j); every column must be the
     # Z4 combination of them that its lambda names
-    span = words[:, 4 ** np.arange(u - 1, -1, -1)] @ _lex_digits(u)
-    span &= 3  # mod 4
-    return np.array_equal(words, span)
+    return np.array_equal(words, _z4_span(words[:, 4 ** np.arange(u - 1, -1, -1)].T))
 
 
 def build_kerdock(spec: KerdockSpec) -> MeasurementMatrix:
@@ -98,7 +104,7 @@ def build_kerdock(spec: KerdockSpec) -> MeasurementMatrix:
             "column enumeration produced overlapping columns: the words are not "
             "Z4-linear in lambda, so no single Gram row bounds the coherence"
         )
-    m = MeasurementMatrix((_I_POWERS / np.sqrt(spec.rows))[words])
+    m = MeasurementMatrix(locked((_I_POWERS / np.sqrt(spec.rows))[words]))
     # under linearity a_lambda^H a_lambda' depends only on lambda' - lambda,
     # so the row of lambda = 0 holds every off-diagonal modulus
     a = m.matrix
@@ -134,7 +140,7 @@ def build_bernoulli(n: int, p: int, rng: RngSpec) -> MeasurementMatrix:
         raise InvalidSpec(f"need n, p >= 1, got n={n}, p={p}")
     gen = rng.generator()
     signs = 2.0 * gen.integers(0, 2, size=(n, p)) - 1.0
-    return MeasurementMatrix(signs.astype(np.complex128) / np.sqrt(n))
+    return MeasurementMatrix(locked(signs.astype(np.complex128) / np.sqrt(n)))
 
 
 def attach_groups(m: MeasurementMatrix, r: int) -> MeasurementMatrix:

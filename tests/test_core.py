@@ -26,6 +26,7 @@ from zerodetect.errors import (
     DimensionMismatch,
     ZeroColumn,
 )
+from zerodetect.matrices import attach_groups
 
 
 def _random_complex(rng, shape):
@@ -170,6 +171,45 @@ def test_measurement_matrix_is_immutable():
         m.matrix[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, 1j * np.inf, -np.inf])
+def test_measurement_matrix_rejects_non_finite(bad):
+    a = np.eye(3, dtype=np.complex128)
+    a[1, 2] = bad
+    with pytest.raises(BadValue, match="must be finite"):
+        MeasurementMatrix(a)
+
+
+def test_measurement_matrix_huge_finite_entry_fails_the_norm_check():
+    # the squared norm overflows to inf, yet every entry is finite
+    a = np.eye(3)
+    a[0, 1] = 1e200
+    with pytest.raises(BadValue, match=r"column 2 has norm \S*inf\S*, not unit"):
+        MeasurementMatrix(a)
+
+
+def test_measurement_matrix_copies_what_others_can_write():
+    a = np.eye(3, dtype=np.complex128)
+    m = MeasurementMatrix(a)
+    a[0, 0] = 5.0
+    assert m.matrix[0, 0] == 1.0
+    # a locked view of writeable memory is still writeable through its base
+    base = np.eye(3, dtype=np.complex128)
+    view = base[:, :]
+    view.setflags(write=False)
+    m = MeasurementMatrix(view)
+    assert m.matrix is not view
+    base[0, 0] = 5.0
+    assert m.matrix[0, 0] == 1.0
+
+
+def test_measurement_matrix_adopts_a_locked_owning_array():
+    a = np.eye(4, dtype=np.complex128)
+    a.setflags(write=False)
+    m = MeasurementMatrix(a)
+    assert m.matrix is a
+    assert attach_groups(m, 2).matrix is m.matrix
+
+
 def test_group_partition_mapping():
     g = GroupPartition(4, 3)
     assert g.p == 12
@@ -192,6 +232,15 @@ def test_support_set_validation_and_complement():
         SupportSet.from_indices([0], 4)
     with pytest.raises(BadValue):
         SupportSet((2, 1), 4)  # must be sorted
+
+
+def test_support_set_accepts_any_integer():
+    s = SupportSet((np.int64(1), 2), 3)
+    assert s.indices == (1, 2)
+    assert all(type(i) is int for i in s.indices)
+    for bad, kind in ((2.0, "float"), ("2", "str")):
+        with pytest.raises(BadValue, match=f"index must be an integer, got {kind}"):
+            SupportSet((1, bad), 3)
 
 
 def test_signal_instance_invariants():

@@ -133,6 +133,17 @@ def test_theta_validation():
         zd_groth(Y4, m, 3)
 
 
+def test_theta_accepts_any_integer():
+    m = attach_groups(I4, 2)
+    for t in (np.int64(2), np.uint8(2)):
+        assert zd_ost(Y4, I4, t).ranking == zd_ost(Y4, I4, 2).ranking
+        assert ost_topk(Y4, I4, t).ranking == ost_topk(Y4, I4, 2).ranking
+        assert zd_groth(Y4, m, t).ranking == zd_groth(Y4, m, 2).ranking
+    for bad, kind in ((2.0, "float"), ("2", "str")):
+        with pytest.raises(ThetaOutOfRange, match=f"theta must be an integer, got {kind}"):
+            zd_ost(Y4, I4, bad)
+
+
 def test_group_detector_needs_groups():
     with pytest.raises(NoGroups):
         zd_groth(Y4, I4, 1)

@@ -83,6 +83,9 @@ KERDOCK_DIGESTS = {
         "a01c3f42b7039132286b2f3568f5e6ad6f8910f8742db4eef65ccf9b31819a4d"),
     5: ("8551ec1f9cb5c14392fb5e6875c8d3aa3314866700ec3048f763c7a0df822762",
         "fcf575dcc3f5bb05b2a563d005b5b46f9339db199ab147d61413dfd16a9593c3"),
+    # m = 7 was frozen from the trace recurrence's int64 word table
+    7: ("24a58d59d48b9c897f2d10e9b88f75c67e047e3830b51c528021aceed3bc65db",
+        "620852a2d49778f51f0f295938962060a91cb62f6fe69ab7dc98ffaa347d4004"),
 }
 
 
@@ -97,6 +100,12 @@ def test_kerdock_golden_digests(m):
     mat = build_kerdock(KerdockSpec(m)).matrix
     assert mat.dtype == np.complex128
     assert _sha256(mat) == matrix_digest
+
+
+def test_kerdock_codewords_are_uint8_in_frame_layout():
+    words = matrices.kerdock_codewords(KerdockSpec(3))
+    assert words.dtype == np.uint8 and words.flags.c_contiguous
+    assert words.shape == (16, 256)
 
 
 def test_kerdock_m7_is_buildable():

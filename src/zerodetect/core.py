@@ -31,7 +31,7 @@ def locked(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_int(value, what: str, error: type[BadValue] = BadValue) -> int:
+def as_int(value, what: str, error: type[ValueError] = BadValue) -> int:
     """Any integer (numpy's too) as an int; anything else raises error."""
     try:
         return operator.index(value)
@@ -94,7 +94,7 @@ class MeasurementMatrix:
                 raise BadValue("matrix entries must be finite")
             j = int(bad[0])
             raise BadValue(
-                f"column {j + 1} has norm {norms[j]!r}, not unit within {UNIT_NORM_TOL}"
+                f"column {j + 1} has norm {float(norms[j])!r}, not unit within {UNIT_NORM_TOL}"
             )
         if self.groups is not None and self.groups.p != a.shape[1]:
             raise BadValue(
@@ -199,7 +199,8 @@ class SignalInstance:
 
 def _seed_words(value: int) -> tuple[int, int]:
     # split a 64-bit value into uint32 words for SeedSequence spawn keys
-    if not isinstance(value, int) or not 0 <= value < 2**64:
+    value = as_int(value, "substream path entries")
+    if not 0 <= value < 2**64:
         raise BadValue(f"substream path entries must be 64-bit unsigned, got {value!r}")
     return (value & 0xFFFFFFFF, value >> 32)
 
@@ -266,9 +267,10 @@ class RngSpec:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or not 0 <= v < 2**64:
+            v = as_int(getattr(self, name), name)
+            if not 0 <= v < 2**64:
                 raise BadValue(f"{name} must be a 64-bit unsigned integer, got {v!r}")
+            object.__setattr__(self, name, v)
 
     def _sequence(self, path: tuple[int, ...]) -> np.random.SeedSequence:
         key = _seed_words(self.stream_id)

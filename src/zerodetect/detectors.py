@@ -50,7 +50,16 @@ class DetectionResult:
         return SupportSet.from_indices(self.ranking, len(self.scores))
 
 
-def _check_theta(theta: int, limit: int, what: str) -> int:
+# rule -> (scores are block norms ||A_i^H y||_2 rather than |a_i^H y|, keep the largest)
+RULES = {"zd_ost": (False, False), "zd_groth": (True, False), "ost_topk": (False, True)}
+
+
+def check_theta(rule: str, theta: int, m: MeasurementMatrix) -> int:
+    """theta as an int in 1..p, or 1..q for a group rule, which needs groups."""
+    grouped, _ = RULES[rule]
+    if grouped and m.groups is None:
+        raise NoGroups("group thresholding needs a group partition")
+    limit, what = (m.groups.q, "groups") if grouped else (m.p, "columns")
     theta = as_int(theta, "theta", ThetaOutOfRange)
     if not 1 <= theta <= limit:
         raise ThetaOutOfRange(f"theta must be in 1..{limit} ({what}), got {theta}")
@@ -91,35 +100,28 @@ def group_norms(s: np.ndarray, groups: GroupPartition) -> np.ndarray:
     return np.linalg.norm(s.reshape(*s.shape[:-1], groups.q, groups.r), axis=-1)
 
 
-def _correlations(y, m: MeasurementMatrix) -> np.ndarray:
+def _detect(rule: str, y, m: MeasurementMatrix, theta: int) -> DetectionResult:
+    theta = check_theta(rule, theta, m)
     y = np.asarray(y)
     if y.ndim != 1:
         raise DimensionMismatch(f"expected one measurement vector, got shape {y.shape}")
-    return hermitian_apply(m, y)
-
-
-def _result(selection: np.ndarray, scores: np.ndarray, mode: str) -> DetectionResult:
-    return DetectionResult(tuple((selection + 1).tolist()), scores, mode)
+    grouped, largest = RULES[rule]
+    s = hermitian_apply(m, y)
+    scores = group_norms(s, m.groups) if grouped else np.abs(s)
+    ranking = select(scores, theta, largest)
+    return DetectionResult(tuple((ranking + 1).tolist()), scores, "group" if grouped else "element")
 
 
 def zd_ost(y, m: MeasurementMatrix, theta: int) -> DetectionResult:
     """Keep the theta columns with the smallest correlation magnitudes."""
-    theta = _check_theta(theta, m.p, "columns")
-    scores = np.abs(_correlations(y, m))
-    return _result(select(scores, theta), scores, "element")
+    return _detect("zd_ost", y, m, theta)
 
 
 def zd_groth(y, m: MeasurementMatrix, theta: int) -> DetectionResult:
     """Keep the theta groups with the smallest block correlation norms."""
-    if m.groups is None:
-        raise NoGroups("group thresholding needs a group partition")
-    theta = _check_theta(theta, m.groups.q, "groups")
-    scores = group_norms(_correlations(y, m), m.groups)
-    return _result(select(scores, theta), scores, "group")
+    return _detect("zd_groth", y, m, theta)
 
 
 def ost_topk(y, m: MeasurementMatrix, theta: int) -> DetectionResult:
     """Baseline: keep the theta LARGEST correlation magnitudes (ties to low index)."""
-    theta = _check_theta(theta, m.p, "columns")
-    scores = np.abs(_correlations(y, m))
-    return _result(select(scores, theta, largest=True), scores, "element")
+    return _detect("ost_topk", y, m, theta)

@@ -16,7 +16,7 @@ and the coefficients.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,15 +31,22 @@ from .core import (
     locked,
     read_cmat,
 )
-from .detectors import group_norms, select_mask
-from .errors import BadK, BadValue, IncompleteReport, NoGroups, ThetaOutOfRange
+from .detectors import RULES, check_theta, group_norms, select_mask
+from .errors import BadK, BadValue, DimensionMismatch, IncompleteReport, NoGroups
 from .matrices import KerdockSpec, attach_groups, build_bernoulli, build_kerdock
 from .theory import NOISE_CONVENTIONS
 
-DETECTOR_NAMES = ("zd_ost", "zd_groth", "ost_topk", "ost_topk_full_support")
+# detector -> (its rule in detectors.RULES, target mask); the full-support
+# baseline is ost_topk at theta = k
+_DETECTORS = {"zd_ost": ("zd_ost", "zeros"), "zd_groth": ("zd_groth", "group_zeros"),
+              "ost_topk": ("ost_topk", "support"),
+              "ost_topk_full_support": ("ost_topk", "support")}
+DETECTOR_NAMES = tuple(_DETECTORS)
 MATRIX_FAMILIES = ("kerdock", "bernoulli", "file")
 SIGNAL_MODELS = ("tone", "group")
-FIGURE_IDS = ("1", "2", "3", "4a", "4b")
+# figure id -> the metric its curves plot, as the manifest names it
+_FIGURE_METRICS = {"1": "fdp_or_zero_fraction", "2": "pe", "3": "pe", "4a": "fdp", "4b": "fdp"}
+FIGURE_IDS = tuple(_FIGURE_METRICS)
 
 _Z95 = 1.959963984540054
 _FLOAT_FMT = "{:.17g}"
@@ -210,51 +217,50 @@ class TrialMetrics(NamedTuple):
     hit: bool
 
 
-# detector -> (ranks group norms, keeps the largest scores, target mask)
-_DETECTORS = {
-    "zd_ost": (False, False, "zeros"),
-    "zd_groth": (True, False, "group_zeros"),
-    "ost_topk": (False, True, "support"),
-    "ost_topk_full_support": (False, True, "support"),
-}
-
-
-def _check_detection(detector: str, theta: int, m: MeasurementMatrix) -> None:
+def _check_detection(detector: str, theta: int, m: MeasurementMatrix) -> int:
     if detector not in _DETECTORS:
         raise BadValue(f"unknown detector {detector!r}")
-    if detector == "zd_groth" and m.groups is None:
-        raise NoGroups("group thresholding needs a group partition")
-    limit = m.groups.q if detector == "zd_groth" else m.p
-    if detector != "ost_topk_full_support" and not 1 <= theta <= limit:
-        raise ThetaOutOfRange(f"theta must be in 1..{limit} for {detector}, got {theta}")
+    if detector == "ost_topk_full_support":  # takes each trial's k instead
+        return theta
+    return check_theta(_DETECTORS[detector][0], theta, m)
 
 
 def _detect_block(combos, m: MeasurementMatrix, y: np.ndarray, support: np.ndarray):
     """(fdp, zero fraction, hit) arrays over a block of trials, one triple per
     (detector, estimate size) in combos, from the block's measurements y (T, n)
-    and its signals' nonzero masks (T, p); the metrics need sets, not rankings."""
-    for det, theta in combos:
-        _check_detection(det, theta, m)
+    and its signals' nonzero masks (T, p); the metrics need sets, not rankings.
+    The combos must have passed _check_detection."""
     s = hermitian_apply(m, y)
-    scores = {False: np.abs(s)}
-    targets = {"support": support, "zeros": ~support}
-    if any(det == "zd_groth" for det, _ in combos):
-        targets["group_zeros"] = ~support.reshape(len(y), m.groups.q, m.groups.r).any(axis=-1)
-        scores[True] = group_norms(s, m.groups)
-    # keys per (score kind, direction), built once per block; smaller is better
+    rules = {RULES[_DETECTORS[det][0]] for det, _ in combos}
+    scores = {grouped: group_norms(s, m.groups) if grouped else np.abs(s)
+              for grouped in {grouped for grouped, _ in rules}}
+    # keys per rule, built once per block; smaller is better
     keys = {(grouped, largest): -scores[grouped] if largest else scores[grouped]
-            for grouped, largest, _ in {_DETECTORS[det] for det, _ in combos}}
+            for grouped, largest in rules}
+    targets = {"support": support, "zeros": ~support}
+    if True in scores:  # a group rule is in the block
+        targets["group_zeros"] = ~support.reshape(len(y), m.groups.q, m.groups.r).any(axis=-1)
     out = []
     for det, theta in combos:
-        grouped, largest, target = _DETECTORS[det]
+        rule, target = _DETECTORS[det]
         full = det == "ost_topk_full_support"
         used = int(support[0].sum()) if full else theta  # the k of every trial in the block
-        inter = (targets[target] & select_mask(keys[grouped, largest], used)).sum(axis=-1)
+        inter = (targets[target] & select_mask(keys[RULES[rule]], used)).sum(axis=-1)
         size = targets[target].sum(axis=-1)
         fdp = (used - inter) / used if used else np.zeros(inter.shape)
         zf = np.divide(inter, size, out=np.full(inter.shape, np.nan), where=size > 0)
         out.append((fdp, zf, inter == used if full else inter > 0))
     return out
+
+
+def _one_trial(detector: str, theta: int, m: MeasurementMatrix, x: np.ndarray,
+               y: np.ndarray) -> TrialMetrics:
+    """Metrics of one detection, from the signal x (p,) and its measurements y."""
+    theta = _check_detection(detector, theta, m)
+    if x.shape != (m.p,):
+        raise DimensionMismatch(f"signal has shape {x.shape}, not ({m.p},)")
+    (fdp, zf, hit), = _detect_block([(detector, theta)], m, y[np.newaxis], (x != 0)[np.newaxis])
+    return TrialMetrics(float(fdp[0]), float(zf[0]), bool(hit[0]))
 
 
 def evaluate_detection(detector: str, theta: int, m: MeasurementMatrix,
@@ -265,9 +271,7 @@ def evaluate_detection(detector: str, theta: int, m: MeasurementMatrix,
     group-level); the top-k baselines are scored against the support, with
     the full-support baseline's hit meaning exact recovery.
     """
-    (fdp, zf, hit), = _detect_block([(detector, theta)], m, np.asarray(y)[np.newaxis],
-                                    (signal.x != 0)[np.newaxis])
-    return TrialMetrics(float(fdp[0]), float(zf[0]), bool(hit[0]))
+    return _one_trial(detector, theta, m, signal.x, np.asarray(y))
 
 
 def _measure_block(config: ExperimentConfig, m: MeasurementMatrix, k: int,
@@ -316,8 +320,7 @@ def run_trial(config: ExperimentConfig, k: int, theta: int, detector: str,
     """
     m = build_matrix(config) if matrix is None else matrix
     x, y = _measure_block(config, m, k, range(trial_index, trial_index + 1))
-    (fdp, zf, hit), = _detect_block([(detector, theta)], m, y, x != 0)
-    return TrialMetrics(float(fdp[0]), float(zf[0]), bool(hit[0]))
+    return _one_trial(detector, theta, m, x[0], y[0])
 
 
 def wilson_interval(successes: float, n: int, z: float = _Z95) -> tuple[float, float]:
@@ -397,18 +400,32 @@ class TrialBatchReport:
 def _validate_grids(config: ExperimentConfig, m: MeasurementMatrix) -> None:
     if config.signal_model == "group" and m.groups is None:
         raise NoGroups("group signals need a partitioned matrix")
-    k_limit = m.groups.q if config.signal_model == "group" else m.p
     for k in config.k_grid:
-        if not 0 <= k <= k_limit:
-            raise BadK(f"k={k} outside [0, {k_limit}]")
+        _check_k(m.groups.q if config.signal_model == "group" else m.p, k)
     for det in config.detectors:
         for theta in config.theta_grid:
             _check_detection(det, effective_theta(config, det, theta), m)
 
 
-def _running_sum(start: float, values: np.ndarray) -> float:
+def _running_sum(values: np.ndarray) -> float:
     # one add per value in trial order; np.sum adds pairwise and rounds differently
-    return float(np.add.accumulate(np.concatenate(([start], values)))[-1])
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
+
+
+def _cell(k: int, theta: int, theta_grid: int, detector: str, fdp: np.ndarray,
+          zf: np.ndarray, hit: np.ndarray) -> BatchCell:
+    """Aggregates of one grid point from its per-trial metric arrays."""
+    n = len(fdp)
+    defined = zf[~np.isnan(zf)]
+    fdp_sum, zf_sum, zf_n = _running_sum(fdp), _running_sum(defined), defined.size
+    misses = n - int(np.count_nonzero(hit))
+    zf_ci = wilson_interval(zf_sum, zf_n) if zf_n else (math.nan, math.nan)
+    return BatchCell(  # fields in declaration order
+        k, theta, theta_grid, detector, n,
+        fdp_sum / n, *wilson_interval(fdp_sum, n),
+        zf_sum / zf_n if zf_n else math.nan, *zf_ci, zf_n,
+        misses / n, *wilson_interval(misses, n),
+    )
 
 
 def run_batch(config: ExperimentConfig, keep_trials: bool = False) -> TrialBatchReport:
@@ -424,43 +441,26 @@ def run_batch(config: ExperimentConfig, keep_trials: bool = False) -> TrialBatch
     _validate_grids(config, m)
     combos = [(det, tg, effective_theta(config, det, tg))
               for det in config.detectors for tg in config.theta_grid]
+    plan = [(det, eff) for det, _, eff in combos]
     block = max(1, _BLOCK_ENTRIES // m.p)
-
-    sums: dict[tuple[int, int, str], list] = {}
+    n = config.trials
+    cells: list[BatchCell] = []
     records: list[TrialRecord] = []
     for k in config.k_grid:
-        for det, tg, _ in combos:
-            sums[(k, tg, det)] = [0.0, 0.0, 0, 0]  # fdp, zf, zf trials, hits
-        for start in range(0, config.trials, block):
-            trials = range(start, min(start + block, config.trials))
-            x, y = _measure_block(config, m, k, trials)
-            metrics = _detect_block([(det, eff) for det, _, eff in combos], m, y, x != 0)
-            for (det, tg, _), (fdp, zf, hit) in zip(combos, metrics):
-                acc = sums[(k, tg, det)]
-                defined = zf[~np.isnan(zf)]
-                acc[0] = _running_sum(acc[0], fdp)
-                acc[1] = _running_sum(acc[1], defined)
-                acc[2] += defined.size
-                acc[3] += int(np.count_nonzero(hit))
-            if keep_trials:
-                columns = [list(zip(*(a.tolist() for a in triple))) for triple in metrics]
-                records.extend(TrialRecord(k, eff, det, t, *rows[i])
-                               for i, t in enumerate(trials)
-                               for (det, _, eff), rows in zip(combos, columns))
-
-    n = config.trials
-    cells = []
-    for k in config.k_grid:
-        for tg in config.theta_grid:
-            for det in config.detectors:
-                fdp, zf, zf_n, hits = sums[(k, tg, det)]
-                zf_ci = wilson_interval(zf, zf_n) if zf_n else (math.nan, math.nan)
-                cells.append(BatchCell(  # fields in declaration order
-                    k, effective_theta(config, det, tg), tg, det, n,
-                    fdp / n, *wilson_interval(fdp, n),
-                    zf / zf_n if zf_n else math.nan, *zf_ci, zf_n,
-                    (n - hits) / n, *wilson_interval(n - hits, n),
-                ))
+        blocks = []
+        for start in range(0, n, block):
+            x, y = _measure_block(config, m, k, range(start, min(start + block, n)))
+            blocks.append(_detect_block(plan, m, y, x != 0))
+        # per combo, its (fdp, zero fraction, hit) arrays over all n trials
+        table = blocks[0] if len(blocks) == 1 else [
+            tuple(map(np.concatenate, zip(*parts))) for parts in zip(*blocks)]
+        by_combo = {(det, tg): _cell(k, eff, tg, det, *triple)
+                    for (det, tg, eff), triple in zip(combos, table)}
+        cells.extend(by_combo[det, tg] for tg in config.theta_grid for det in config.detectors)
+        if keep_trials:
+            columns = [list(zip(*(a.tolist() for a in triple))) for triple in table]
+            records.extend(TrialRecord(k, eff, det, t, *rows[t])
+                           for t in range(n) for (det, _, eff), rows in zip(combos, columns))
     q = m.groups.q if m.groups is not None else None
     return TrialBatchReport(
         config=config, p=m.p, q=q, cells=tuple(cells),
@@ -482,10 +482,7 @@ def _fmt(v) -> str:
 
 def write_report_csv(report: TrialBatchReport, path) -> None:
     """All cells of a batch as one CSV table."""
-    cols = ("k", "theta", "theta_grid", "detector", "trials",
-            "fdp_mean", "fdp_lo", "fdp_hi",
-            "zero_fraction_mean", "zero_fraction_lo", "zero_fraction_hi",
-            "zero_fraction_trials", "pe", "pe_lo", "pe_hi")
+    cols = [f.name for f in fields(BatchCell)]
     lines = [",".join(cols)]
     for c in report.cells:
         lines.append(",".join(
@@ -505,16 +502,15 @@ def _zero_domain_size(report: TrialBatchReport, detector: str, k: int) -> int:
     return report.p - k
 
 
-def _figure_metric(report: TrialBatchReport, figure_id: str, cell: BatchCell):
-    """(value, lo, hi, metric label) for one cell under the figure's convention."""
-    if figure_id == "1":
-        if cell.theta > _zero_domain_size(report, cell.detector, cell.k):
-            return (cell.zero_fraction_mean, cell.zero_fraction_lo,
-                    cell.zero_fraction_hi, "zero_fraction")
-        return (cell.fdp_mean, cell.fdp_lo, cell.fdp_hi, "fdp")
-    if figure_id in ("2", "3"):
-        return (cell.pe, cell.pe_lo, cell.pe_hi, "pe")
-    return (cell.fdp_mean, cell.fdp_lo, cell.fdp_hi, "fdp")  # 4a / 4b
+def _curve_point(report: TrialBatchReport, metric: str, cell: BatchCell):
+    """(value, lo, hi) of one cell for a manifest metric; fdp_or_zero_fraction
+    takes the zero fraction wherever theta exceeds the zero-support size."""
+    if metric == "pe":
+        return cell.pe, cell.pe_lo, cell.pe_hi
+    if (metric == "fdp_or_zero_fraction"
+            and cell.theta > _zero_domain_size(report, cell.detector, cell.k)):
+        return cell.zero_fraction_mean, cell.zero_fraction_lo, cell.zero_fraction_hi
+    return cell.fdp_mean, cell.fdp_lo, cell.fdp_hi
 
 
 def emit_plotdata(report: TrialBatchReport, figure_id, out_dir) -> list[Path]:
@@ -544,25 +540,19 @@ def emit_plotdata(report: TrialBatchReport, figure_id, out_dir) -> list[Path]:
     written: list[Path] = []
     manifest = ["file,detector,theta,metric"]
 
-    def emit_curve(cells: list[BatchCell], label: str, metric_override: str | None):
+    def emit_curve(cells: list[BatchCell], label: str, metric: str):
         det, theta_eff = cells[0].detector, cells[0].theta
         path = out / f"fig{fid}_{label}_theta{theta_eff}.csv"
         lines = ["k,value,ci_lo,ci_hi"]
-        metric_name = None
         for c in cells:
-            if metric_override == "fdp":
-                v, lo, hi, metric_name = c.fdp_mean, c.fdp_lo, c.fdp_hi, "fdp"
-            else:
-                v, lo, hi, metric_name = _figure_metric(report, fid, c)
+            v, lo, hi = _curve_point(report, metric, c)
             lines.append(f"{c.k},{_fmt(v)},{_fmt(lo)},{_fmt(hi)}")
         path.write_text("\n".join(lines) + "\n", encoding="ascii")
         written.append(path)
-        if fid == "1":
-            metric_name = "fdp_or_zero_fraction"
-        manifest.append(f"{path.name},{det},{theta_eff},{metric_name}")
+        manifest.append(f"{path.name},{det},{theta_eff},{metric}")
 
-    for (det, _), cells in sorted(curves.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        emit_curve(cells, det, None)
+    for (det, _), cells in sorted(curves.items()):  # curve keys are distinct
+        emit_curve(cells, det, _FIGURE_METRICS[fid])
         if fid == "3" and det == "ost_topk_full_support":
             emit_curve(cells, det + "_fdp", "fdp")
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GroupPartition, MeasurementMatrix, RngSpec, locked
+from .core import GroupPartition, MeasurementMatrix, RngSpec, as_int, locked
 from .errors import ConstructionError, IndivisibleGroupSize, InvalidSpec
 from .galois import modulus_poly, trace_sequence
 
@@ -38,7 +38,8 @@ class KerdockSpec:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1 or self.m % 2 == 0:
+        object.__setattr__(self, "m", as_int(self.m, "Kerdock degree", InvalidSpec))
+        if self.m < 1 or self.m % 2 == 0:
             raise InvalidSpec(f"Kerdock degree must be an odd positive integer, got {self.m}")
 
     @property

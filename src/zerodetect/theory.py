@@ -184,7 +184,7 @@ def sparsity_bound(params: BoundParams, eps0: float, nu: float, p: int) -> Spars
 class PeBound(NamedTuple):
     alpha: float
     c: float           # 16 (2 + 1/a)^2
-    valid: bool        # alpha > 1
+    valid: bool        # eps0 > sqrt(k) nu and alpha > 1
     bound: float       # sqrt(2/pi)/p + 4 p^(1-alpha), nan when invalid
     bound_with_log_factor: float  # sqrt(2/pi)/(p sqrt(log p)) + 4 p^(1-alpha)
 
@@ -192,9 +192,10 @@ class PeBound(NamedTuple):
 def pe_bound(params: BoundParams, eps0: float, k: int, nu: float, p: int) -> PeBound:
     """Single-zero error probability bound and its exponent alpha.
 
-    alpha = (eps0 - sqrt(k) nu)^2 / (c mu0^2) with c = 16 (2 + 1/a)^2. The
-    bound applies only when alpha > 1. Both the plain form and the form
-    retaining the (log p)^(-1/2) factor on the first term are reported.
+    alpha = (eps0 - sqrt(k) nu)^2 / (c mu0^2) with c = 16 (2 + 1/a)^2. alpha
+    squares the gap, so the bound applies only when eps0 > sqrt(k) nu and
+    alpha > 1. Both the plain form and the form retaining the (log p)^(-1/2)
+    factor on the first term are reported.
     """
     if k < 0:
         raise BadValue("k must be >= 0")
@@ -204,7 +205,7 @@ def pe_bound(params: BoundParams, eps0: float, k: int, nu: float, p: int) -> PeB
         raise BadValue("p must be >= 2")
     c = 16 * (2 + 1 / params.a) ** 2
     alpha = (eps0 - math.sqrt(k) * nu) ** 2 / (c * params.mu0**2)
-    valid = alpha > 1
+    valid = eps0 > math.sqrt(k) * nu and alpha > 1
     if not valid:
         return PeBound(alpha, c, False, float("nan"), float("nan"))
     tail = 4 * p ** (1 - alpha)

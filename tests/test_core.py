@@ -187,6 +187,14 @@ def test_measurement_matrix_huge_finite_entry_fails_the_norm_check():
         MeasurementMatrix(a)
 
 
+def test_measurement_matrix_norm_failure_prints_a_plain_float():
+    a = np.eye(3)
+    a[0, 1] = 1e200
+    with pytest.raises(BadValue) as info:
+        MeasurementMatrix(a)
+    assert str(info.value) == "column 2 has norm inf, not unit within 1e-10"
+
+
 def test_measurement_matrix_copies_what_others_can_write():
     a = np.eye(3, dtype=np.complex128)
     m = MeasurementMatrix(a)
@@ -388,3 +396,22 @@ def test_cmat_reader_rejects_malformed(tmp_path, body):
 def test_cmat_meta_rejects_spaces(tmp_path):
     with pytest.raises(BadValue):
         write_cmat(tmp_path / "m.cmat", np.eye(2), meta={"k": "a b"})
+
+
+def test_rng_spec_takes_numpy_integers():
+    spec = RngSpec(np.uint64(7), np.int64(2))
+    assert type(spec.master_seed) is int and type(spec.stream_id) is int
+    assert spec == RngSpec(7, 2)
+    a = RngSpec(np.uint64(7)).substream(np.int64(3), 0).standard_normal(4)
+    assert np.array_equal(a, RngSpec(7).substream(3, 0).standard_normal(4))
+    keys = RngSpec(7).substream_keys(np.int64(3), trials=range(2))
+    assert np.array_equal(keys, RngSpec(7).substream_keys(3, trials=range(2)))
+    with pytest.raises(BadValue, match="master_seed must be an integer, got float"):
+        RngSpec(7.0)
+    with pytest.raises(BadValue, match="must be an integer, got float"):
+        RngSpec(1).substream(3.0, 0)
+    for bad in (-1, 2**64, np.int64(-1)):
+        with pytest.raises(BadValue, match="64-bit unsigned"):
+            RngSpec(bad)
+        with pytest.raises(BadValue, match="64-bit unsigned"):
+            RngSpec(1).substream(bad)

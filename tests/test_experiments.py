@@ -1,12 +1,20 @@
 """Monte-Carlo harness: generation, trials, batches, emission, configs."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from zerodetect.core import MeasurementMatrix, RngSpec, SignalInstance
-from zerodetect.errors import BadK, BadValue, IncompleteReport, NoGroups
+from zerodetect.errors import (
+    BadK,
+    BadValue,
+    DimensionMismatch,
+    IncompleteReport,
+    NoGroups,
+    ThetaOutOfRange,
+)
 from zerodetect.experiments import (
     ExperimentConfig,
     UniformAmplitude,
@@ -171,6 +179,31 @@ def test_group_zero_support(kerdock16):
     assert evaluate_detection("zd_groth", 32, m, m.matrix @ x, sig) == (2 / 32, 1.0, True)
     with pytest.raises(NoGroups):
         evaluate_detection("zd_groth", 1, kerdock16, kerdock16.matrix @ x, sig)
+
+
+def test_evaluate_detection_rejects_a_signal_of_the_wrong_length():
+    # a length-1 signal would broadcast against the 4 scores
+    m = _unitary(4, 72)
+    with pytest.raises(DimensionMismatch):
+        evaluate_detection("zd_ost", 1, m, np.ones(4), SignalInstance.from_vector(np.ones(1)))
+
+
+@pytest.mark.parametrize("detector", ["zd_ost", "zd_groth", "ost_topk"])
+def test_one_trial_paths_take_theta_as_an_integer(kerdock16, detector):
+    m = attach_groups(kerdock16, 8)
+    cfg = ExperimentConfig(sigma2=500.0, k_grid=(3,), theta_grid=(2,), trials=1,
+                           master_seed=73, group_size=8)
+    sig = gen_tone_signal(256, 3, LAW, RngSpec(73).substream(3, 0))
+    y = m.matrix @ sig.x
+    for bad in (2.0, "2"):
+        with pytest.raises(ThetaOutOfRange):
+            evaluate_detection(detector, bad, m, y, sig)
+        with pytest.raises(ThetaOutOfRange):
+            run_trial(cfg, 3, bad, detector, 0, matrix=m)
+    assert (evaluate_detection(detector, np.int64(2), m, y, sig)
+            == evaluate_detection(detector, 2, m, y, sig))
+    assert (run_trial(cfg, 3, np.int64(2), detector, 0, matrix=m)
+            == run_trial(cfg, 3, 2, detector, 0, matrix=m))
 
 
 def test_effective_theta_matched_budget():
@@ -352,6 +385,66 @@ def test_emit_plotdata_unknown_figure(tmp_path):
     report = run_batch(_small_config(trials=2))
     with pytest.raises(BadValue):
         emit_plotdata(report, "5", tmp_path)
+
+
+# Small Kerdock m = 3 batches that reach figure 1's zero-fraction substitution
+# (theta > |zero support| at the largest k), figure 3's full-support fdp curve,
+# empty target sets, a group model with k = 0, and (300 trials against 256 per
+# block) a k that spans two trial blocks.
+_FROZEN_BATCHES = {
+    "tone": ExperimentConfig(
+        matrix_family="kerdock", kerdock_m=3, sigma2=500.0, k_grid=(0, 16, 254, 256),
+        theta_grid=(1, 4), detectors=("zd_ost", "ost_topk", "ost_topk_full_support"),
+        trials=300, master_seed=11),
+    "group": ExperimentConfig(
+        matrix_family="kerdock", kerdock_m=3, sigma2=500.0, signal_model="group",
+        group_size=8, k_grid=(0, 3, 31, 32), theta_grid=(1, 4),
+        detectors=("zd_groth", "zd_ost", "ost_topk"), trials=40, master_seed=12),
+}
+
+# SHA-256 over the file names and bytes, sorted by name; "trials" hashes the
+# repr of the per-trial records
+_FROZEN_DIGESTS = {
+    ("tone", "report"): "f0ff369825f67fc86b3321cff7bf5751a63f162cd6d09e9a340484aeabf06315",
+    ("tone", "trials"): "698768cbb32438e3936a2720fd7e8dd88e4859833cdf1499c406402021ae2412",
+    ("tone", "1"): "18ab52f3440e3a656cc290a30eb0a724822107125c4ffd5166d19c2a38be8720",
+    ("tone", "2"): "4e87eaaf4026d583ee369d955e9af2780291a58be8865cdc1cd7e744afcfca81",
+    ("tone", "3"): "244d20136fb16635c668129b247c7b4599cc8060c6bbb5e413f25af656e3efe4",
+    ("tone", "4a"): "43e019b9270e32f7f8cde2aa4891ac1e80fc08137cef75c31652427362e3c6ef",
+    ("tone", "4b"): "faa4520664c6a620e60d5d1150f0c57ed6570d61b9f86cf42816df5e852ba989",
+    ("group", "report"): "68d7e405340d1a9eb0af64c617ad16ac6511a376509bd9f491abc6902e051da6",
+    ("group", "trials"): "11f6e9842b983b9f3dc85fe9b3447547f089107d1c85ffc9c0be04619d235681",
+    ("group", "1"): "bcc6dc17a7bfbc2335429e79eda6179640ec1054881b44ac7d007ea00a4805cc",
+    ("group", "2"): "cb725c075b670a27c05f68b868c1b898d5964223b7644e8b0ee44de50c095cf2",
+    ("group", "3"): "f06ad3980772beda0de33c3e044b35dc5215c70aa7f838635fc4cb69a810a435",
+    ("group", "4a"): "79a38220650d123808d2e927c31aa0d846efde07743b7aa11e01938710f91134",
+    ("group", "4b"): "67a500015505a03f711533b31259dce164a6ff62862e3acc9ee65a3aa00ce8cf",
+}
+
+
+@pytest.fixture(scope="module")
+def frozen_reports():
+    return {name: run_batch(cfg, keep_trials=True) for name, cfg in _FROZEN_BATCHES.items()}
+
+
+def _files_digest(files) -> str:
+    h = hashlib.sha256()
+    for f in sorted(files, key=lambda f: f.name):
+        h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("batch, output", sorted(_FROZEN_DIGESTS))
+def test_report_and_plotdata_bytes_are_frozen(frozen_reports, tmp_path, batch, output):
+    report = frozen_reports[batch]
+    if output == "report":
+        write_report_csv(report, tmp_path / "report.csv")
+        got = _files_digest([tmp_path / "report.csv"])
+    elif output == "trials":
+        got = hashlib.sha256(repr(report.per_trial).encode()).hexdigest()
+    else:
+        got = _files_digest(emit_plotdata(report, output, tmp_path))
+    assert got == _FROZEN_DIGESTS[batch, output]
 
 
 def test_report_cell_lookup_raises_when_missing():

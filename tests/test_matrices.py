@@ -34,6 +34,16 @@ def test_kerdock_spec_validation():
     assert (spec.rows, spec.cols) == (16, 256)
 
 
+def test_kerdock_spec_takes_numpy_integers():
+    spec = KerdockSpec(np.int64(3))
+    assert type(spec.m) is int and spec == KerdockSpec(3)
+    assert (spec.rows, spec.cols) == (16, 256)
+    with pytest.raises(InvalidSpec, match="must be an integer, got float 3.0"):
+        KerdockSpec(3.0)
+    with pytest.raises(InvalidSpec, match="odd positive"):
+        KerdockSpec(np.int64(4))
+
+
 def test_kerdock_dimensions_and_entry_modulus(kerdock16):
     a = kerdock16.matrix
     assert a.shape == (16, 256)

@@ -172,6 +172,17 @@ def test_pe_bound_zero_alpha_flagged():
     assert math.isnan(got.bound) and math.isnan(got.bound_with_log_factor)
 
 
+def test_pe_bound_needs_a_positive_gap():
+    # eps0 - sqrt(k) nu < 0, yet its square gives alpha > 1; the sparsity bound
+    # on the same inputs is vacuous too
+    params = BoundParams(mu0=0.05, sigma=1.0)
+    got = pe_bound(params, eps0=-0.051, k=204, nu=1 / 17, p=256)
+    assert got.alpha > 1
+    assert not got.valid
+    assert math.isnan(got.bound) and math.isnan(got.bound_with_log_factor)
+    assert sparsity_bound(params, -0.051, 1 / 17, 256).vacuous
+
+
 def test_pe_bound_constant_limit():
     # c -> 64 as a -> infinity
     params = BoundParams(mu0=0.1, sigma=1.0, a=1e9)

@@ -7,6 +7,7 @@ All types here are immutable after construction and safe to share across
 concurrent tasks; the operations are pure functions.
 """
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -100,6 +101,29 @@ class MeasurementMatrix:
             raise BadValue(
                 f"partition covers {self.groups.p} columns but matrix has {a.shape[1]}"
             )
+
+    @cached_property
+    def _kron_factors(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(B^H, conj(C)) when p = r^2 and every row is exactly the Kronecker
+        product A[t, c r + d] = B[t, c] C[t, d], else None.
+
+        B[t] = A[t, ::r] and C[t] = A[t, :r] / A[t, 0]; the identity is checked
+        under array_equal in row slabs of at most 1 MB. Kerdock frames pass:
+        Tr is Z4-linear in the digits of lambda, and every product and quotient
+        of {1, i, -1, -i} / sqrt(M) is exact. Found on first use, not at
+        construction, so building a matrix never pays for it.
+        """
+        a, r = self.matrix, math.isqrt(self.p)
+        if r < 2 or r * r != self.p or not np.all(a[:, 0]):
+            return None
+        b, c = a[:, ::r], a[:, :r] / a[:, :1]
+        step = max(1, 2**20 // a[0].nbytes)
+        for t in range(0, self.n, step):
+            rows = slice(t, t + step)
+            if not np.array_equal(b[rows, :, np.newaxis] * c[rows, np.newaxis, :],
+                                  a[rows].reshape(-1, r, r)):
+                return None
+        return locked(np.ascontiguousarray(b.conj().T)), locked(c.conj())
 
     @property
     def n(self) -> int:
@@ -367,7 +391,9 @@ def hermitian_apply(m, y) -> np.ndarray:
     """Correlate measurements with every column: s_j = <a_j, y> = a_j^H y.
 
     y is one vector (n,) or a stack (T, n) whose rows come out exactly as they
-    would alone. Non-finite measurements are rejected, not ranked.
+    would alone. Non-finite measurements are rejected, not ranked. A
+    MeasurementMatrix with Kronecker rows (Kerdock) takes one (r x n)(n x r)
+    product per row, equal to the dense product to rounding; all else is dense.
     """
     a = _matrix_of(m)
     y = np.asarray(y, dtype=np.complex128)
@@ -377,6 +403,11 @@ def hermitian_apply(m, y) -> np.ndarray:
         )
     if not np.all(np.isfinite(y)):
         raise BadValue("measurements must be finite")
+    factors = m._kron_factors if isinstance(m, MeasurementMatrix) else None
+    if factors is not None:
+        # s[c r + d] = sum_t conj(B[t, c]) conj(C[t, d]) y[t]: an (r, r) block per row
+        bh, cc = factors
+        return (bh @ (y[..., np.newaxis] * cc)).reshape(*y.shape[:-1], a.shape[1])
     # (y^H a)^H row by row: no copy of a^H, one matrix-vector product per row
     return (y.conj()[..., np.newaxis, :] @ a)[..., 0, :].conj()
 

@@ -27,6 +27,7 @@ from .core import (
     RngSpec,
     SignalInstance,
     _keyed_streams,
+    as_int,
     hermitian_apply,
     locked,
     read_cmat,
@@ -70,9 +71,12 @@ class UniformAmplitude:
         return rng.uniform(self.lo, self.hi, size)
 
 
-def _check_k(domain: int, k: int) -> None:
+def _check_k(domain: int, k: int) -> int:
+    """k as an int in 0..domain."""
+    k = as_int(k, "k", BadK)
     if not 0 <= k <= domain:
         raise BadK(f"need 0 <= k <= {domain}, got k={k}")
+    return k
 
 
 def _signal_draws(rng: np.random.Generator, domain: int, width: int, k: int,
@@ -103,7 +107,7 @@ def _draw_signal(domain: int, width: int, k: int, law: UniformAmplitude,
                  rng: np.random.Generator) -> np.ndarray:
     """Coefficient vector with k of its `domain` blocks of `width` entries
     active: uniform block choice, law-distributed magnitudes, uniform phases."""
-    _check_k(domain, k)
+    k = _check_k(domain, k)
     if k == 0:
         return np.zeros(domain * width, dtype=np.complex128)
     draws = _signal_draws(rng, domain, width, k, law)
@@ -286,7 +290,7 @@ def _measure_block(config: ExperimentConfig, m: MeasurementMatrix, k: int,
     """
     law = config.amplitude_law
     domain, width = (m.groups.q, m.groups.r) if config.signal_model == "group" else (m.p, 1)
-    _check_k(domain, k)
+    k = _check_k(domain, k)
     size = (len(trials), k * width)
     blocks = np.empty((len(trials), k), dtype=np.intp)
     mags, phases = np.empty(size), np.empty(size)
@@ -397,14 +401,16 @@ class TrialBatchReport:
         )
 
 
-def _validate_grids(config: ExperimentConfig, m: MeasurementMatrix) -> None:
+def _validate_grids(config: ExperimentConfig, m: MeasurementMatrix) -> tuple[int, ...]:
+    """The k grid as ints, once every grid point is checked against m."""
     if config.signal_model == "group" and m.groups is None:
         raise NoGroups("group signals need a partitioned matrix")
-    for k in config.k_grid:
-        _check_k(m.groups.q if config.signal_model == "group" else m.p, k)
+    domain = m.groups.q if config.signal_model == "group" else m.p
+    k_grid = tuple(_check_k(domain, k) for k in config.k_grid)
     for det in config.detectors:
         for theta in config.theta_grid:
             _check_detection(det, effective_theta(config, det, theta), m)
+    return k_grid
 
 
 def _running_sum(values: np.ndarray) -> float:
@@ -438,7 +444,7 @@ def run_batch(config: ExperimentConfig, keep_trials: bool = False) -> TrialBatch
     go row by row and sums in trial order, so no value depends on block size.
     """
     m = build_matrix(config)
-    _validate_grids(config, m)
+    k_grid = _validate_grids(config, m)
     combos = [(det, tg, effective_theta(config, det, tg))
               for det in config.detectors for tg in config.theta_grid]
     plan = [(det, eff) for det, _, eff in combos]
@@ -446,7 +452,7 @@ def run_batch(config: ExperimentConfig, keep_trials: bool = False) -> TrialBatch
     n = config.trials
     cells: list[BatchCell] = []
     records: list[TrialRecord] = []
-    for k in config.k_grid:
+    for k in k_grid:
         blocks = []
         for start in range(0, n, block):
             x, y = _measure_block(config, m, k, range(start, min(start + block, n)))

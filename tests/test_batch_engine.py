@@ -12,12 +12,13 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zerodetect import experiments
-from zerodetect.core import RngSpec
-from zerodetect.detectors import ost_topk, zd_groth, zd_ost
+from zerodetect.core import RngSpec, hermitian_apply
+from zerodetect.detectors import group_norms, ost_topk, zd_groth, zd_ost
 from zerodetect.experiments import (
     DETECTOR_NAMES,
     BatchCell,
@@ -203,3 +204,23 @@ def test_noiseless_kerdock_ties_match_oracle():
     assert _csv(report) == _csv(expected)
     assert [repr(r) for r in report.per_trial] == [repr(r) for r in expected.per_trial]
 
+
+def test_noiseless_kerdock_signals_tie_at_a_selection_boundary():
+    # the test above must keep testing ties: its signals (k >= 1) must give two
+    # equal scores at some estimate boundary, theta-th and (theta + 1)-th smallest
+    config = ExperimentConfig(
+        matrix_family="kerdock", kerdock_m=3, sigma2=0.0, group_size=16,
+        k_grid=(0, 1, 2, 3), theta_grid=(1, 15, 16), trials=6, master_seed=11,
+        detectors=DETECTOR_NAMES,
+    )
+    m = build_matrix(config)
+    ties = 0
+    for k in config.k_grid[1:]:
+        _, y = experiments._measure_block(config, m, k, range(config.trials))
+        s = hermitian_apply(m, y)
+        for scores in (np.abs(s), group_norms(s, m.groups)):
+            ordered = np.sort(scores, axis=-1)
+            for theta in config.theta_grid:
+                if theta < ordered.shape[-1]:
+                    ties += np.count_nonzero(ordered[:, theta - 1] == ordered[:, theta])
+    assert ties >= 1

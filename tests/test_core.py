@@ -1,5 +1,7 @@
 """Core types, operations, and the CMAT v1 text format."""
 
+from functools import cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from zerodetect.errors import (
     DimensionMismatch,
     ZeroColumn,
 )
-from zerodetect.matrices import attach_groups
+from zerodetect.matrices import KerdockSpec, attach_groups, build_bernoulli, build_kerdock
 
 
 def _random_complex(rng, shape):
@@ -149,6 +151,79 @@ def test_hermitian_apply_stack_rows_equal_single_vectors():
         assert np.array_equal(stacked[t], hermitian_apply(a, ys[t]))
     # the conjugate-free form computes the same numbers as a^H y
     assert np.array_equal(hermitian_apply(a, ys[0]), a.conj().T @ ys[0])
+
+
+# ---------------------------------------------------------------------------
+# hermitian_apply on Kronecker rows (Kerdock frames)
+
+
+@cache
+def _kerdock(m: int) -> MeasurementMatrix:
+    return build_kerdock(KerdockSpec(m))
+
+
+def _rows_from_factors(factors) -> np.ndarray:
+    bh, cc = factors
+    b, c = bh.conj().T, cc.conj()
+    return (b[:, :, np.newaxis] * c[:, np.newaxis, :]).reshape(len(b), -1)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_kerdock_rows_are_found_to_be_kronecker_products(m):
+    k = _kerdock(m)
+    assert np.array_equal(_rows_from_factors(k._kron_factors), k.matrix)
+
+
+def test_cmat_round_trip_keeps_kerdock_rows_kronecker(tmp_path):
+    path = tmp_path / "k3.cmat"
+    write_cmat(path, _kerdock(3))
+    back = MeasurementMatrix(read_cmat(path)[0])
+    assert np.array_equal(_rows_from_factors(back._kron_factors), _kerdock(3).matrix)
+
+
+@cache
+def _not_kronecker():
+    swapped = _kerdock(3).matrix.copy()
+    swapped[:, [5, 200]] = swapped[:, [200, 5]]
+    flipped = _kerdock(5).matrix.copy()
+    flipped[-1, 5] *= -1  # only the last row slab breaks the identity
+    rng = np.random.default_rng(27)
+    return {
+        "bernoulli 64 x 4096": build_bernoulli(64, 4096, RngSpec(5)),
+        "kerdock m = 3, two columns swapped": MeasurementMatrix(swapped),
+        "kerdock m = 5, one sign flipped in the last row": MeasurementMatrix(flipped),
+        "p not a square": normalize_columns(_random_complex(rng, (6, 8))),
+        "zero in column 0": MeasurementMatrix(np.eye(4)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_not_kronecker()))
+def test_other_matrices_keep_the_dense_product(case):
+    m = _not_kronecker()[case]
+    assert m._kron_factors is None
+    y = _random_complex(np.random.default_rng(28), m.n)
+    assert np.array_equal(hermitian_apply(m, y), m.matrix.conj().T @ y)
+
+
+def test_hermitian_apply_stack_rows_equal_single_vectors_kerdock():
+    m = _kerdock(3)
+    ys = _random_complex(np.random.default_rng(29), (5, m.n))
+    stacked = hermitian_apply(m, ys)
+    assert stacked.shape == (5, m.p)
+    for t in range(5):
+        assert np.array_equal(stacked[t], hermitian_apply(m, ys[t]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(m=st.sampled_from([1, 3, 5]), rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_kerdock_correlations_match_dense_to_rounding(m, rows, seed, scale):
+    k = _kerdock(m)
+    ys = scale * _random_complex(np.random.default_rng(seed), (rows, k.n))
+    dense = ys @ k.matrix.conj()
+    # the rounding bound of an n-term dot product with entries of modulus 1/sqrt(n)
+    bound = 4 * k.n * np.finfo(float).eps * np.abs(ys).sum(axis=1) / np.sqrt(k.n)
+    assert np.all(np.abs(hermitian_apply(k, ys) - dense) <= bound[:, np.newaxis])
 
 
 # ---------------------------------------------------------------------------

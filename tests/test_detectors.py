@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from zerodetect.core import MeasurementMatrix, RngSpec
-from zerodetect.detectors import ost_topk, select, select_mask, zd_groth, zd_ost
+from zerodetect.detectors import group_norms, ost_topk, select, select_mask, zd_groth, zd_ost
 from zerodetect.errors import BadValue, DimensionMismatch, NoGroups, ThetaOutOfRange
 from zerodetect.matrices import KerdockSpec, attach_groups, build_bernoulli, build_kerdock
 
@@ -224,3 +224,24 @@ def test_partial_selection_matches_sort_oracle(case):
     want = np.zeros(scores.shape, dtype=bool)
     np.put_along_axis(want, expected, True, axis=-1)
     assert np.array_equal(select_mask(keys, theta), want)
+
+
+def test_kerdock_selections_match_dense_scores_up_to_rounding_ties():
+    # the factored correlations of a Kerdock frame round differently from the
+    # dense product; selections may differ only between scores within 1e-12
+    # of the largest (noisy 32-sparse tones, as the detect benchmark draws them)
+    m = attach_groups(build_kerdock(KerdockSpec(5)), 64)
+    rng = np.random.default_rng(20260808)
+    x = np.zeros((200, m.p), dtype=np.complex128)
+    for row in x:
+        row[rng.choice(m.p, 32, replace=False)] = rng.uniform(1, 1000, 32) * np.exp(
+            2j * np.pi * rng.uniform(size=32))
+    w = np.sqrt(250) * (rng.standard_normal((200, m.n)) + 1j * rng.standard_normal((200, m.n)))
+    ys = x @ m.matrix.T + w
+    dense = ys @ m.matrix.conj()
+    for detector, theta, scores in ((zd_ost, 16, np.abs(dense)),
+                                    (zd_groth, 4, group_norms(dense, m.groups))):
+        for y, s in zip(ys, scores):
+            got = np.array(detector(y, m, theta).ranking) - 1
+            want = np.argsort(s, kind="stable")[:theta]
+            assert np.all(np.abs(s[got] - s[want]) <= 1e-12 * s.max())

@@ -301,6 +301,23 @@ def test_run_batch_validates_grids(kerdock16):
         run_batch(_small_config(detectors=("zd_groth",)))
 
 
+def _bernoulli_batch(k):
+    return run_batch(ExperimentConfig(matrix_family="bernoulli", rows=8, cols=32,
+                                      k_grid=(k,), theta_grid=(1,), trials=3))
+
+
+@pytest.mark.parametrize("k", [2.0, 2.5])
+def test_run_batch_rejects_a_non_integer_k(k):
+    with pytest.raises(BadK, match="k must be an integer"):
+        _bernoulli_batch(k)
+
+
+def test_run_batch_takes_a_numpy_integer_k_as_an_int():
+    cells = _bernoulli_batch(np.int64(2)).cells
+    assert cells == _bernoulli_batch(2).cells
+    assert all(type(cell.k) is int for cell in cells)
+
+
 def test_run_batch_group_model_matched_budget():
     cfg = _small_config(signal_model="group", group_size=4,
                         detectors=("zd_groth", "zd_ost"),

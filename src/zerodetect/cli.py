@@ -8,6 +8,7 @@ printed to stderr as `ERROR <code>: <message>`.
 import argparse
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from .core import (
     locked,
     parse_cmat_entry,
     read_cmat,
+    write_ascii,
     write_cmat,
 )
 from .detectors import zd_groth, zd_ost
@@ -67,7 +69,7 @@ def _load_matrix(path: str, group_size: int | None) -> MeasurementMatrix:
 
 
 def _write_csv(path: str, header: str, rows: list[str]) -> None:
-    Path(path).write_text("\n".join([header] + rows) + "\n", encoding="ascii")
+    write_ascii(path, "\n".join([header] + rows) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +314,7 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache  # parse_args leaves the parser unchanged; each call gets a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--verbose", action="store_true",

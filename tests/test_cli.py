@@ -1,9 +1,12 @@
 """End-to-end CLI behavior: subcommands, file formats, exit codes."""
 
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
-from zerodetect.cli import main
+from zerodetect.cli import build_parser, main
 from zerodetect.core import read_cmat, write_cmat
 
 
@@ -43,6 +46,20 @@ def test_gen_matrix_kerdock_header_and_reload(kerdock_file):
     g = np.abs(entries.conj().T @ entries)
     np.fill_diagonal(g, 0.0)
     assert abs(g.max() - 0.25) < 1e-10
+
+
+# the CMAT bytes of these frames are frozen: any faster writer must reproduce them
+@pytest.mark.parametrize("m, extra, digest", [
+    ("3", ["--group-size", "8"], "f5b350cc7bc13497687a0c3924535c5bcefcd68b148495f82d5e37d86f5e9c5e"),
+    ("5", [], "b309b7cd41875dda10cad3eb2e8b331da8110e2f47bc6e1943ae4b2c60066c9c"),
+], ids=["m3-group8", "m5"])
+@pytest.mark.parametrize("existing", [False, True])
+def test_gen_matrix_kerdock_cmat_digests(tmp_path, m, extra, digest, existing):
+    out = tmp_path / "k.cmat"
+    if existing:  # a longer file to rewrite in place: no stale tail may survive
+        out.write_bytes(b"#" * 3_000_000)
+    assert run("gen-matrix", "--family", "kerdock", "--m", m, *extra, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_gen_matrix_validation(tmp_path, capsys):
@@ -149,6 +166,29 @@ def test_bad_group_size_meta_is_format_error(tmp_path, capsys, cmd):
     assert run(cmd, "--matrix", str(bad), *args) == 2
     err = capsys.readouterr().err
     assert "ERROR CmatFormatError" in err and "group_size" in err
+
+
+# y = 4 e1 + e2 + i e3 + e4 on the m = 3 Kerdock frame (16 rows)
+_PIPE_ARGS = {
+    "coherence": ["--group-size", "8"],
+    "detect": ["--theta", "3", "--yinline", "4,1,1j,1" + ",0" * 12],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_PIPE_ARGS))
+def test_output_to_a_pipe_matches_a_regular_file(kerdock_file, tmp_path, cmd):
+    regular = tmp_path / "out.csv"
+    args = [cmd, "--matrix", str(kerdock_file), *_PIPE_ARGS[cmd], "--out"]
+    assert run(*args, str(regular)) == 0
+    read_end, write_end = os.pipe()
+    try:
+        code = run(*args, f"/dev/fd/{write_end}")  # a pipe cannot be truncated
+    finally:
+        os.close(write_end)
+    with os.fdopen(read_end, "rb") as fh:
+        piped = fh.read()
+    assert code == 0
+    assert piped == regular.read_bytes()
 
 
 def test_coherence_report_matches_library(kerdock_file, tmp_path):
@@ -312,3 +352,29 @@ def test_verbose_prints_summary(tmp_path, capsys):
     assert run("gen-matrix", "--family", "kerdock", "--m", "1",
                "--out", out, "--verbose") == 0
     assert "4 x 16" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_calls_share_no_state(kerdock_file, tmp_path, capsys):
+    assert build_parser() is build_parser()
+    cfg = tmp_path / "exp.cfg"
+    _write_sim_config(cfg)
+    out_dir = str(tmp_path / "o")
+    assert run("simulate", "--config", str(cfg), "--out-dir", out_dir,
+               "--figure", "2", "--verbose") == 0
+    assert "wrote 4 files" in capsys.readouterr().out
+    assert run("simulate", "--config", str(cfg), "--out-dir", out_dir) == 0
+    assert capsys.readouterr() == ("", "")  # --verbose did not stick
+    # a usage error after a good call
+    assert run("simulate", "--config", str(cfg)) == 1
+    assert capsys.readouterr().err == (
+        "ERROR BadValue: the following arguments are required: --out-dir\n")
+    # detect after simulate: its own defaults, exactly as from a new parser
+    argv = ["detect", "--matrix", str(kerdock_file), *_PIPE_ARGS["detect"],
+            "--out", str(tmp_path / "d.csv")]
+    assert vars(build_parser().parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv))
+    assert run(*argv) == 0
+    assert capsys.readouterr() == ("", "")
+    assert (tmp_path / "d.csv").read_text().splitlines() == [
+        "rank,index,score", "1,39,0.25", "2,103,0.25", "3,167,0.25"]
+    assert run() == 1
+    assert "usage" in capsys.readouterr().err.lower()

@@ -20,7 +20,6 @@ from .core import (
     locked,
     parse_cmat_entry,
     read_cmat,
-    write_ascii,
     write_cmat,
 )
 from .detectors import zd_groth, zd_ost
@@ -69,7 +68,7 @@ def _load_matrix(path: str, group_size: int | None) -> MeasurementMatrix:
 
 
 def _write_csv(path: str, header: str, rows: list[str]) -> None:
-    write_ascii(path, "\n".join([header] + rows) + "\n")
+    Path(path).write_text("\n".join([header] + rows) + "\n", encoding="ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,7 @@ concurrent tasks; the operations are pure functions.
 
 import math
 import operator
-import os
 import re
-import stat
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -414,25 +412,6 @@ def hermitian_apply(m, y) -> np.ndarray:
     return (y.conj()[..., np.newaxis, :] @ a)[..., 0, :].conj()
 
 
-def write_ascii(path, text: str) -> None:
-    """Write text as ASCII in place (no truncate-on-open, which ext4 flushes on
-    close): a regular file is cut to the new length, or left empty if the
-    write fails; pipes and devices are written without truncation."""
-    data = text.encode("ascii")  # raises before the file is touched
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    try:
-        regular = stat.S_ISREG(os.fstat(fd).st_mode)
-        rest = memoryview(data)
-        try:
-            while rest:
-                rest = rest[os.write(fd, rest):]
-        finally:
-            if regular:  # to the new length, or empty after a failed write
-                os.ftruncate(fd, 0 if rest else len(data))
-    finally:
-        os.close(fd)
-
-
 # ---------------------------------------------------------------------------
 # CMAT v1 text format
 #
@@ -473,7 +452,8 @@ def write_cmat(path, m, meta: dict | None = None) -> None:
         lines.append(f"# meta: {tokens}")
     for row in a:
         lines.append(" ".join(format_cmat_entry(z) for z in row))
-    write_ascii(path, "\n".join(lines) + "\n")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_cmat(path) -> tuple[np.ndarray, dict[str, str]]:

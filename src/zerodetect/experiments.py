@@ -31,7 +31,6 @@ from .core import (
     hermitian_apply,
     locked,
     read_cmat,
-    write_ascii,
 )
 from .detectors import RULES, check_theta, group_norms, select_mask
 from .errors import BadK, BadValue, DimensionMismatch, IncompleteReport, NoGroups
@@ -496,7 +495,7 @@ def write_report_csv(report: TrialBatchReport, path) -> None:
             c.detector if name == "detector" else _fmt(getattr(c, name))
             for name in cols
         ))
-    write_ascii(path, "\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def _zero_domain_size(report: TrialBatchReport, detector: str, k: int) -> int:
@@ -554,7 +553,7 @@ def emit_plotdata(report: TrialBatchReport, figure_id, out_dir) -> list[Path]:
         for c in cells:
             v, lo, hi = _curve_point(report, metric, c)
             lines.append(f"{c.k},{_fmt(v)},{_fmt(lo)},{_fmt(hi)}")
-        write_ascii(path, "\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
         written.append(path)
         manifest.append(f"{path.name},{det},{theta_eff},{metric}")
 
@@ -564,7 +563,7 @@ def emit_plotdata(report: TrialBatchReport, figure_id, out_dir) -> list[Path]:
             emit_curve(cells, det + "_fdp", "fdp")
 
     manifest_path = out / f"fig{fid}_manifest.csv"
-    write_ascii(manifest_path, "\n".join(manifest) + "\n")
+    manifest_path.write_text("\n".join(manifest) + "\n", encoding="ascii")
     written.append(manifest_path)
     return written
 

@@ -1,6 +1,5 @@
-"""Core types, operations, the in-place text writer and the CMAT v1 format."""
+"""Core types, operations, and the CMAT v1 text format."""
 
-import os
 from functools import cache
 
 import numpy as np
@@ -21,7 +20,6 @@ from zerodetect.core import (
     normalize_columns,
     parse_cmat_entry,
     read_cmat,
-    write_ascii,
     write_cmat,
 )
 from zerodetect.errors import (
@@ -414,74 +412,6 @@ def test_substream_keys_validation():
                            ((), range(2**64, 2**64 + 1)), ((-1,), range(1)), ((2**64,), range(1))]:
         with pytest.raises(BadValue):
             spec.substream_keys(*prefix, trials=trials)
-
-
-# ---------------------------------------------------------------------------
-# write_ascii: output files rewritten in place
-
-
-@pytest.mark.parametrize("old, new", [("a,b\n1,2\n3,4\n", "a,b\n5\n"),
-                                      ("x\n", "a,b\n1,2\n3,4\n")])
-def test_write_ascii_leaves_exactly_the_new_bytes(tmp_path, old, new):
-    path = tmp_path / "out.csv"
-    path.write_text(old)
-    inode = path.stat().st_ino
-    write_ascii(path, new)
-    assert path.read_bytes() == new.encode()  # no stale tail after a shorter rewrite
-    assert path.stat().st_ino == inode
-
-
-@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
-def test_write_ascii_new_file_mode_follows_the_umask(tmp_path, umask):
-    previous = os.umask(umask)
-    try:
-        (tmp_path / "reference.csv").write_text("a\n", encoding="ascii")
-        write_ascii(tmp_path / "out.csv", "a\n")
-    finally:
-        os.umask(previous)
-    assert (tmp_path / "out.csv").stat().st_mode == (tmp_path / "reference.csv").stat().st_mode
-
-
-def test_write_ascii_writes_through_a_symlink(tmp_path):
-    target = tmp_path / "target.csv"
-    target.write_text("old,rows\n1,2\n")
-    inode = target.stat().st_ino
-    link = tmp_path / "link.csv"
-    link.symlink_to(target)
-    write_ascii(link, "new\n")
-    assert link.is_symlink()
-    assert target.read_bytes() == b"new\n"
-    assert target.stat().st_ino == inode
-
-
-def test_write_ascii_rejects_non_ascii_before_touching_the_file(tmp_path):
-    path = tmp_path / "out.csv"
-    path.write_bytes(b"old\n")
-    with pytest.raises(UnicodeEncodeError):
-        write_ascii(path, "caf\u00e9\n")
-    assert path.read_bytes() == b"old\n"
-    with pytest.raises(UnicodeEncodeError):
-        write_ascii(tmp_path / "absent.csv", "\u00b5\n")
-    assert not (tmp_path / "absent.csv").exists()
-
-
-def test_write_ascii_failed_write_leaves_the_file_empty(tmp_path, monkeypatch):
-    path = tmp_path / "out.csv"
-    path.write_text("old,rows\n" * 50)
-    real_write, calls = os.write, []
-
-    def short_write_then_fail(fd, data):  # the first call writes half, the next one fails
-        calls.append(len(data))
-        if len(calls) > 1:
-            raise OSError(28, "No space left on device")
-        return real_write(fd, data[: len(data) // 2])
-
-    monkeypatch.setattr(os, "write", short_write_then_fail)
-    with pytest.raises(OSError, match="No space left"):
-        write_ascii(path, "new,rows\n" * 10)
-    monkeypatch.undo()
-    assert calls == [90, 45]  # a short write is continued from where it stopped
-    assert path.read_bytes() == b""  # never new rows over old ones
 
 
 # ---------------------------------------------------------------------------

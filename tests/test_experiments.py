@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zerodetect.core import MeasurementMatrix, RngSpec, SignalInstance
+from zerodetect.core import MeasurementMatrix, RngSpec, SignalInstance, _keyed_streams
 from zerodetect.errors import (
     BadK,
     BadValue,
@@ -18,6 +20,7 @@ from zerodetect.errors import (
 from zerodetect.experiments import (
     ExperimentConfig,
     UniformAmplitude,
+    _uniform_split,
     build_matrix,
     effective_theta,
     emit_plotdata,
@@ -75,6 +78,35 @@ def test_gen_tone_amplitude_law_mean():
     rng = RngSpec(63).generator()
     draws = LAW.sample(rng, 100_000)
     assert abs(draws.mean() - 500.5) < 2.0
+
+
+def _philox_state(rng):
+    state = rng.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(key=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+       bounds=st.tuples(_positive, _positive).map(sorted), size=st.integers(0, 70),
+       skip=st.integers(0, 5))
+def test_uniform_split_matches_two_uniform_draws(key, bounds, size, skip):
+    # a tripwire on the numpy version and build: a trial draws one rng.random(2 h)
+    # where it drew law.sample(rng, h) and rng.uniform(0, 2 pi, h), so numpy's
+    # uniform must stay low + range * next_double, rounded twice (a fused
+    # multiply-add would fail here); skip leaves a cached 32-bit half behind
+    law = UniformAmplitude(*bounds)
+    ours, ref = (next(_keyed_streams(np.array([key], dtype=np.uint64))) for _ in range(2))
+    for rng in (ours, ref):
+        rng.integers(0, 2**32, skip, dtype=np.uint32)
+    mags, phases = _uniform_split(ours.random(2 * size), law)
+    assert np.array_equal(mags.view(np.uint64), law.sample(ref, size).view(np.uint64))
+    assert np.array_equal(phases.view(np.uint64),
+                          ref.uniform(0.0, 2.0 * np.pi, size).view(np.uint64))
+    assert _philox_state(ours) == _philox_state(ref)
 
 
 def test_gen_group_signal_structure():

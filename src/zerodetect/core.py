@@ -252,18 +252,6 @@ def _chain(init: int, mult: int, count: int) -> tuple[int, ...]:
 _STATE_COLUMNS = np.array(_chain(0x8B51F9DD, 0x58F38DED, _POOL + 1), dtype=np.uint32)[:, np.newaxis]
 
 
-def _row_words(values: np.ndarray, rows: int):
-    # the two uint32 words of a path entry with one value per row; Python ints
-    # for one row, whose entry is a scalar
-    if rows == 1 and values.shape == (1,):
-        return _seed_words(values[0])
-    if values.shape != (rows,) or values.dtype.kind not in "iu" or (rows and values.min() < 0):
-        raise BadValue(f"substream path arrays need one 64-bit unsigned value per trial, "
-                       f"got {values.dtype} {values.shape} for {rows} trials")
-    v = values.astype(np.uint64)
-    return (v & _MASK32).astype(np.uint32), (v >> 32).astype(np.uint32)
-
-
 def _hashmix(value, xor, mul):
     # value, xor and mul are uint32 words: Python ints or broadcasting uint32 arrays
     h = (value ^ xor) * mul & _MASK32
@@ -321,31 +309,26 @@ class RngSpec:
         """Generator for a derived stream; equal (spec, path) give identical draws."""
         return np.random.Generator(np.random.Philox(self._sequence(path)))
 
-    def substream_keys(self, *prefix: int | np.ndarray, trials: range | np.ndarray) -> np.ndarray:
+    def substream_keys(self, *prefix: int, trials: range) -> np.ndarray:
         """Philox keys (T, 2) of the substreams prefix + (t,) for t in trials, in
-        one pass. trials is a range or an integer array, and a prefix entry an
-        integer or an array with one value per trial; row i equals
-        self._sequence(prefix_i + (trials[i],)).generate_state(2, np.uint64),
-        where prefix_i takes entry i of every array.
+        one pass: row i equals
+        self._sequence(prefix + (trials[i],)).generate_state(2, np.uint64).
 
-        The words up to the first array are hashed once, in Python ints; the
-        rest run as wrapping uint32 arrays over the block.
+        The words before t are hashed once, in Python ints; the two words of
+        every t run as wrapping uint32 arrays over the block.
         """
-        if isinstance(trials, range):
-            ends = (trials[0], trials[-1]) if trials else (0,)
-            if not 0 <= min(ends) <= max(ends) < 2**64:
-                raise BadValue(f"trials must be 64-bit unsigned, got {trials!r}")
-            trials = np.fromiter(trials, dtype=np.uint64, count=len(trials))
-        rows = len(trials)
+        ends = (trials[0], trials[-1]) if trials else (0,)
+        if not 0 <= min(ends) <= max(ends) < 2**64:
+            raise BadValue(f"trials must be 64-bit unsigned, got {trials!r}")
+        t = np.fromiter(trials, dtype=np.uint64, count=len(trials))
         # with a spawn key, SeedSequence pads the seed's words to the pool size
         # with zeros; a 64-bit seed has one or two words, so its two halves and
         # two zeros are always the padded pool
         words = [*_seed_words(self.master_seed), 0, 0, *_seed_words(self.stream_id)]
-        for v in (*prefix, trials):
-            words += _row_words(v, rows) if isinstance(v, np.ndarray) else _seed_words(v)
-        shared = next((i for i, w in enumerate(words) if isinstance(w, np.ndarray)), len(words))
+        for v in prefix:
+            words += _seed_words(v)
         # mix_entropy: 4 calls fill the pool and 12 cross-mix it, then 4 per
-        # further word
+        # further word, the two words of t last
         c = _chain(_MIX_INIT, _MIX_MULT, _POOL * (len(words) + 2) + 1)
         pool = [_hashmix(w, c[i], c[i + 1]) for i, w in enumerate(words[:_POOL])]
         j = _POOL
@@ -354,14 +337,14 @@ class RngSpec:
                 if src != dst:
                     pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[j], c[j + 1]))
                     j += 1
-        for w in words[_POOL:shared]:
+        for w in words[_POOL:]:
             for dst in range(_POOL):
                 pool[dst] = _mix(pool[dst], _hashmix(w, c[j], c[j + 1]))
                 j += 1
-        # the remaining words over the block: pools (4, T)
+        # the two words of every t, over the block: pools (4, T)
         block = np.array(pool, dtype=np.uint32)[:, np.newaxis]
         cols = np.array(c[j:], dtype=np.uint32)[:, np.newaxis]
-        for w in words[shared:]:
+        for w in ((t & _MASK32).astype(np.uint32), (t >> 32).astype(np.uint32)):
             block = _mix(block, _hashmix(w, cols[:_POOL], cols[1:_POOL + 1]))
             cols = cols[_POOL:]
         state = _hashmix(block, _STATE_COLUMNS[:-1], _STATE_COLUMNS[1:]).astype(np.uint64)

@@ -94,14 +94,16 @@ def _uniform_split(u: np.ndarray, law: UniformAmplitude) -> tuple[np.ndarray, np
     return lo + (hi - lo) * u[..., :h], 2.0 * np.pi * u[..., h:]
 
 
-def _assemble_signals(x: np.ndarray, blocks: np.ndarray, u: np.ndarray,
-                      law: UniformAmplitude) -> None:
-    """Fill the zero signals x (T, domain, width) of T trials from their block
-    choices (T, k) and doubles u (T, 2 k width); entry j of a chosen block b is
-    x[:, b, j]."""
+def _assemble_signals(domain: int, width: int, blocks: np.ndarray, u: np.ndarray,
+                      law: UniformAmplitude) -> np.ndarray:
+    """Coefficient vectors (T, domain * width) from the block choices (T, k) and
+    the doubles u (T, 2 k width) of T trials; entry j of a chosen block b is
+    column b * width + j."""
+    t = len(blocks)
     mags, phases = _uniform_split(u, law)
-    x[np.arange(len(u))[:, np.newaxis], blocks] = (
-        mags * np.exp(1j * phases)).reshape(len(u), -1, x.shape[-1])
+    x = np.zeros((t, domain, width), dtype=np.complex128)
+    x[np.arange(t)[:, np.newaxis], blocks] = (mags * np.exp(1j * phases)).reshape(t, -1, width)
+    return x.reshape(t, domain * width)
 
 
 def _noise_scale(sigma2: float, convention: str) -> float:
@@ -114,10 +116,10 @@ def _draw_signal(domain: int, width: int, k: int, law: UniformAmplitude,
     """Coefficient vector with k of its `domain` blocks of `width` entries
     active: uniform block choice, law-distributed magnitudes, uniform phases."""
     k = _check_k(domain, k)
-    x = np.zeros((1, domain, width), dtype=np.complex128)
-    if k:
-        _assemble_signals(x, *(d[np.newaxis] for d in _signal_draws(rng, domain, width, k)), law)
-    return x.reshape(domain * width)
+    if k == 0:
+        return np.zeros(domain * width, dtype=np.complex128)
+    draws = _signal_draws(rng, domain, width, k)
+    return _assemble_signals(domain, width, *(d[np.newaxis] for d in draws), law)[0]
 
 
 def gen_tone_signal(p: int, k: int, law: UniformAmplitude,
@@ -235,18 +237,11 @@ def _check_detection(detector: str, theta: int, m: MeasurementMatrix) -> int:
     return check_theta(_DETECTORS[detector][0], theta, m)
 
 
-def _equal_runs(values: np.ndarray):
-    """(start, stop) of every run of equal consecutive values."""
-    v = values.tolist()
-    cuts = [i for i in range(1, len(v)) if v[i] != v[i - 1]]
-    return list(zip([0, *cuts], [*cuts, len(v)]))
-
-
 def _detect_block(combos, m: MeasurementMatrix, y: np.ndarray, support: np.ndarray):
     """(fdp, zero fraction, hit) arrays over a block of trials, one triple per
     (detector, estimate size) in combos, from the block's measurements y (T, n)
     and its signals' nonzero masks (T, p); the metrics need sets, not rankings.
-    The combos must have passed _check_detection. Rows may differ in k."""
+    The combos must have passed _check_detection."""
     s = hermitian_apply(m, y)
     rules = {RULES[_DETECTORS[det][0]] for det, _ in combos}
     scores = {grouped: group_norms(s, m.groups) if grouped else np.abs(s)
@@ -260,17 +255,11 @@ def _detect_block(combos, m: MeasurementMatrix, y: np.ndarray, support: np.ndarr
     out = []
     for det, theta in combos:
         rule, target = _DETECTORS[det]
-        key = keys[RULES[rule]]
         full = det == "ost_topk_full_support"
-        if full:  # np.partition takes one kth: one selection per run of equal k
-            used = support.sum(axis=-1)
-            picked = np.concatenate([select_mask(key[a:b], int(used[a]))
-                                     for a, b in _equal_runs(used)])
-        else:
-            used, picked = theta, select_mask(key, theta)
-        inter = (targets[target] & picked).sum(axis=-1)
+        used = int(support[0].sum()) if full else theta  # the k of every trial in the block
+        inter = (targets[target] & select_mask(keys[RULES[rule]], used)).sum(axis=-1)
         size = targets[target].sum(axis=-1)
-        fdp = (used - inter) / np.maximum(used, 1)  # k = 0 selects nothing: fdp 0
+        fdp = (used - inter) / used if used else np.zeros(inter.shape)
         zf = np.divide(inter, size, out=np.full(inter.shape, np.nan), where=size > 0)
         out.append((fdp, zf, inter == used if full else inter > 0))
     return out
@@ -297,34 +286,29 @@ def evaluate_detection(detector: str, theta: int, m: MeasurementMatrix,
     return _one_trial(detector, theta, m, signal.x, np.asarray(y))
 
 
-def _measure_block(config: ExperimentConfig, m: MeasurementMatrix, ks: np.ndarray,
-                   trials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Signals (T, p) and measurements y = A x + w (T, n) of the rows (ks[i],
-    trials[i]).
+def _measure_block(config: ExperimentConfig, m: MeasurementMatrix, k: int,
+                   trials: range) -> tuple[np.ndarray, np.ndarray]:
+    """Signals (T, p) and measurements y = A x + w (T, n) of the given trials.
 
-    Row i draws its signal, then its noise, from substream (master seed, ks[i],
-    trials[i]): the block derives all its keys in one pass and re-keys one
-    Philox per row, which gives the draws of RngSpec.substream(k, t). Each row
-    only draws; the signals are assembled once per run of equal k and the noise
-    once per block. k = 0 draws no signal and sigma2 = 0 no noise.
+    Trial t draws its signal, then its noise, from substream (master seed, k, t):
+    the block derives all its keys in one pass and re-keys one Philox per trial,
+    which gives the draws of RngSpec.substream(k, t). Each trial only draws;
+    the signals and noise are assembled once per block. k = 0 draws no signal
+    and sigma2 = 0 no noise.
     """
     law = config.amplitude_law
     domain, width = (m.groups.q, m.groups.r) if config.signal_model == "group" else (m.p, 1)
-    runs = [(a, b, _check_k(domain, ks[a])) for a, b in _equal_runs(ks)]
-    x = np.zeros((len(ks), domain, width), dtype=np.complex128)
-    parts = np.zeros((len(ks), 2, m.n))
-    streams = _keyed_streams(RngSpec(config.master_seed).substream_keys(ks, trials=trials))
-    for a, b, k in runs:
-        blocks = np.empty((b - a, k), dtype=np.intp)
-        u = np.empty((b - a, 2 * k * width))
-        for i, rng in zip(range(b - a), streams):
-            if k:
-                blocks[i], u[i] = _signal_draws(rng, domain, width, k)
-            if config.sigma2:
-                rng.standard_normal(out=parts[a + i])
+    k = _check_k(domain, k)
+    blocks = np.empty((len(trials), k), dtype=np.intp)
+    u = np.empty((len(trials), 2 * k * width))
+    parts = np.zeros((len(trials), 2, m.n))
+    keys = RngSpec(config.master_seed).substream_keys(k, trials=trials)
+    for i, rng in enumerate(_keyed_streams(keys)):
         if k:
-            _assemble_signals(x[a:b], blocks, u, law)
-    x = x.reshape(len(ks), domain * width)
+            blocks[i], u[i] = _signal_draws(rng, domain, width, k)
+        if config.sigma2:
+            rng.standard_normal(out=parts[i])
+    x = _assemble_signals(domain, width, blocks, u, law)
     w = _noise_scale(config.sigma2, config.noise_convention) * (parts[:, 0] + 1j * parts[:, 1])
     # one matrix-vector product per row, the same arithmetic as A @ x
     return x, (x[:, np.newaxis, :] @ m.matrix.T)[:, 0, :] + w
@@ -346,7 +330,7 @@ def run_trial(config: ExperimentConfig, k: int, theta: int, detector: str,
     (run_batch applies the matched-budget scaling before calling).
     """
     m = build_matrix(config) if matrix is None else matrix
-    x, y = _measure_block(config, m, np.array([k]), np.array([trial_index]))
+    x, y = _measure_block(config, m, k, range(trial_index, trial_index + 1))
     return _one_trial(detector, theta, m, x[0], y[0])
 
 
@@ -462,37 +446,34 @@ def run_batch(config: ExperimentConfig, keep_trials: bool = False) -> TrialBatch
 
     Signals and noise are generated once per (k, trial) and shared by every
     detector and estimate size, exactly as run_trial would regenerate them.
-    The grid's (k, trial) rows run k-major in blocks, which may span several k:
-    one stacked product each for y = A x + w and the correlations, then one
-    selection per (detector, estimate size). Products go row by row and sums in
-    trial order, so no value depends on block size.
+    Trials run in blocks: one stacked product each for y = A x + w and the
+    correlations, then one selection per (detector, estimate size). Products
+    go row by row and sums in trial order, so no value depends on block size.
     """
     m = build_matrix(config)
     k_grid = _validate_grids(config, m)
     combos = [(det, tg, effective_theta(config, det, tg))
               for det in config.detectors for tg in config.theta_grid]
     plan = [(det, eff) for det, _, eff in combos]
-    n = config.trials
-    ks, trials = np.repeat(k_grid, n), np.tile(np.arange(n), len(k_grid))
     block = max(1, _BLOCK_ENTRIES // m.p)
-    blocks = []
-    for start in range(0, len(ks), block):
-        x, y = _measure_block(config, m, ks[start:start + block], trials[start:start + block])
-        blocks.append(_detect_block(plan, m, y, x != 0))
-    # per combo, its (fdp, zero fraction, hit) arrays over all rows
-    table = blocks[0] if len(blocks) == 1 else [
-        tuple(map(np.concatenate, zip(*parts))) for parts in zip(*blocks)]
+    n = config.trials
     cells: list[BatchCell] = []
     records: list[TrialRecord] = []
-    for i, k in enumerate(k_grid):
-        rows = [tuple(a[i * n:(i + 1) * n] for a in triple) for triple in table]
+    for k in k_grid:
+        blocks = []
+        for start in range(0, n, block):
+            x, y = _measure_block(config, m, k, range(start, min(start + block, n)))
+            blocks.append(_detect_block(plan, m, y, x != 0))
+        # per combo, its (fdp, zero fraction, hit) arrays over all n trials
+        table = blocks[0] if len(blocks) == 1 else [
+            tuple(map(np.concatenate, zip(*parts))) for parts in zip(*blocks)]
         by_combo = {(det, tg): _cell(k, eff, tg, det, *triple)
-                    for (det, tg, eff), triple in zip(combos, rows)}
+                    for (det, tg, eff), triple in zip(combos, table)}
         cells.extend(by_combo[det, tg] for tg in config.theta_grid for det in config.detectors)
         if keep_trials:
-            columns = [list(zip(*(a.tolist() for a in triple))) for triple in rows]
-            records.extend(TrialRecord(k, eff, det, t, *col[t])
-                           for t in range(n) for (det, _, eff), col in zip(combos, columns))
+            columns = [list(zip(*(a.tolist() for a in triple))) for triple in table]
+            records.extend(TrialRecord(k, eff, det, t, *rows[t])
+                           for t in range(n) for (det, _, eff), rows in zip(combos, columns))
     q = m.groups.q if m.groups is not None else None
     return TrialBatchReport(
         config=config, p=m.p, q=q, cells=tuple(cells),

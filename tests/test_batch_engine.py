@@ -13,7 +13,6 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -192,23 +191,6 @@ def test_default_blocks_match_oracle_over_many_trials():
         assert _csv(run_batch(config)) == expected
 
 
-@pytest.mark.parametrize("block_rows", [3, 4, 7])
-def test_blocks_spanning_several_k_match_oracle(block_rows):
-    # blocks cut the k-major (k, trial) rows without regard to k, so some block
-    # holds k = 0 rows (full-support theta = 0) next to rows with k > 0, and
-    # k = 256 rows (full support) next to k = 17 rows
-    config = ExperimentConfig(
-        matrix_family="kerdock", kerdock_m=3, sigma2=500.0, group_size=16,
-        k_grid=(0, 3, 17, 256), theta_grid=(1, 5), trials=5, master_seed=2**64 - 3,
-        detectors=DETECTOR_NAMES,
-    )
-    with mock.patch.object(experiments, "_BLOCK_ENTRIES", block_rows * 256):
-        report = run_batch(config, keep_trials=True)
-    expected = _reference_batch(config)
-    assert _csv(report) == _csv(expected)
-    assert [repr(r) for r in report.per_trial] == [repr(r) for r in expected.per_trial]
-
-
 def test_noiseless_kerdock_ties_match_oracle():
     # sigma2 = 0 gives exact score ties between columns of one Kerdock basis
     config = ExperimentConfig(
@@ -234,8 +216,7 @@ def test_noiseless_kerdock_signals_tie_at_a_selection_boundary():
     m = build_matrix(config)
     ties = 0
     for k in config.k_grid[1:]:
-        _, y = experiments._measure_block(config, m, np.full(config.trials, k),
-                                          np.arange(config.trials))
+        _, y = experiments._measure_block(config, m, k, range(config.trials))
         s = hermitian_apply(m, y)
         for scores in (np.abs(s), group_norms(s, m.groups)):
             ordered = np.sort(scores, axis=-1)

@@ -414,55 +414,6 @@ def test_substream_keys_validation():
             spec.substream_keys(*prefix, trials=trials)
 
 
-@st.composite
-def _row_entries(draw):
-    """(prefix, trials) for substream_keys: scalar prefix entries and arrays
-    with one value per row, whose values vary freely, change in runs as the k
-    of a grid-wide block does, or repeat one value."""
-    rows = draw(st.integers(0, 6))
-    column = st.one_of(
-        st.lists(_words, min_size=rows, max_size=rows).map(
-            lambda c: np.array(c, dtype=np.uint64)),
-        st.lists(st.integers(0, 3), min_size=rows, max_size=rows).map(
-            lambda c: np.array(sorted(c), dtype=np.int64)),
-        _words.map(lambda v: np.full(rows, v, dtype=np.uint64)),
-    )
-    return draw(st.lists(st.one_of(_words, column), max_size=3)), draw(column)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(seed=_words, stream=_words, entries=_row_entries())
-def test_substream_keys_take_one_path_entry_per_row(seed, stream, entries):
-    # a tripwire on the numpy version, for the per-row entries of grid-wide blocks:
-    # row i must hash as the scalar path of row i
-    prefix, trials = entries
-    keys = RngSpec(seed, stream).substream_keys(*prefix, trials=trials)
-    assert keys.dtype == np.uint64 and keys.shape == (len(trials), 2)
-    for i, t in enumerate(trials.tolist()):
-        path = [v if isinstance(v, int) else int(v[i]) for v in prefix] + [t]
-        spawn = tuple(w for v in (stream, *path) for w in (v & 0xFFFFFFFF, v >> 32))
-        ref = np.random.SeedSequence(seed, spawn_key=spawn).generate_state(2, np.uint64)
-        assert np.array_equal(keys[i], ref)
-
-
-def test_substream_keys_take_grid_rows():
-    # the rows of a grid-wide block: k changes mid-block, trials restart at 0
-    spec = RngSpec(20260808)
-    ks, trials = np.array([0, 0, 3, 3, 3, 17, 256]), np.array([3, 4, 0, 1, 2, 0, 0])
-    keys = spec.substream_keys(ks, trials=trials)
-    for i, (k, t) in enumerate(zip(ks.tolist(), trials.tolist())):
-        assert np.array_equal(keys[i], spec.substream_keys(k, trials=range(t, t + 1))[0])
-
-
-def test_substream_keys_reject_bad_row_entries():
-    spec = RngSpec(1)
-    for prefix, trials in [((), np.array([0, -1])), ((np.array([-1, 2]),), np.arange(2)),
-                           ((np.array([1, 2, 3]),), np.arange(2)), ((), np.array([0.0, 1.0])),
-                           ((np.array([[1, 2]]),), np.arange(2)), ((), np.array([-1]))]:
-        with pytest.raises(BadValue):
-            spec.substream_keys(*prefix, trials=trials)
-
-
 # ---------------------------------------------------------------------------
 # CMAT v1
 

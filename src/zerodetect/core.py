@@ -48,6 +48,8 @@ class GroupPartition:
     r: int
 
     def __post_init__(self):
+        object.__setattr__(self, "q", as_int(self.q, "group count"))
+        object.__setattr__(self, "r", as_int(self.r, "group size"))
         if self.q < 1 or self.r < 1:
             raise BadValue(f"group partition needs q, r >= 1, got q={self.q}, r={self.r}")
 
@@ -74,6 +76,7 @@ class MeasurementMatrix:
 
     The matrix is read-only. A locked, C-contiguous complex128 ndarray that owns
     its memory (base None) is adopted as it is; any other input is copied.
+    matrices.attach_groups re-partitions a checked matrix without a second scan.
     """
 
     matrix: np.ndarray

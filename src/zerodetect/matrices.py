@@ -8,8 +8,8 @@ Z4-linear, so the whole Z4 word table follows from the u x M traces
 Tr(xi^j t), read off one Z4 sequence s_e = Tr(xi^e) (galois.trace_sequence).
 The table is uint8 in the frame's own (M, M^2) layout, grown from those rows
 by one broadcast add per coefficient of lambda; uint8 arithmetic wraps mod
-256, so every value stays exact mod 4. The frame indexes i^word with it and
-is handed to MeasurementMatrix locked, so it is never copied.
+256, so every value stays exact mod 4. The frame takes i^word / sqrt(M) by
+np.take in row slabs and is locked, so MeasurementMatrix never copies it.
 
 Distinct columns are either orthogonal or have inner-product modulus exactly
 1/sqrt(M), the worst-case coherence of the frame. The constructor checks that
@@ -19,6 +19,7 @@ column lambda = 0 gives the exact worst-case coherence, which must not exceed
 1/sqrt(M). A duplicated or overlapping column fails one of the two checks.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ from .galois import modulus_poly, trace_sequence
 
 _I_POWERS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 _Z4 = np.arange(4, dtype=np.uint8)
+_SLAB_ENTRIES = 2**15  # per np.take: an intp copy of 256 KB (one row if rows are longer)
 
 
 @dataclass(frozen=True)
@@ -105,10 +107,14 @@ def build_kerdock(spec: KerdockSpec) -> MeasurementMatrix:
             "column enumeration produced overlapping columns: the words are not "
             "Z4-linear in lambda, so no single Gram row bounds the coherence"
         )
-    m = MeasurementMatrix(locked((_I_POWERS / np.sqrt(spec.rows))[words]))
+    # _is_z4_linear matched words to a span masked by & 3: all lie in 0..3, so clip never clips
+    table, a = _I_POWERS / np.sqrt(spec.rows), np.empty(words.shape, dtype=np.complex128)
+    step = max(1, _SLAB_ENTRIES // spec.cols)
+    for t in range(0, spec.rows, step):
+        np.take(table, words[t : t + step], out=a[t : t + step], mode="clip")
+    m = MeasurementMatrix(locked(a))  # adopted as it is: m.matrix is a
     # under linearity a_lambda^H a_lambda' depends only on lambda' - lambda,
     # so the row of lambda = 0 holds every off-diagonal modulus
-    a = m.matrix
     worst = float(np.abs(a[:, 0].conj() @ a)[1:].max())
     if worst > spec.coherence + 1e-8:
         raise ConstructionError(
@@ -145,7 +151,13 @@ def build_bernoulli(n: int, p: int, rng: RngSpec) -> MeasurementMatrix:
 
 
 def attach_groups(m: MeasurementMatrix, r: int) -> MeasurementMatrix:
-    """Partition the columns into contiguous blocks of size r (entries unchanged)."""
+    """Partition the columns into contiguous blocks of size r: a shallow copy of
+    the validated m, so no second norm scan, the same locked array and any
+    Kronecker factors m has already found.
+    """
+    r = as_int(r, "group size", IndivisibleGroupSize)
     if r < 1 or m.p % r != 0:
         raise IndivisibleGroupSize(f"group size {r} does not divide p = {m.p}")
-    return MeasurementMatrix(m.matrix, groups=GroupPartition(m.p // r, r))
+    grouped = copy.copy(m)
+    object.__setattr__(grouped, "groups", GroupPartition(m.p // r, r))
+    return grouped

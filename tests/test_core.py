@@ -1,6 +1,7 @@
 """Core types, operations, and the CMAT v1 text format."""
 
 from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from zerodetect.errors import (
     DimensionMismatch,
     ZeroColumn,
 )
+from zerodetect.detectors import zd_groth, zd_ost
 from zerodetect.matrices import KerdockSpec, attach_groups, build_bernoulli, build_kerdock
 
 
@@ -291,6 +293,43 @@ def test_measurement_matrix_adopts_a_locked_owning_array():
     m = MeasurementMatrix(a)
     assert m.matrix is a
     assert attach_groups(m, 2).matrix is m.matrix
+
+
+def test_attach_groups_adopts_the_checked_frame_without_a_second_scan():
+    m = build_kerdock(KerdockSpec(3))
+    factors = m._kron_factors
+    assert factors is not None
+    with mock.patch.object(MeasurementMatrix, "__post_init__", autospec=True,
+                           side_effect=MeasurementMatrix.__post_init__) as post_init:
+        grouped = attach_groups(m, 8)
+    assert post_init.call_count == 0
+    assert grouped.matrix is m.matrix
+    assert grouped._kron_factors is factors
+    assert grouped.groups == GroupPartition(32, 8) and m.groups is None
+
+
+def test_detection_equal_when_grouped_before_or_after_first_detection():
+    y = np.exp(0.5j * np.arange(64)) * (1 + np.arange(64) % 5)
+    before = attach_groups(build_kerdock(KerdockSpec(5)), 64)
+    first = build_kerdock(KerdockSpec(5))
+    zd_ost(y, first, 16)  # finds and caches the Kronecker factors
+    after = attach_groups(first, 64)
+    for detect, theta in ((zd_ost, 16), (zd_groth, 4)):
+        a, b = detect(y, before, theta), detect(y, after, theta)
+        assert a.ranking == b.ranking and a.mode == b.mode
+        assert np.array_equal(a.scores, b.scores)
+
+
+@pytest.mark.parametrize("q, r", [(2.5, 4), (4, 2.5), (4.0, 2), ("4", 2), (4, None)],
+                         ids=["q=2.5", "r=2.5", "q=4.0", "q='4'", "r=None"])
+def test_group_partition_rejects_non_integers(q, r):
+    with pytest.raises(BadValue, match="must be an integer"):
+        GroupPartition(q, r)
+
+
+def test_group_partition_takes_numpy_integers():
+    g = GroupPartition(np.int64(4), np.uint8(3))
+    assert type(g.q) is int and type(g.r) is int and g == GroupPartition(4, 3)
 
 
 def test_group_partition_mapping():

@@ -112,6 +112,29 @@ def test_kerdock_golden_digests(m):
     assert _sha256(mat) == matrix_digest
 
 
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_kerdock_frame_assembled_in_ragged_slabs(m):
+    # three rows per slab: M = 4, 16 and 64 rows leave a last slab of one row
+    spec = KerdockSpec(m)
+    expected = (matrices._I_POWERS / np.sqrt(spec.rows))[matrices.kerdock_codewords(spec)]
+    with mock.patch.object(matrices, "_SLAB_ENTRIES", 3 * spec.cols + 1), \
+            mock.patch.object(matrices.np, "take", wraps=np.take) as take:
+        mat = build_kerdock(spec).matrix
+    assert take.call_count == -(-spec.rows // 3)
+    assert np.array_equal(mat.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("word", [4, 255])
+@pytest.mark.parametrize("column", [4, 5])  # u = 4 at m = 3: column 4 is lambda = xi^2
+def test_kerdock_word_outside_z4_fails_the_linearity_check(word, column):
+    # np.take(mode="clip") is exact only for words in 0..3, which the check guarantees
+    words = matrices.kerdock_codewords(KerdockSpec(3))
+    words[1, column] = word
+    with mock.patch.object(matrices, "kerdock_codewords", return_value=words):
+        with pytest.raises(ConstructionError, match="not Z4-linear"):
+            build_kerdock(KerdockSpec(3))
+
+
 def test_kerdock_codewords_are_uint8_in_frame_layout():
     words = matrices.kerdock_codewords(KerdockSpec(3))
     assert words.dtype == np.uint8 and words.flags.c_contiguous
@@ -196,3 +219,15 @@ def test_attach_groups_whole_matrix(kerdock16):
 def test_attach_groups_indivisible(kerdock16):
     with pytest.raises(IndivisibleGroupSize):
         attach_groups(kerdock16, 3)
+
+
+@pytest.mark.parametrize("r", [0, 2.5, 8.0, np.float64(8.0), "8", None],
+                         ids=["0", "2.5", "8.0", "float64", "'8'", "None"])
+def test_attach_groups_rejects_sizes_that_are_not_positive_integers(kerdock16, r):
+    with pytest.raises(IndivisibleGroupSize):
+        attach_groups(kerdock16, r)
+
+
+def test_attach_groups_takes_numpy_integers(kerdock16):
+    groups = attach_groups(kerdock16, np.int64(8)).groups
+    assert type(groups.q) is int and type(groups.r) is int and (groups.q, groups.r) == (32, 8)

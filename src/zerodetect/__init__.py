@@ -24,9 +24,7 @@ from .coherence import (
     CoherenceReport,
     StocEstimate,
     average_coherence,
-    coherence_property_check,
     coherence_report,
-    group_coherence_property_check,
     group_coherences,
     stoc_estimate,
     worst_case_coherence,
@@ -51,14 +49,17 @@ from .matrices import (
     attach_groups,
     build_bernoulli,
     build_kerdock,
+    load_matrix,
 )
 from .theory import (
     BoundParams,
     SignalStats,
     chi2_tail_bound,
+    coherence_property,
     epsilon0,
     fdp_bound_elementwise,
     fdp_bound_groupwise,
+    group_coherence_property,
     group_guarantee_constants,
     noise_thresholds,
     pe_bound,

@@ -14,14 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .coherence import coherence_report, stoc_estimate
-from .core import (
-    MeasurementMatrix,
-    RngSpec,
-    locked,
-    parse_cmat_entry,
-    read_cmat,
-    write_cmat,
-)
+from .core import MeasurementMatrix, RngSpec, parse_cmat_entry, write_cmat
 from .detectors import zd_groth, zd_ost
 from .errors import BadValue, CmatFormatError, ZeroDetectError
 from .experiments import (
@@ -39,6 +32,7 @@ from .matrices import (
     build_bernoulli,
     build_kerdock,
     kerdock_meta,
+    load_matrix,
 )
 from . import theory
 
@@ -52,19 +46,6 @@ class _UsageError(BadValue):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route through our codes
         raise _UsageError(message)
-
-
-def _load_matrix(path: str, group_size: int | None) -> MeasurementMatrix:
-    entries, meta = read_cmat(path)
-    m = MeasurementMatrix(locked(entries))
-    if group_size is None and "group_size" in meta:
-        try:
-            group_size = int(meta["group_size"])
-        except ValueError as exc:
-            raise CmatFormatError(f"bad group_size meta value {meta['group_size']!r}") from exc
-    if group_size is not None:
-        m = attach_groups(m, group_size)
-    return m
 
 
 def _write_csv(path: str, header: str, rows: list[str]) -> None:
@@ -131,7 +112,7 @@ def _stoc_rows(est) -> list[str]:
 
 
 def _cmd_coherence(args) -> int:
-    m = _load_matrix(args.matrix, args.group_size)
+    m = load_matrix(args.matrix, args.group_size)
     rep = coherence_report(m)
     rows = [
         f"mu,{_fmt(rep.mu)},{rep.argmax_pair[0]},{rep.argmax_pair[1]}",
@@ -158,7 +139,7 @@ def _cmd_coherence(args) -> int:
 
 
 def _cmd_stoc(args) -> int:
-    m = _load_matrix(args.matrix, args.group_size)
+    m = load_matrix(args.matrix, args.group_size)
     est = _run_stoc(m, args.k, args.eps, args.trials, args.zstrategy, args.seed)
     _write_csv(args.out, "stat,value,arg_i,arg_j", _stoc_rows(est))
     if args.verbose:
@@ -182,7 +163,7 @@ def _read_y(args, n: int) -> np.ndarray:
 def _cmd_detect(args) -> int:
     if args.theta < 1:
         raise BadValue("--theta must be >= 1")
-    m = _load_matrix(args.matrix, args.group_size)
+    m = load_matrix(args.matrix, args.group_size)
     y = _read_y(args, m.n)
     result = zd_groth(y, m, args.theta) if args.group else zd_ost(y, m, args.theta)
     rows = [
@@ -229,6 +210,9 @@ def _read_coherence_report(path: str) -> dict[str, float]:
     for required in ("mu", "nu"):
         if required not in stats:
             raise BadValue(f"coherence report lacks the {required!r} statistic")
+    for name in ("mu", "nu", "mu_group", "nu_group"):
+        if not math.isfinite(stats.get(name, 0.0)):
+            raise BadValue(f"coherence report has a non-finite {name}: {stats[name]!r}")
     return stats
 
 
@@ -240,7 +224,9 @@ def _cmd_bounds(args) -> int:
     theta = cfg.get("theta", 1)
     sigma = math.sqrt(cfg["sigma2"])
     convention = cfg.get("noise_convention", "total")
-    mu0 = cfg.get("mu0", mu * math.sqrt(math.log(p)))
+    prop = theory.coherence_property(mu, p, cfg.get("mu0")) if p >= 2 else None
+    # the default is mu0_star = mu sqrt(log p), 0 at p = 1, which BoundParams rejects
+    mu0 = cfg.get("mu0", 0.0 if prop is None else prop.mu0_star)
     constants = {key: cfg[key] for key in ("a", "t", "c1", "c2", "c_mu", "c_nu") if key in cfg}
     params = theory.BoundParams(mu0=mu0, sigma=sigma, **constants)
 
@@ -286,6 +272,14 @@ def _cmd_bounds(args) -> int:
             rows.append(f"group_fdp_threshold,{_fmt(gb.threshold)},1")
             rows.append(f"group_success_floor,{_fmt(gb.success_floor)},1")
             rows.append(f"group_success_floor_product,{_fmt(gb.success_floor_product)},1")
+
+    # the coherence conditions come last, so the rows above keep their positions
+    if prop is not None:
+        rows.append(f"mu0_star,{_fmt(prop.mu0_star)},{_fmt(prop.holds)}")
+    if taus.group is not None and q >= 2 and {"mu_group", "nu_group"} <= stats.keys():
+        gp = theory.group_coherence_property(params, stats["mu_group"], stats["nu_group"], q, r, n)
+        rows.append(f"group_mu_bound,{_fmt(gp.mu_bound)},{_fmt(gp.mu_holds)}")
+        rows.append(f"group_nu_bound,{_fmt(gp.nu_bound)},{_fmt(gp.nu_holds)}")
 
     _write_csv(args.out, "quantity,value,valid", rows)
     if args.verbose:

@@ -163,48 +163,6 @@ def group_coherences(m: MeasurementMatrix) -> GroupCoherences:
     return GroupCoherences(mu_g, _average_group_coherence(m), pair)
 
 
-class CoherencePropertyCheck(NamedTuple):
-    holds: bool
-    mu0_star: float  # smallest mu0 making the property true: mu * sqrt(log p)
-    mu: float
-
-
-def coherence_property_check(m: MeasurementMatrix, mu0: float) -> CoherencePropertyCheck:
-    """Whether mu <= mu0 / sqrt(log p), plus the implied minimal mu0."""
-    if m.p < 2:
-        raise SingleColumn("coherence property needs p >= 2")
-    mu = worst_case_coherence(m)
-    root_log_p = float(np.sqrt(np.log(m.p)))
-    return CoherencePropertyCheck(mu <= mu0 / root_log_p, mu * root_log_p, mu)
-
-
-class GroupCoherencePropertyCheck(NamedTuple):
-    mu_holds: bool
-    nu_holds: bool
-    mu_group: float
-    nu_group: float
-    mu_bound: float  # c_mu / sqrt(log q)
-    nu_bound: float  # c_nu * mu_g * sqrt(r log q / n)
-
-
-def group_coherence_property_check(
-    m: MeasurementMatrix, c_mu: float, c_nu: float
-) -> GroupCoherencePropertyCheck:
-    """Both group-coherence conditions with their slack, for given constants."""
-    if m.groups is None or m.groups.q < 2:
-        raise NoGroups("group coherence property needs q >= 2 (log q degenerate at q = 1)")
-    if c_mu <= 0 or c_nu <= 0:
-        raise BadValue("constants must be positive")
-    q, r = m.groups.q, m.groups.r
-    mu_g, nu_g, _ = group_coherences(m)
-    log_q = float(np.log(q))
-    mu_bound = c_mu / np.sqrt(log_q)
-    nu_bound = c_nu * mu_g * np.sqrt(r * log_q / m.n)
-    return GroupCoherencePropertyCheck(
-        mu_g <= mu_bound, nu_g <= nu_bound, mu_g, nu_g, float(mu_bound), float(nu_bound)
-    )
-
-
 def stoc_estimate(
     m: MeasurementMatrix,
     k: int,

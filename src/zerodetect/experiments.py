@@ -29,12 +29,10 @@ from .core import (
     _keyed_streams,
     as_int,
     hermitian_apply,
-    locked,
-    read_cmat,
 )
 from .detectors import RULES, check_theta, group_norms, select_mask
 from .errors import BadK, BadValue, DimensionMismatch, IncompleteReport, NoGroups
-from .matrices import KerdockSpec, attach_groups, build_bernoulli, build_kerdock
+from .matrices import KerdockSpec, attach_groups, build_bernoulli, build_kerdock, load_matrix
 from .theory import NOISE_CONVENTIONS
 
 # detector -> (its rule in detectors.RULES, target mask); the full-support
@@ -206,18 +204,17 @@ class ExperimentConfig:
 
 
 def build_matrix(config: ExperimentConfig) -> MeasurementMatrix:
-    """Construct (or load) the configured measurement matrix, groups attached."""
+    """Construct (or load, grouped as load_matrix does) the configured matrix, groups attached."""
+    if config.matrix_family == "file":
+        if config.matrix_file is None:
+            raise BadValue("file family needs matrix_file")
+        return load_matrix(config.matrix_file, config.group_size)
     if config.matrix_family == "kerdock":
         m = build_kerdock(KerdockSpec(config.kerdock_m))
-    elif config.matrix_family == "bernoulli":
+    else:
         if config.rows is None or config.cols is None:
             raise BadValue("bernoulli family needs rows and cols")
         m = build_bernoulli(config.rows, config.cols, RngSpec(config.matrix_seed))
-    else:
-        if config.matrix_file is None:
-            raise BadValue("file family needs matrix_file")
-        entries, _ = read_cmat(config.matrix_file)
-        m = MeasurementMatrix(locked(entries))
     if config.group_size is not None:
         m = attach_groups(m, config.group_size)
     return m

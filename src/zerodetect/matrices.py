@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GroupPartition, MeasurementMatrix, RngSpec, as_int, locked
-from .errors import ConstructionError, IndivisibleGroupSize, InvalidSpec
+from .core import GroupPartition, MeasurementMatrix, RngSpec, as_int, locked, read_cmat
+from .errors import CmatFormatError, ConstructionError, IndivisibleGroupSize, InvalidSpec
 from .galois import modulus_poly, trace_sequence
 
 _I_POWERS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
@@ -161,3 +161,15 @@ def attach_groups(m: MeasurementMatrix, r: int) -> MeasurementMatrix:
     grouped = copy.copy(m)
     object.__setattr__(grouped, "groups", GroupPartition(m.p // r, r))
     return grouped
+
+
+def load_matrix(path, group_size: int | None = None) -> MeasurementMatrix:
+    """A CMAT file's matrix in groups of group_size, else of its group_size meta value if any."""
+    entries, meta = read_cmat(path)
+    m = MeasurementMatrix(locked(entries))
+    if group_size is None and "group_size" in meta:
+        try:
+            group_size = int(meta["group_size"])
+        except ValueError as exc:
+            raise CmatFormatError(f"bad group_size meta value {meta['group_size']!r}") from exc
+    return m if group_size is None else attach_groups(m, group_size)

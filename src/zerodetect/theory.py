@@ -1,5 +1,5 @@
-"""Closed-form guarantee calculators: signal statistics, sparsity and error
-bounds for single-zero detection, and the group-detection analogues.
+"""Closed-form guarantee calculators: the coherence conditions, signal statistics,
+sparsity and error bounds for single-zero detection, and the group analogues.
 
 All logarithms are natural. Calculators return validity flags instead of
 raising when a hypothesis fails, so sweeps can mark regions where a guarantee
@@ -42,7 +42,7 @@ class BoundParams:
     Every constant must be finite. a > 1 and t in (0, 1) drive the
     single-zero bounds (c1 = 32/t, c2 = 800/(1-t), c = 16 (2 + 1/a)^2);
     c1 >= 2 and c2 in (0, 1) drive the group bounds; c_mu and c_nu are the
-    group-coherence-property constants.
+    constants of group_coherence_property.
     """
 
     mu0: float
@@ -71,6 +71,43 @@ class BoundParams:
         for ok, msg in checks:
             if not ok:
                 raise BadValue(msg)
+
+
+class CoherenceProperty(NamedTuple):
+    holds: bool      # mu0_star <= mu0
+    mu0_star: float  # mu sqrt(log p), the smallest mu0 for which the property holds
+
+
+def coherence_property(mu: float, p: int, mu0: float | None = None) -> CoherenceProperty:
+    """Whether mu <= mu0 / sqrt(log p), as mu0_star <= mu0; mu0 defaults to mu0_star."""
+    if p < 2:
+        raise BadValue(f"need p >= 2 (log p degenerates below), got {p}")
+    mu0_star = mu * math.sqrt(math.log(p))
+    mu0 = mu0_star if mu0 is None else mu0
+    if not (0 <= mu < math.inf and 0 <= mu0 < math.inf):
+        raise BadValue(f"mu and mu0 must be finite and >= 0, got {mu!r}, {mu0!r}")
+    return CoherenceProperty(bool(mu0_star <= mu0), mu0_star)
+
+
+class GroupCoherenceProperty(NamedTuple):
+    mu_holds: bool
+    nu_holds: bool
+    mu_bound: float  # c_mu / sqrt(log q)
+    nu_bound: float  # c_nu mu_g sqrt(r log q / n)
+
+
+def group_coherence_property(params: BoundParams, mu_g: float, nu_g: float,
+                             q: int, r: int, n: int) -> GroupCoherenceProperty:
+    """Whether mu_g <= c_mu / sqrt(log q) and nu_g <= c_nu mu_g sqrt(r log q / n)."""
+    if q < 2 or r < 1 or n < 1:
+        raise BadValue(f"need q >= 2, r >= 1 and n >= 1, got q={q}, r={r}, n={n}")
+    if not (0 <= mu_g < math.inf and 0 <= nu_g < math.inf):
+        raise BadValue(f"mu_g and nu_g must be finite and >= 0, got {mu_g!r}, {nu_g!r}")
+    log_q = math.log(q)
+    mu_bound = params.c_mu / math.sqrt(log_q)
+    nu_bound = params.c_nu * mu_g * math.sqrt(r * log_q / n)
+    return GroupCoherenceProperty(bool(mu_g <= mu_bound), bool(nu_g <= nu_bound),
+                                  mu_bound, nu_bound)
 
 
 @dataclass(frozen=True, eq=False)

@@ -151,16 +151,21 @@ def test_malformed_matrix_file_is_io_error(tmp_path, capsys):
     assert "ERROR CmatFormatError" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cmd", ["coherence", "stoc", "detect"])
+@pytest.mark.parametrize("cmd", ["coherence", "stoc", "detect", "simulate"])
 def test_bad_group_size_meta_is_format_error(tmp_path, capsys, cmd):
     bad = tmp_path / "bad.cmat"
     bad.write_text("2 2\n# meta: group_size=abc\n1+0j 0+0j\n0+0j 1+0j\n")
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(f"matrix_family = file\nmatrix_file = {bad}\nk_grid = 1\ntheta_grid = 1\n")
+    matrix = ["--matrix", str(bad)]
     args = {
-        "coherence": ["--out", str(tmp_path / "c.csv")],
-        "stoc": ["--k", "1", "--eps", "0.5", "--trials", "2", "--out", str(tmp_path / "s.csv")],
-        "detect": ["--yinline", "1,0", "--theta", "1", "--out", str(tmp_path / "r.csv")],
+        "coherence": [*matrix, "--out", str(tmp_path / "c.csv")],
+        "stoc": [*matrix, "--k", "1", "--eps", "0.5", "--trials", "2",
+                 "--out", str(tmp_path / "s.csv")],
+        "detect": [*matrix, "--yinline", "1,0", "--theta", "1", "--out", str(tmp_path / "r.csv")],
+        "simulate": ["--config", str(cfg), "--out-dir", str(tmp_path / "o")],
     }[cmd]
-    assert run(cmd, "--matrix", str(bad), *args) == 2
+    assert run(cmd, *args) == 2
     err = capsys.readouterr().err
     assert "ERROR CmatFormatError" in err and "group_size" in err
 
@@ -287,6 +292,66 @@ def test_bounds_rejects_non_finite_constants(kerdock_file, tmp_path, capsys, lin
     assert not out.exists()
 
 
+# the config and report of the CI smoke step's bounds call
+_BOUNDS_CFG = (
+    "sigma2 = 500\nn = 16\np = 256\nk = 8\ntheta = 4\nq = 32\nr = 8\n"
+    "x_magnitudes = 900, 650, 400, 333, 250, 100, 30, 5\n"
+    "group_norms = 2500, 1200, 700, 450\n"
+)
+
+
+def _bounds_rows(tmp_path, report, cfg_text=_BOUNDS_CFG):
+    cfg, out = tmp_path / "bounds.cfg", tmp_path / "bounds.csv"
+    cfg.write_text(cfg_text)
+    assert run("bounds", "--config", str(cfg), "--report", str(report), "--out", str(out)) == 0
+    return out.read_text().splitlines()
+
+
+def test_bounds_appends_the_coherence_conditions_last(kerdock_file, tmp_path):
+    report = tmp_path / "coh.csv"
+    assert run("coherence", "--matrix", str(kerdock_file), "--group-size", "8",
+               "--out", str(report)) == 0
+    rows = _bounds_rows(tmp_path, report)
+    # the 26 lines before them, header included, are the bytes written before the
+    # conditions were added
+    head = "\n".join(rows[:-3]) + "\n"
+    assert hashlib.sha256(head.encode()).hexdigest() == (
+        "6ebde9e0838b0c22e9591600725718f3e24fbdcc89b2edf889b4e47ece76f6dc")
+    assert rows[-3:] == [
+        "mu0_star,0.58870501125773733,1",  # mu0 defaults to mu0_star, which holds exactly
+        "group_mu_bound,0.53715827106895853,0",  # mu_group = 1.55
+        "group_nu_bound,2.0345717573562911,1",
+    ]
+    # no group statistics in the report: no group conditions
+    assert run("coherence", "--matrix", str(kerdock_file), "--out", str(report)) == 0
+    rows = _bounds_rows(tmp_path, report)
+    assert rows[-1] == "mu0_star,0.58870501125773733,1"
+    assert not any(row.startswith(("group_mu_bound,", "group_nu_bound,")) for row in rows)
+    # mu0 below mu0_star: the property fails; at p = 1 it is not stated
+    rows = _bounds_rows(tmp_path, report, "sigma2 = 500\nn = 16\np = 256\nk = 8\nmu0 = 0.5\n")
+    assert rows[-1] == "mu0_star,0.58870501125773733,0"
+    rows = _bounds_rows(tmp_path, report, "sigma2 = 500\nn = 16\np = 1\nk = 1\nmu0 = 0.5\n")
+    assert [row.split(",")[0] for row in rows] == ["quantity", "mu", "nu", "mu0", "tau_element"]
+
+
+@pytest.mark.parametrize("stat, value", [
+    ("mu", "nan"), ("nu", "inf"), ("mu_group", "nan"), ("nu_group", "-inf"),
+])
+def test_bounds_rejects_non_finite_coherence(kerdock_file, tmp_path, capsys, stat, value):
+    report = tmp_path / "coh.csv"
+    assert run("coherence", "--matrix", str(kerdock_file), "--group-size", "8",
+               "--out", str(report)) == 0
+    lines = [f"{stat},{value}," + line.split(",", 2)[2] if line.startswith(f"{stat},") else line
+             for line in report.read_text().splitlines()]
+    report.write_text("\n".join(lines) + "\n")
+    cfg, out = tmp_path / "bounds.cfg", tmp_path / "b.csv"
+    cfg.write_text(_BOUNDS_CFG)
+    assert run("bounds", "--config", str(cfg), "--report", str(report), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "ERROR BadValue" in err and f"non-finite {stat}" in err
+    assert not out.exists()
+
+
 def _write_sim_config(path, **extra):
     lines = [
         "matrix_family = bernoulli",
@@ -327,6 +392,41 @@ def test_simulate_byte_identical_across_runs(tmp_path):
         assert run("simulate", "--config", str(cfg), "--out-dir", str(out_dir)) == 0
         blobs.append((out_dir / "report.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def _simulate(tmp_path, name, text, *figure):
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    out_dir = tmp_path / name
+    assert run("simulate", "--config", str(cfg), "--out-dir", str(out_dir), *figure) == 0
+    return {path.name: path.read_bytes() for path in out_dir.iterdir()}
+
+
+def test_simulate_file_family_matches_the_built_frame(kerdock_file, tmp_path):
+    grid = ("sigma2 = 500\nk_grid = 16,64\ntheta_grid = 1\ndetectors = zd_ost,ost_topk\n"
+            "trials = 50\nmaster_seed = 7\n")
+    built = _simulate(tmp_path, "built", "matrix_family = kerdock\nkerdock_m = 3\n" + grid,
+                      "--figure", "3")
+    loaded = _simulate(tmp_path, "loaded", f"matrix_family = file\nmatrix_file = {kerdock_file}\n"
+                       + grid, "--figure", "3")
+    assert sorted(built) == ["fig3_manifest.csv", "fig3_ost_topk_theta1.csv",
+                             "fig3_zd_ost_theta1.csv", "report.csv"]
+    assert loaded == built
+
+
+def test_simulate_file_family_takes_group_size_meta_unless_the_config_sets_one(tmp_path):
+    path = tmp_path / "k8.cmat"
+    assert run("gen-matrix", "--family", "kerdock", "--m", "3", "--group-size", "8",
+               "--out", str(path)) == 0
+    grid = ("sigma2 = 500\nk_grid = 4,16\ntheta_grid = 1,2\ndetectors = zd_groth\n"
+            "trials = 20\nmaster_seed = 3\n")
+    built = {r: _simulate(tmp_path, f"built{r}",
+                          f"matrix_family = kerdock\nkerdock_m = 3\ngroup_size = {r}\n" + grid)
+             for r in (4, 8)}
+    assert built[4] != built[8]
+    file_family = f"matrix_family = file\nmatrix_file = {path}\n"
+    assert _simulate(tmp_path, "meta", file_family + grid) == built[8]
+    assert _simulate(tmp_path, "config", file_family + "group_size = 4\n" + grid) == built[4]
 
 
 def test_simulate_rejects_non_finite_noise(tmp_path, capsys):

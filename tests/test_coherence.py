@@ -1,4 +1,4 @@
-"""Coherence statistics, property checks, and the orthogonality estimator."""
+"""Coherence statistics and the orthogonality estimator."""
 
 from unittest import mock
 
@@ -12,9 +12,7 @@ from zerodetect.coherence import (
     CoherenceReport,
     average_coherence,
     coherence_argmax_pair,
-    coherence_property_check,
     coherence_report,
-    group_coherence_property_check,
     group_coherences,
     stoc_estimate,
     worst_case_coherence,
@@ -195,38 +193,6 @@ def test_group_coherences_requires_partition(kerdock16):
         group_coherences(kerdock16)
     with pytest.raises(NoGroups):
         group_coherences(attach_groups(kerdock16, 256))  # q = 1 degenerate
-
-
-def test_coherence_property_check(kerdock16):
-    got = coherence_property_check(kerdock16, mu0=1.0)
-    assert abs(got.mu0_star - 0.25 * np.sqrt(np.log(256))) < 1e-12
-    assert got.holds == (0.25 <= 1.0 / np.sqrt(np.log(256)))
-    ident = coherence_property_check(MeasurementMatrix(np.eye(3)), mu0=0.5)
-    assert ident.mu0_star == 0.0 and ident.holds
-    dup = MeasurementMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
-    got = coherence_property_check(dup, mu0=2.0)
-    assert abs(got.mu0_star - np.sqrt(np.log(2))) < 1e-12
-
-
-def test_group_property_orthonormal_blocks():
-    m = attach_groups(MeasurementMatrix(np.eye(8)), 2)
-    got = group_coherence_property_check(m, 0.1, 0.1)
-    assert got.mu_holds and got.nu_holds  # 0 <= every positive bound
-
-
-def test_group_property_kerdock_truth_values(kerdock16_r8):
-    got = group_coherence_property_check(kerdock16_r8, 1.0, 1.0)
-    # independent evaluation from the computed coherences
-    log_q = np.log(32)
-    assert got.mu_holds == (got.mu_group <= 1.0 / np.sqrt(log_q))
-    assert got.nu_holds == (got.nu_group <= got.mu_group * np.sqrt(8 * log_q / 16))
-    assert not got.mu_holds  # 1.55 > 0.537 for this frame
-    assert got.nu_holds
-
-
-def test_group_property_q1_rejected(kerdock16):
-    with pytest.raises(NoGroups):
-        group_coherence_property_check(attach_groups(kerdock16, 256), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from zerodetect.core import RngSpec, SignalInstance
+from zerodetect.coherence import coherence_report
+from zerodetect.core import MeasurementMatrix, RngSpec, SignalInstance
 from zerodetect.errors import BadValue, EmptySupport
+from zerodetect.matrices import KerdockSpec, attach_groups, build_kerdock
 from zerodetect.theory import (
     BoundParams,
     chi2_tail_bound,
+    coherence_property,
     epsilon0,
     fdp_bound_elementwise,
     fdp_bound_groupwise,
+    group_coherence_property,
     group_guarantee_constants,
     noise_thresholds,
     pe_bound,
@@ -42,6 +46,72 @@ def test_bound_params_ranges():
 def test_bound_params_reject_infinite_constants(name):
     with pytest.raises(BadValue, match=f"{name} must be finite"):
         BoundParams(**{"mu0": 0.1, "sigma": 1.0, name: math.inf})
+
+
+# ---------------------------------------------------------------------------
+# coherence conditions, on coherence_report values
+
+
+def test_coherence_property_on_reports():
+    kerdock = coherence_report(build_kerdock(KerdockSpec(3)))
+    got = coherence_property(kerdock.mu, 256, mu0=1.0)
+    assert abs(got.mu0_star - 0.25 * np.sqrt(np.log(256))) < 1e-12
+    assert got.holds == (0.25 <= 1.0 / np.sqrt(np.log(256)))
+    assert type(got.holds) is bool
+    ident = coherence_property(coherence_report(MeasurementMatrix(np.eye(3))).mu, 3, mu0=0.5)
+    assert ident.mu0_star == 0.0 and ident.holds
+    dup = coherence_report(MeasurementMatrix(np.array([[1.0, 1.0], [0.0, 0.0]])))
+    got = coherence_property(dup.mu, 2, mu0=2.0)
+    assert abs(got.mu0_star - np.sqrt(np.log(2))) < 1e-12 and got.holds
+
+
+@pytest.mark.parametrize("p", [2, 3, 256, 4097])
+@pytest.mark.parametrize("mu", [0.0, 0.1, 1 / 3, 0.25, 1.0])
+def test_coherence_property_holds_exactly_at_its_default(mu, p):
+    got = coherence_property(mu, p)
+    assert got.mu0_star == mu * math.sqrt(math.log(p))
+    assert got.holds is True
+    assert coherence_property(mu, p, got.mu0_star).holds is True
+
+
+@pytest.mark.parametrize("mu, p, mu0", [
+    (0.25, 1, 1.0), (math.nan, 256, 1.0), (-0.1, 256, 1.0), (0.25, 256, math.inf),
+    (0.25, 256, -1.0),
+])
+def test_coherence_property_rejects(mu, p, mu0):
+    with pytest.raises(BadValue):
+        coherence_property(mu, p, mu0)
+
+
+def test_group_property_orthonormal_blocks():
+    rep = coherence_report(attach_groups(MeasurementMatrix(np.eye(8)), 2))
+    params = BoundParams(mu0=0.1, sigma=1.0, c_mu=0.1, c_nu=0.1)
+    got = group_coherence_property(params, rep.mu_group, rep.nu_group, q=4, r=2, n=8)
+    assert got.mu_holds and got.nu_holds  # 0 <= every positive bound
+
+
+def test_group_property_kerdock_truth_values():
+    rep = coherence_report(attach_groups(build_kerdock(KerdockSpec(3)), 8))
+    got = group_coherence_property(BoundParams(mu0=0.1, sigma=1.0), rep.mu_group,
+                                   rep.nu_group, q=32, r=8, n=16)
+    # independent evaluation from the reported coherences, c_mu = c_nu = 1
+    log_q = np.log(32)
+    assert abs(got.mu_bound - 1.0 / np.sqrt(log_q)) < 1e-12
+    assert abs(got.nu_bound - rep.mu_group * np.sqrt(8 * log_q / 16)) < 1e-12
+    assert got.mu_holds == (rep.mu_group <= 1.0 / np.sqrt(log_q))
+    assert got.nu_holds == (rep.nu_group <= rep.mu_group * np.sqrt(8 * log_q / 16))
+    assert got.mu_holds is False  # 1.55 > 0.537 for this frame
+    assert got.nu_holds is True
+
+
+def test_group_property_rejects_q1_and_non_finite():
+    params = BoundParams(mu0=0.1, sigma=1.0)
+    # q = 1: log q degenerates, and the report has no group statistics
+    assert coherence_report(attach_groups(build_kerdock(KerdockSpec(3)), 256)).mu_group is None
+    for mu_g, nu_g, q in [(0.5, 0.1, 1), (math.nan, 0.1, 32), (0.5, math.inf, 32),
+                          (-0.5, 0.1, 32)]:
+        with pytest.raises(BadValue):
+            group_coherence_property(params, mu_g, nu_g, q=q, r=8, n=16)
 
 
 # ---------------------------------------------------------------------------

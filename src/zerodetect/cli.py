@@ -13,13 +13,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherence import coherence_report, stoc_estimate
-from .core import MeasurementMatrix, RngSpec, parse_cmat_entry, write_cmat
+from .coherence import STAT_HEADER, coherence_report, read_coherence_csv, stoc_estimate
+from .core import MeasurementMatrix, RngSpec, parse_cmat_entry, write_cmat, write_csv
 from .detectors import zd_groth, zd_ost
 from .errors import BadValue, CmatFormatError, ZeroDetectError
 from .experiments import (
     FIGURE_IDS,
-    _fmt,
     emit_plotdata,
     parse_experiment_config,
     read_flat_config,
@@ -46,10 +45,6 @@ class _UsageError(BadValue):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route through our codes
         raise _UsageError(message)
-
-
-def _write_csv(path: str, header: str, rows: list[str]) -> None:
-    Path(path).write_text("\n".join([header] + rows) + "\n", encoding="ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -100,28 +95,15 @@ def _run_stoc(m: MeasurementMatrix, k: int, eps: float, trials: int,
     return stoc_estimate(m, k, eps, z, trials, RngSpec(seed), z_strategy=strategy)
 
 
-def _stoc_rows(est) -> list[str]:
-    return [
-        f"stoc_delta_hat,{_fmt(est.delta_hat)},,",
-        f"stoc_violations,{est.violations},,",
-        f"stoc_trials,{est.trials},,",
-        f"stoc_k,{est.k},,",
-        f"stoc_epsilon,{_fmt(est.epsilon)},,",
-        f"stoc_z_strategy,{est.z_strategy},,",
-    ]
+def _stoc_rows(est) -> list[tuple]:
+    names = ("delta_hat", "violations", "trials", "k", "epsilon", "z_strategy")
+    return [(f"stoc_{name}", getattr(est, name), None, None) for name in names]
 
 
 def _cmd_coherence(args) -> int:
     m = load_matrix(args.matrix, args.group_size)
     rep = coherence_report(m)
-    rows = [
-        f"mu,{_fmt(rep.mu)},{rep.argmax_pair[0]},{rep.argmax_pair[1]}",
-        f"nu,{_fmt(rep.nu)},,",
-    ]
-    if rep.mu_group is not None:
-        gp = rep.argmax_group_pair
-        rows.append(f"mu_group,{_fmt(rep.mu_group)},{gp[0]},{gp[1]}")
-        rows.append(f"nu_group,{_fmt(rep.nu_group)},,")
+    rows = rep.csv_rows()
     if args.stoc:
         parts = args.stoc.split(",")
         if len(parts) != 4:
@@ -132,16 +114,16 @@ def _cmd_coherence(args) -> int:
             raise BadValue(f"bad --stoc values: {args.stoc!r}") from exc
         est = _run_stoc(m, k, eps, trials, parts[3], args.seed)
         rows.extend(_stoc_rows(est))
-    _write_csv(args.out, "stat,value,arg_i,arg_j", rows)
+    write_csv(args.out, STAT_HEADER, rows)
     if args.verbose:
         print(f"mu={rep.mu:.6g} nu={rep.nu:.6g} -> {args.out}")
     return 0
 
 
 def _cmd_stoc(args) -> int:
-    m = load_matrix(args.matrix, args.group_size)
+    m = load_matrix(args.matrix)
     est = _run_stoc(m, args.k, args.eps, args.trials, args.zstrategy, args.seed)
-    _write_csv(args.out, "stat,value,arg_i,arg_j", _stoc_rows(est))
+    write_csv(args.out, STAT_HEADER, _stoc_rows(est))
     if args.verbose:
         print(f"delta_hat={est.delta_hat:.6g} ({est.violations}/{est.trials}) -> {args.out}")
     return 0
@@ -166,11 +148,9 @@ def _cmd_detect(args) -> int:
     m = load_matrix(args.matrix, args.group_size)
     y = _read_y(args, m.n)
     result = zd_groth(y, m, args.theta) if args.group else zd_ost(y, m, args.theta)
-    rows = [
-        f"{rank},{index},{_fmt(result.scores[index - 1])}"
-        for rank, index in enumerate(result.ranking, start=1)
-    ]
-    _write_csv(args.out, "rank,index,score", rows)
+    rows = [(rank, index, result.scores[index - 1])
+            for rank, index in enumerate(result.ranking, start=1)]
+    write_csv(args.out, ("rank", "index", "score"), rows)
     if args.verbose:
         kind = "groups" if args.group else "columns"
         print(f"selected {args.theta} {kind} -> {args.out}")
@@ -194,32 +174,10 @@ def _parse_bounds_config(path: str) -> dict:
     return cfg
 
 
-def _read_coherence_report(path: str) -> dict[str, float]:
-    stats: dict[str, float] = {}
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    if not lines or lines[0].split(",")[0] != "stat":
-        raise CmatFormatError("coherence report must start with a stat,value header")
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) < 2:
-            continue
-        try:
-            stats[parts[0]] = float(parts[1])
-        except ValueError:
-            continue  # non-numeric informational rows
-    for required in ("mu", "nu"):
-        if required not in stats:
-            raise BadValue(f"coherence report lacks the {required!r} statistic")
-    for name in ("mu", "nu", "mu_group", "nu_group"):
-        if not math.isfinite(stats.get(name, 0.0)):
-            raise BadValue(f"coherence report has a non-finite {name}: {stats[name]!r}")
-    return stats
-
-
 def _cmd_bounds(args) -> int:
     cfg = _parse_bounds_config(args.config)
-    stats = _read_coherence_report(args.report)
-    mu, nu = stats["mu"], stats["nu"]
+    rep = read_coherence_csv(args.report)
+    mu, nu = rep.mu, rep.nu
     n, p, k = cfg["n"], cfg["p"], cfg["k"]
     theta = cfg.get("theta", 1)
     sigma = math.sqrt(cfg["sigma2"])
@@ -230,58 +188,50 @@ def _cmd_bounds(args) -> int:
     constants = {key: cfg[key] for key in ("a", "t", "c1", "c2", "c_mu", "c_nu") if key in cfg}
     params = theory.BoundParams(mu0=mu0, sigma=sigma, **constants)
 
-    rows = [f"mu,{_fmt(mu)},1", f"nu,{_fmt(nu)},1", f"mu0,{_fmt(mu0)},1"]
-    sig_stats = None
+    # (quantity, value, valid) rows; a bool value or validity is written 0 or 1
+    rows = [("mu", mu, 1), ("nu", nu, 1), ("mu0", mu0, 1)]
     if "x_magnitudes" in cfg:
         sig_stats = theory.stats_from_magnitudes(cfg["x_magnitudes"], sigma, n, convention)
-        rows.append(f"snr,{_fmt(sig_stats.snr)},1")
-        rows.append(f"snr_min,{_fmt(sig_stats.snr_min)},1")
+        rows += [("snr", sig_stats.snr, 1), ("snr_min", sig_stats.snr_min, 1)]
         eps = theory.epsilon0(sig_stats.snr_min, sig_stats.snr, p)
-        rows.append(f"epsilon0,{_fmt(eps.value)},{_fmt(eps.hypothesis_ok)}")
+        rows.append(("epsilon0", eps.value, eps.hypothesis_ok))
         kb = theory.sparsity_bound(params, eps.value, nu, p)
-        rows.append(f"k_bound,{_fmt(kb.value)},{_fmt(not kb.vacuous)}")
+        rows.append(("k_bound", kb.value, not kb.vacuous))
         pe = theory.pe_bound(params, eps.value, k, nu, p)
-        rows.append(f"alpha,{_fmt(pe.alpha)},{_fmt(pe.valid)}")
-        rows.append(f"pe_bound,{_fmt(pe.bound)},{_fmt(pe.valid)}")
-        rows.append(f"pe_bound_log_factor,{_fmt(pe.bound_with_log_factor)},{_fmt(pe.valid)}")
+        rows += [("alpha", pe.alpha, pe.valid), ("pe_bound", pe.bound, pe.valid),
+                 ("pe_bound_log_factor", pe.bound_with_log_factor, pe.valid)]
         fdp = theory.fdp_bound_elementwise(sig_stats, params, mu, sig_stats.k, n, p, theta)
-        rows.append(f"fdp_m,{fdp.m},1")
-        rows.append(f"fdp_bound,{_fmt(fdp.bound)},1")
-        rows.append(f"fdp_threshold,{_fmt(fdp.threshold)},1")
+        rows += [("fdp_m", fdp.m, 1), ("fdp_bound", fdp.bound, 1),
+                 ("fdp_threshold", fdp.threshold, 1)]
 
     q, r = cfg.get("q"), cfg.get("r")
     taus = theory.noise_thresholds(sigma, p, q, r)
-    rows.append(f"tau_element,{_fmt(taus.element)},1")
+    rows.append(("tau_element", taus.element, 1))
     if taus.group is not None:
-        rows.append(f"tau_group,{_fmt(taus.group)},1")
+        rows.append(("tau_group", taus.group, 1))
         chi2 = theory.chi2_tail_bound(taus.group, sigma, r, q)
-        rows.append(f"chi2_bound_at_tau_group,{_fmt(chi2.value)},{_fmt(not chi2.clamped)}")
+        rows.append(("chi2_bound_at_tau_group", chi2.value, not chi2.clamped))
         consts = theory.group_guarantee_constants(params, r=r, k=k, n=n)
-        rows.append(f"c3,{_fmt(consts.c3)},1")
-        rows.append(f"gate_size,{_fmt(bool(consts.size_gate))},{_fmt(consts.size_gate is not None)}")
-        rows.append(f"gate_mu,{_fmt(consts.mu_gate)},1")
-        rows.append(f"gate_nu,{_fmt(consts.nu_gate)},1")
-        if "group_norms" in cfg:
-            mu_g = stats.get("mu_group", mu)
-            gb = theory.fdp_bound_groupwise(
-                np.sort(np.asarray(cfg["group_norms"]))[::-1],
-                sigma, mu_g, q, r, consts.c3, theta,
-            )
-            rows.append(f"group_fdp_m,{gb.m},1")
-            rows.append(f"group_fdp_bound,{_fmt(gb.bound)},1")
-            rows.append(f"group_fdp_threshold,{_fmt(gb.threshold)},1")
-            rows.append(f"group_success_floor,{_fmt(gb.success_floor)},1")
-            rows.append(f"group_success_floor_product,{_fmt(gb.success_floor_product)},1")
+        rows += [("c3", consts.c3, 1),
+                 ("gate_size", bool(consts.size_gate), consts.size_gate is not None),
+                 ("gate_mu", consts.mu_gate, 1), ("gate_nu", consts.nu_gate, 1)]
+        if "group_norms" in cfg and rep.mu_group is not None:
+            norms = np.sort(np.asarray(cfg["group_norms"]))[::-1]
+            gb = theory.fdp_bound_groupwise(norms, sigma, rep.mu_group, q, r, consts.c3, theta)
+            rows += [("group_fdp_m", gb.m, 1), ("group_fdp_bound", gb.bound, 1),
+                     ("group_fdp_threshold", gb.threshold, 1),
+                     ("group_success_floor", gb.success_floor, 1),
+                     ("group_success_floor_product", gb.success_floor_product, 1)]
 
     # the coherence conditions come last, so the rows above keep their positions
     if prop is not None:
-        rows.append(f"mu0_star,{_fmt(prop.mu0_star)},{_fmt(prop.holds)}")
-    if taus.group is not None and q >= 2 and {"mu_group", "nu_group"} <= stats.keys():
-        gp = theory.group_coherence_property(params, stats["mu_group"], stats["nu_group"], q, r, n)
-        rows.append(f"group_mu_bound,{_fmt(gp.mu_bound)},{_fmt(gp.mu_holds)}")
-        rows.append(f"group_nu_bound,{_fmt(gp.nu_bound)},{_fmt(gp.nu_holds)}")
+        rows.append(("mu0_star", prop.mu0_star, prop.holds))
+    if taus.group is not None and q >= 2 and rep.mu_group is not None:
+        gp = theory.group_coherence_property(params, rep.mu_group, rep.nu_group, q, r, n)
+        rows += [("group_mu_bound", gp.mu_bound, gp.mu_holds),
+                 ("group_nu_bound", gp.nu_bound, gp.nu_holds)]
 
-    _write_csv(args.out, "quantity,value,valid", rows)
+    write_csv(args.out, ("quantity", "value", "valid"), rows)
     if args.verbose:
         print(f"wrote {len(rows)} quantities -> {args.out}")
     return 0
@@ -341,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("stoc", parents=[common],
                        help="empirical statistical-orthogonality estimate")
     s.add_argument("--matrix", required=True)
-    s.add_argument("--group-size", type=int)
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--eps", type=float, required=True)
     s.add_argument("--trials", type=int, required=True)

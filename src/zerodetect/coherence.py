@@ -13,12 +13,15 @@ batched spectral norms of its r x r blocks; nu and nu_g come from A 1 in O(np).
 """
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import MeasurementMatrix, RngSpec, _keyed_streams
-from .errors import BadK, BadValue, DimensionMismatch, NoGroups, SingleColumn, ZeroZ
+from .errors import (
+    BadK, BadValue, CmatFormatError, DimensionMismatch, NoGroups, SingleColumn, ZeroZ,
+)
 
 
 @dataclass(frozen=True)
@@ -39,14 +42,53 @@ class CoherenceReport:
     argmax_group_pair: tuple[int, int] | None = None
 
     def __post_init__(self):
+        for name in ("mu", "nu", "mu_group", "nu_group"):
+            v = getattr(self, name)
+            if v is not None and not np.isfinite(v):
+                raise BadValue(f"coherence report has a non-finite {name}: {v!r}")
         # rounding slack: at p = 2, nu = mu in exact arithmetic but is another sum
         if not (0.0 <= self.nu <= self.mu + 1e-9 and self.mu <= 1.0 + 1e-9):
             raise BadValue(
                 f"coherence ordering violated: nu={self.nu!r}, mu={self.mu!r}"
             )
-        for v in (self.mu, self.nu, self.mu_group, self.nu_group):
-            if v is not None and not np.isfinite(v):
-                raise BadValue("coherence statistics must be finite")
+        if (self.mu_group is None) != (self.nu_group is None):
+            raise BadValue("a coherence report has both mu_group and nu_group or neither")
+
+    def csv_rows(self) -> list[tuple]:
+        """The rows under STAT_HEADER that `zerodetect coherence` writes."""
+        rows = [("mu", self.mu, *self.argmax_pair), ("nu", self.nu, None, None)]
+        if self.mu_group is not None:
+            rows += [("mu_group", self.mu_group, *self.argmax_group_pair),
+                     ("nu_group", self.nu_group, None, None)]
+        return rows
+
+
+STAT_HEADER = ("stat", "value", "arg_i", "arg_j")
+
+
+def read_coherence_csv(path) -> CoherenceReport:
+    """The report in a CSV that `zerodetect coherence` wrote (the inverse of
+    CoherenceReport.csv_rows); the rows it does not own, stoc_*, are skipped."""
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    if not lines or lines[0].split(",")[0] != STAT_HEADER[0]:
+        raise CmatFormatError("coherence report must start with a stat,value header")
+    cells = {row[0]: row[1:] for row in (line.split(",") for line in lines[1:])}
+
+    def stat(name: str, paired: bool):
+        # (value, argmax pair or None) of a row; (None, None) if a group row is absent
+        if name not in cells:
+            if not name.endswith("_group"):
+                raise BadValue(f"coherence report lacks the {name!r} statistic")
+            return None, None
+        try:
+            row = cells[name]
+            return float(row[0]), (int(row[1]), int(row[2])) if paired else None
+        except (IndexError, ValueError):
+            raise CmatFormatError(f"malformed coherence report row {name!r}") from None
+
+    (mu, pair), (nu, _) = stat("mu", True), stat("nu", False)
+    (mu_g, group_pair), (nu_g, _) = stat("mu_group", True), stat("nu_group", False)
+    return CoherenceReport(mu, nu, mu_g, nu_g, pair, group_pair)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -500,3 +501,30 @@ def read_cmat(path) -> tuple[np.ndarray, dict[str, str]]:
     if len(rows) != header[0]:
         raise CmatFormatError(f"expected {header[0]} data rows, found {len(rows)}")
     return np.asarray(rows, dtype=np.complex128), meta
+
+
+# ---------------------------------------------------------------------------
+# CSV output
+
+
+def _fmt(v) -> str:
+    if isinstance(v, str):
+        return v
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return f"{float(v):.17g}"
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header and rows of cells as ASCII CSV lines, each ending in a newline.
+
+    Every cell follows one rule: text as it is, None empty, bools 0 or 1, ints
+    in full, and any other number as a float to 17 significant digits, which
+    reads back to the same double. Rows are tuples; path may be a pipe.
+    """
+    lines = (",".join(map(_fmt, row)) + "\n" for row in (header, *rows))
+    Path(path).write_text("".join(lines), encoding="ascii")

@@ -16,7 +16,8 @@ and the coefficients.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,6 +30,7 @@ from .core import (
     _keyed_streams,
     as_int,
     hermitian_apply,
+    write_csv,
 )
 from .detectors import RULES, check_theta, group_norms, select_mask
 from .errors import BadK, BadValue, DimensionMismatch, IncompleteReport, NoGroups
@@ -48,7 +50,6 @@ _FIGURE_METRICS = {"1": "fdp_or_zero_fraction", "2": "pe", "3": "pe", "4a": "fdp
 FIGURE_IDS = tuple(_FIGURE_METRICS)
 
 _Z95 = 1.959963984540054
-_FLOAT_FMT = "{:.17g}"
 # a block of trials holds at most this many signal entries, which keeps the
 # block's signals and correlations near 1 MB each
 _BLOCK_ENTRIES = 1 << 16
@@ -195,7 +196,8 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise BadValue(f"duplicate {name} entries")
-        if self.signal_model == "group" and self.group_size is None:
+        # a file's group size may come from its group_size meta value instead
+        if self.signal_model == "group" and self.group_size is None and self.matrix_family != "file":
             raise BadValue("group signals need group_size")
 
     @property
@@ -448,6 +450,8 @@ def run_batch(config: ExperimentConfig, keep_trials: bool = False) -> TrialBatch
     go row by row and sums in trial order, so no value depends on block size.
     """
     m = build_matrix(config)
+    if config.group_size is None and m.groups is not None:  # a file's group_size meta
+        config = replace(config, group_size=m.groups.r)
     k_grid = _validate_grids(config, m)
     combos = [(det, tg, effective_theta(config, det, tg))
               for det in config.detectors for tg in config.theta_grid]
@@ -482,24 +486,10 @@ def run_batch(config: ExperimentConfig, keep_trials: bool = False) -> TrialBatch
 # CSV emission
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return _FLOAT_FMT.format(float(v))
-
-
 def write_report_csv(report: TrialBatchReport, path) -> None:
     """All cells of a batch as one CSV table."""
     cols = [f.name for f in fields(BatchCell)]
-    lines = [",".join(cols)]
-    for c in report.cells:
-        lines.append(",".join(
-            c.detector if name == "detector" else _fmt(getattr(c, name))
-            for name in cols
-        ))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_csv(path, cols, map(attrgetter(*cols), report.cells))
 
 
 def _zero_domain_size(report: TrialBatchReport, detector: str, k: int) -> int:
@@ -547,29 +537,19 @@ def emit_plotdata(report: TrialBatchReport, figure_id, out_dir) -> list[Path]:
         if tuple(c.k for c in cells) != expected_k:
             raise IncompleteReport(f"curve {key} does not cover the k grid")
 
-    written: list[Path] = []
-    manifest = ["file,detector,theta,metric"]
-
-    def emit_curve(cells: list[BatchCell], label: str, metric: str):
-        det, theta_eff = cells[0].detector, cells[0].theta
-        path = out / f"fig{fid}_{label}_theta{theta_eff}.csv"
-        lines = ["k,value,ci_lo,ci_hi"]
-        for c in cells:
-            v, lo, hi = _curve_point(report, metric, c)
-            lines.append(f"{c.k},{_fmt(v)},{_fmt(lo)},{_fmt(hi)}")
-        path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        written.append(path)
-        manifest.append(f"{path.name},{det},{theta_eff},{metric}")
-
+    manifest = []
     for (det, _), cells in sorted(curves.items()):  # curve keys are distinct
-        emit_curve(cells, det, _FIGURE_METRICS[fid])
+        labels = [(det, _FIGURE_METRICS[fid])]
         if fid == "3" and det == "ost_topk_full_support":
-            emit_curve(cells, det + "_fdp", "fdp")
-
-    manifest_path = out / f"fig{fid}_manifest.csv"
-    manifest_path.write_text("\n".join(manifest) + "\n", encoding="ascii")
-    written.append(manifest_path)
-    return written
+            labels.append((det + "_fdp", "fdp"))
+        for label, metric in labels:
+            name = f"fig{fid}_{label}_theta{cells[0].theta}.csv"
+            write_csv(out / name, ("k", "value", "ci_lo", "ci_hi"),
+                      [(c.k, *_curve_point(report, metric, c)) for c in cells])
+            manifest.append((name, det, cells[0].theta, metric))
+    names = [row[0] for row in manifest] + [f"fig{fid}_manifest.csv"]
+    write_csv(out / names[-1], ("file", "detector", "theta", "metric"), manifest)
+    return [out / name for name in names]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from zerodetect.cli import build_parser, main
+from zerodetect.coherence import coherence_report, read_coherence_csv
 from zerodetect.core import read_cmat, write_cmat
+from zerodetect.matrices import load_matrix
 
 
 def run(*argv):
@@ -352,6 +354,68 @@ def test_bounds_rejects_non_finite_coherence(kerdock_file, tmp_path, capsys, sta
     assert not out.exists()
 
 
+def test_bounds_on_an_ungrouped_report_writes_no_group_fdp_rows(kerdock_file, tmp_path):
+    report = tmp_path / "coh.csv"
+    assert run("coherence", "--matrix", str(kerdock_file), "--out", str(report)) == 0
+    rows = _bounds_rows(tmp_path, report)
+    # the group FDP bound needs mu_group; mu in its place would still read as valid
+    assert not any(row.startswith(("group_fdp_", "group_success_floor")) for row in rows)
+    assert "tau_group,139.31303261245327,1" in rows
+    assert run("coherence", "--matrix", str(kerdock_file), "--group-size", "8",
+               "--out", str(report)) == 0
+    assert "group_fdp_threshold,3729533.2288218401,1" in _bounds_rows(tmp_path, report)
+
+
+def _edited_report(kerdock_file, tmp_path, stat, row):
+    # the group-8 report of the m = 3 frame with the stat row replaced by row
+    report = tmp_path / "coh.csv"
+    assert run("coherence", "--matrix", str(kerdock_file), "--group-size", "8",
+               "--out", str(report)) == 0
+    lines = [row if line.startswith(f"{stat},") else line
+             for line in report.read_text().splitlines()]
+    report.write_text("\n".join(lines) + "\n")
+    return report
+
+
+@pytest.mark.parametrize("stat, row", [
+    ("mu", "mu,0.25,,"), ("mu", "mu,0.25,1"), ("mu", "mu,0.25"), ("mu", "mu,x,1,2"),
+    ("mu_group", "mu_group,1.5,2,"), ("mu_group", "mu_group,1.5,1.0,2"),
+])
+def test_bounds_rejects_a_malformed_coherence_row(kerdock_file, tmp_path, capsys, stat, row):
+    report = _edited_report(kerdock_file, tmp_path, stat, row)
+    cfg, out = tmp_path / "bounds.cfg", tmp_path / "b.csv"
+    cfg.write_text(_BOUNDS_CFG)
+    assert run("bounds", "--config", str(cfg), "--report", str(report), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "ERROR CmatFormatError" in err and repr(stat) in err
+    assert not out.exists()
+
+
+def test_bounds_rejects_nu_above_mu(kerdock_file, tmp_path, capsys):
+    report = _edited_report(kerdock_file, tmp_path, "nu", "nu,0.5,,")
+    cfg, out = tmp_path / "bounds.cfg", tmp_path / "b.csv"
+    cfg.write_text(_BOUNDS_CFG)
+    assert run("bounds", "--config", str(cfg), "--report", str(report), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "ERROR BadValue" in err and "ordering" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--group-size", "8"], ["--stoc", "2,0.5,20,e1"]])
+def test_coherence_report_reads_back_as_the_library_report(kerdock_file, tmp_path, extra):
+    report = tmp_path / "coh.csv"
+    assert run("coherence", "--matrix", str(kerdock_file), *extra, "--out", str(report)) == 0
+    m = load_matrix(kerdock_file, 8 if "--group-size" in extra else None)
+    assert read_coherence_csv(report) == coherence_report(m)
+
+
+def test_stoc_group_size_flag_is_gone(kerdock_file, tmp_path, capsys):
+    code = run("stoc", "--matrix", str(kerdock_file), "--k", "2", "--eps", "0.5",
+               "--trials", "5", "--group-size", "8", "--out", str(tmp_path / "s.csv"))
+    assert code == 1
+    assert "--group-size" in capsys.readouterr().err
+
+
 def _write_sim_config(path, **extra):
     lines = [
         "matrix_family = bernoulli",
@@ -427,6 +491,26 @@ def test_simulate_file_family_takes_group_size_meta_unless_the_config_sets_one(t
     file_family = f"matrix_family = file\nmatrix_file = {path}\n"
     assert _simulate(tmp_path, "meta", file_family + grid) == built[8]
     assert _simulate(tmp_path, "config", file_family + "group_size = 4\n" + grid) == built[4]
+
+
+def test_simulate_file_family_group_signals_take_group_size_meta(kerdock_file, tmp_path, capsys):
+    path = tmp_path / "k8.cmat"
+    assert run("gen-matrix", "--family", "kerdock", "--m", "3", "--group-size", "8",
+               "--out", str(path)) == 0
+    grid = ("signal_model = group\nsigma2 = 500\nk_grid = 1,4,12\ntheta_grid = 1,2\n"
+            "detectors = zd_groth,zd_ost\ntrials = 30\nmaster_seed = 13\n")
+    built = _simulate(tmp_path, "built", "matrix_family = kerdock\nkerdock_m = 3\n"
+                      "group_size = 8\n" + grid, "--figure", "4a")
+    loaded = _simulate(tmp_path, "loaded", f"matrix_family = file\nmatrix_file = {path}\n"
+                       + grid, "--figure", "4a")
+    # zd_ost takes the matched budget theta * r with r from the file
+    assert "fig4a_zd_ost_theta16.csv" in built
+    assert loaded == built
+    # a file without group_size meta has no groups to draw
+    cfg = tmp_path / "nometa.cfg"
+    cfg.write_text(f"matrix_family = file\nmatrix_file = {kerdock_file}\n" + grid)
+    assert run("simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 1
+    assert "ERROR NoGroups" in capsys.readouterr().err
 
 
 def test_simulate_rejects_non_finite_noise(tmp_path, capsys):

@@ -288,6 +288,20 @@ def test_coherence_report_two_columns(n, seed):
     assert rep.argmax_pair == (1, 2)
 
 
+@pytest.mark.parametrize("name", ["mu", "nu", "mu_group", "nu_group"])
+def test_coherence_report_names_a_non_finite_statistic(name):
+    # the finiteness check runs first: a NaN would fail the ordering check unnamed
+    stats = dict(mu=0.5, nu=0.1, mu_group=1.0, nu_group=0.5) | {name: float("nan")}
+    with pytest.raises(BadValue, match=f"non-finite {name}: nan"):
+        CoherenceReport(**stats, argmax_pair=(1, 2), argmax_group_pair=(1, 2))
+
+
+def test_coherence_report_has_both_group_statistics_or_neither():
+    with pytest.raises(BadValue, match="mu_group and nu_group"):
+        CoherenceReport(mu=0.5, nu=0.1, mu_group=1.0, nu_group=None, argmax_pair=(1, 2),
+                        argmax_group_pair=(1, 2))
+
+
 def test_coherence_report_rejects_inverted_order():
     with pytest.raises(BadValue):
         CoherenceReport(mu=0.1, nu=0.2, mu_group=None, nu_group=None, argmax_pair=(1, 2))

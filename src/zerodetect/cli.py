@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherence import STAT_HEADER, coherence_report, read_coherence_csv, stoc_estimate
-from .core import MeasurementMatrix, RngSpec, parse_cmat_entry, write_cmat, write_csv
+from .coherence import STAT_HEADER, coherence_report, read_coherence_csv, stoc_estimate, stoc_probe
+from .core import RngSpec, parse_cmat_entry, write_cmat, write_csv
 from .detectors import zd_groth, zd_ost
 from .errors import BadValue, CmatFormatError, ZeroDetectError
 from .experiments import (
@@ -33,9 +33,7 @@ from .matrices import (
     kerdock_meta,
     load_matrix,
 )
-from . import theory
-
-Z_STRATEGIES = ("e1", "flat", "gaussian-seeded")
+from . import coherence, theory
 
 
 class _UsageError(BadValue):
@@ -75,31 +73,6 @@ def _cmd_gen_matrix(args) -> int:
     return 0
 
 
-def _build_z(strategy: str, k: int, seed: int) -> np.ndarray:
-    if strategy == "e1":
-        z = np.zeros(k, dtype=np.complex128)
-        z[0] = 1.0
-        return z
-    if strategy == "flat":
-        return np.full(k, 1.0 / math.sqrt(k), dtype=np.complex128)
-    if strategy == "gaussian-seeded":
-        g = RngSpec(seed, stream_id=1).generator()
-        parts = g.standard_normal((2, k))
-        return (parts[0] + 1j * parts[1]) / math.sqrt(2)
-    raise BadValue(f"unknown z strategy {strategy!r} (choose from {Z_STRATEGIES})")
-
-
-def _run_stoc(m: MeasurementMatrix, k: int, eps: float, trials: int,
-              strategy: str, seed: int):
-    z = _build_z(strategy, k, seed)
-    return stoc_estimate(m, k, eps, z, trials, RngSpec(seed), z_strategy=strategy)
-
-
-def _stoc_rows(est) -> list[tuple]:
-    names = ("delta_hat", "violations", "trials", "k", "epsilon", "z_strategy")
-    return [(f"stoc_{name}", getattr(est, name), None, None) for name in names]
-
-
 def _cmd_coherence(args) -> int:
     m = load_matrix(args.matrix, args.group_size)
     rep = coherence_report(m)
@@ -112,8 +85,8 @@ def _cmd_coherence(args) -> int:
             k, eps, trials = int(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
             raise BadValue(f"bad --stoc values: {args.stoc!r}") from exc
-        est = _run_stoc(m, k, eps, trials, parts[3], args.seed)
-        rows.extend(_stoc_rows(est))
+        z = stoc_probe(parts[3], k, args.seed)
+        rows += stoc_estimate(m, k, eps, z, trials, RngSpec(args.seed), parts[3]).csv_rows()
     write_csv(args.out, STAT_HEADER, rows)
     if args.verbose:
         print(f"mu={rep.mu:.6g} nu={rep.nu:.6g} -> {args.out}")
@@ -122,8 +95,9 @@ def _cmd_coherence(args) -> int:
 
 def _cmd_stoc(args) -> int:
     m = load_matrix(args.matrix)
-    est = _run_stoc(m, args.k, args.eps, args.trials, args.zstrategy, args.seed)
-    write_csv(args.out, STAT_HEADER, _stoc_rows(est))
+    z = stoc_probe(args.zstrategy, args.k, args.seed)
+    est = stoc_estimate(m, args.k, args.eps, z, args.trials, RngSpec(args.seed), args.zstrategy)
+    write_csv(args.out, STAT_HEADER, est.csv_rows())
     if args.verbose:
         print(f"delta_hat={est.delta_hat:.6g} ({est.violations}/{est.trials}) -> {args.out}")
     return 0
@@ -171,6 +145,8 @@ def _parse_bounds_config(path: str) -> dict:
     for required in ("sigma2", "n", "p", "k"):
         if required not in cfg:
             raise BadValue(f"bounds config is missing required key {required!r}")
+    if not (math.isfinite(cfg["sigma2"]) and cfg["sigma2"] > 0):
+        raise BadValue(f"sigma2 must be finite and > 0, got {cfg['sigma2']!r}")
     return cfg
 
 
@@ -294,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--eps", type=float, required=True)
     s.add_argument("--trials", type=int, required=True)
-    s.add_argument("--zstrategy", default="flat", choices=Z_STRATEGIES)
+    s.add_argument("--zstrategy", default="flat", choices=coherence.Z_STRATEGIES)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_stoc)
@@ -345,7 +321,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"ERROR BadValue: {exc}", file=sys.stderr)
         return 1
-    except (CmatFormatError, OSError) as exc:
+    except (CmatFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except ZeroDetectError as exc:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MeasurementMatrix, RngSpec, _keyed_streams
+from .core import MeasurementMatrix, RngSpec, _keyed_streams, hermitian_apply
 from .errors import (
     BadK, BadValue, CmatFormatError, DimensionMismatch, NoGroups, SingleColumn, ZeroZ,
 )
@@ -115,6 +115,29 @@ class StocEstimate:
     def delta_hat(self) -> float:
         return self.violations / self.trials
 
+    def csv_rows(self) -> list[tuple]:
+        """The stoc_* rows under STAT_HEADER that `stoc` and `coherence --stoc` write."""
+        names = ("delta_hat", "violations", "trials", "k", "epsilon", "z_strategy")
+        return [(f"stoc_{name}", getattr(self, name), None, None) for name in names]
+
+
+Z_STRATEGIES = ("e1", "flat", "gaussian-seeded")
+
+
+def stoc_probe(strategy: str, k: int, seed: int) -> np.ndarray:
+    """The length-k (k >= 1) probe z named in Z_STRATEGIES: e1, the flat unit
+    vector, or a complex Gaussian drawn from stream 1 of RngSpec(seed)."""
+    if k < 1:
+        raise BadK(f"need k >= 1, got k={k}")
+    if strategy == "e1":
+        return np.eye(1, k, dtype=np.complex128)[0]
+    if strategy == "flat":
+        return np.full(k, 1.0 / np.sqrt(k), dtype=np.complex128)
+    if strategy == "gaussian-seeded":
+        parts = RngSpec(seed, stream_id=1).generator().standard_normal((2, k))
+        return (parts[0] + 1j * parts[1]) / np.sqrt(2)
+    raise BadValue(f"unknown z strategy {strategy!r} (choose from {Z_STRATEGIES})")
+
 
 # Gram entries per slab: 16 MB of complex128, rounded to whole groups
 _SLAB_ENTRIES = 1 << 20
@@ -176,7 +199,7 @@ def average_coherence(m: MeasurementMatrix) -> float:
     if m.p < 2:
         raise SingleColumn("average coherence needs p >= 2")
     a = m.matrix
-    rowsum = a.conj().T @ a.sum(axis=1) - np.einsum("ij,ij->j", a.conj(), a)
+    rowsum = hermitian_apply(m, a.sum(axis=1)) - np.einsum("ij,ij->j", a.conj(), a)
     return float(np.abs(rowsum).max() / (m.p - 1))
 
 
@@ -222,30 +245,33 @@ def stoc_estimate(
     Trial t permutes with substream (rng, t), so the count is independent of
     evaluation order. All the keys come from one pass, and one Philox is
     re-keyed per trial; its permutations are those of rng.substream(t).
+    A^H u comes from hermitian_apply, which makes no copy of A^H. Needs
+    1 <= k < p, a finite epsilon >= 0 and a finite nonzero z (see stoc_probe).
     """
     p = m.p
     if not 1 <= k < p:
         raise BadK(f"need 1 <= k < p, got k={k}, p={p}")
     if trials < 1:
         raise BadValue("trials must be >= 1")
-    if epsilon < 0:
-        raise BadValue("epsilon must be >= 0")
+    if not (np.isfinite(epsilon) and epsilon >= 0):
+        raise BadValue(f"epsilon must be finite and >= 0, got {epsilon!r}")
     z = np.asarray(z, dtype=np.complex128)
     if z.shape != (k,):
         raise DimensionMismatch(f"z must have length k={k}, got shape {z.shape}")
+    if not np.all(np.isfinite(z)):
+        raise BadValue("probe vector z must be finite")
     z_norm = float(np.linalg.norm(z))
     if z_norm == 0.0:
         raise ZeroZ("probe vector z must be nonzero")
 
     a = m.matrix
-    ah = a.conj().T
     budget = epsilon * z_norm
     violations = 0
     for gen in _keyed_streams(rng.substream_keys(trials=range(trials))):
         perm = gen.permutation(p)
         head = perm[:k]
         u = a[:, head] @ z
-        s = ah @ u
+        s = hermitian_apply(m, u)
         on_support = np.abs(s[head] - z).max()
         off_support = np.abs(s[perm[k:]]).max()
         if on_support > budget or off_support > budget:

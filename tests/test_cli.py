@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from zerodetect.cli import build_parser, main
-from zerodetect.coherence import coherence_report, read_coherence_csv
-from zerodetect.core import read_cmat, write_cmat
+from zerodetect.coherence import (
+    STAT_HEADER, coherence_report, read_coherence_csv, stoc_estimate, stoc_probe,
+)
+from zerodetect.core import RngSpec, read_cmat, write_cmat, write_csv
 from zerodetect.matrices import load_matrix
 
 
@@ -195,6 +197,30 @@ def test_output_to_a_pipe_matches_a_regular_file(kerdock_file, tmp_path, cmd):
     assert piped == regular.read_bytes()
 
 
+@pytest.mark.parametrize("route", ["coherence", "bounds", "detect", "simulate"])
+def test_undecodable_input_is_io_error(kerdock_file, tmp_path, capsys, route):
+    report = tmp_path / "c.csv"
+    assert run("coherence", "--matrix", str(kerdock_file), "--out", str(report)) == 0
+    bad = tmp_path / "bad"
+    if route == "coherence":
+        bad.write_bytes(b"2 2\n# caf\xc3\xa9\n1+0j 0+0j\n0+0j 1+0j\n")
+        args = ["--matrix", str(bad), "--out", str(tmp_path / "o.csv")]
+    elif route == "bounds":
+        bad.write_bytes(report.read_bytes() + "# café\n".encode())
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text("sigma2 = 500\nn = 16\np = 256\nk = 8\n")
+        args = ["--config", str(cfg), "--report", str(bad), "--out", str(tmp_path / "o.csv")]
+    elif route == "detect":
+        bad.write_bytes("1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 é\n".encode())
+        args = ["--matrix", str(kerdock_file), "--y", str(bad), "--theta", "1",
+                "--out", str(tmp_path / "o.csv")]
+    else:
+        bad.write_bytes(b"\xff\xfe" + "matrix_family = bernoulli\n".encode("utf-16-le"))
+        args = ["--config", str(bad), "--out-dir", str(tmp_path / "o")]
+    assert run(route, *args) == 2
+    assert capsys.readouterr().err.startswith("ERROR UnicodeDecodeError")
+
+
 def test_coherence_report_matches_library(kerdock_file, tmp_path):
     out = tmp_path / "report.csv"
     assert run("coherence", "--matrix", str(kerdock_file), "--group-size", "8",
@@ -236,6 +262,36 @@ def test_stoc_seed_determinism(kerdock_file, tmp_path):
                    "gaussian-seeded", "--seed", "11", "--out", str(out)) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# StOC requests with k < 1, checked before the probe is built
+_BAD_K_REQUESTS = {
+    **{f"stoc-{strategy}-k{k}": ["stoc", "--k", k, "--eps", "0.5", "--trials", "2",
+                                 "--zstrategy", strategy]
+       for strategy in ("e1", "flat", "gaussian-seeded") for k in ("0", "-1")},
+    "coherence-stoc": ["coherence", "--stoc", "0,0.5,2,flat"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_K_REQUESTS))
+def test_stoc_request_with_k_below_one_is_bad_k(kerdock_file, tmp_path, capsys, name):
+    out = tmp_path / "s.csv"
+    cmd, *rest = _BAD_K_REQUESTS[name]
+    assert run(cmd, "--matrix", str(kerdock_file), *rest, "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("ERROR BadK")
+    assert not out.exists()
+
+
+def test_stoc_rows_match_the_stoc_subcommand(kerdock_file, tmp_path):
+    out = tmp_path / "stoc.csv"
+    assert run("stoc", "--matrix", str(kerdock_file), "--k", "8", "--eps", "0.4",
+               "--trials", "300", "--zstrategy", "gaussian-seeded", "--seed", "11",
+               "--out", str(out)) == 0
+    m = load_matrix(kerdock_file)
+    z = stoc_probe("gaussian-seeded", 8, 11)
+    est = stoc_estimate(m, 8, 0.4, z, 300, RngSpec(11), "gaussian-seeded")
+    write_csv(tmp_path / "lib.csv", STAT_HEADER, est.csv_rows())
+    assert out.read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
 
 def test_bounds_subcommand(kerdock_file, tmp_path):
@@ -291,6 +347,19 @@ def test_bounds_rejects_non_finite_constants(kerdock_file, tmp_path, capsys, lin
     out = tmp_path / "b.csv"
     assert run("bounds", "--config", str(cfg), "--report", str(report), "--out", str(out)) == 1
     assert "ERROR BadValue" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma2", ["-1", "0", "nan", "inf"])
+def test_bounds_rejects_sigma2_not_finite_and_positive(kerdock_file, tmp_path, capsys, sigma2):
+    report = tmp_path / "coh.csv"
+    assert run("coherence", "--matrix", str(kerdock_file), "--out", str(report)) == 0
+    cfg = tmp_path / "bounds.cfg"
+    cfg.write_text(f"sigma2 = {sigma2}\nn = 16\np = 256\nk = 2\n")
+    out = tmp_path / "b.csv"
+    assert run("bounds", "--config", str(cfg), "--report", str(report), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR BadValue") and "sigma2" in err
     assert not out.exists()
 
 

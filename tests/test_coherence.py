@@ -19,7 +19,7 @@ from zerodetect.coherence import (
 )
 from zerodetect.core import MeasurementMatrix, RngSpec, normalize_columns
 from zerodetect.errors import BadK, BadValue, DimensionMismatch, NoGroups, SingleColumn, ZeroZ
-from zerodetect.matrices import KerdockSpec, attach_groups, build_kerdock
+from zerodetect.matrices import KerdockSpec, attach_groups, build_bernoulli, build_kerdock
 
 # golden numbers for the 16 x 256 Kerdock frame, frozen from exact-sum and
 # dense-SVD oracle runs
@@ -263,6 +263,59 @@ def test_stoc_validation(kerdock16):
         stoc_estimate(kerdock16, 5, 0.5, z, 10, RngSpec(0))
     with pytest.raises(BadValue):
         stoc_estimate(kerdock16, 4, -0.1, z, 10, RngSpec(0))
+
+
+@pytest.mark.parametrize("eps, bad_entry", [(np.nan, None), (np.inf, None), (0.1, np.nan)])
+def test_stoc_rejects_non_finite_epsilon_and_probe(kerdock16, eps, bad_entry):
+    z = np.ones(4, dtype=np.complex128)
+    # with these finite values every trial violates, so a non-finite value read
+    # as "no violation" would hide them all
+    assert stoc_estimate(kerdock16, 4, 0.1, z, 50, RngSpec(0)).violations == 50
+    if bad_entry is not None:
+        z[2] = bad_entry
+    with pytest.raises(BadValue):
+        stoc_estimate(kerdock16, 4, eps, z, 50, RngSpec(0))
+
+
+def _dense_stoc_violations(m, k, eps, z, trials, rng):
+    # the estimator's definition with an explicit A^H and one substream per trial
+    a = m.matrix
+    ah = a.conj().T
+    budget = eps * np.linalg.norm(z)
+    violations = 0
+    for t in range(trials):
+        perm = rng.substream(t).permutation(m.p)
+        head = perm[:k]
+        s = ah @ (a[:, head] @ z)
+        if (np.abs(s[head] - z).max() > budget
+                or np.abs(s[perm[k:]]).max() > budget):
+            violations += 1
+    return violations
+
+
+# Kerdock m = 5 correlates through its Kronecker rows, a Bernoulli matrix through
+# the dense product; each case has an eps whose count is strictly between 0 and 200
+@pytest.mark.parametrize("family, strategy, k", [
+    ("kerdock5", "gaussian-seeded", 32), ("kerdock5", "flat", 64), ("kerdock5", "flat", 512),
+    ("bernoulli", "gaussian-seeded", 2)])
+def test_stoc_matches_a_dense_correlation_loop(family, strategy, k):
+    if family == "kerdock5":
+        m = build_kerdock(KerdockSpec(5))
+    else:
+        m = build_bernoulli(24, 96, RngSpec(8))
+    z = coherence.stoc_probe(strategy, k, 9)
+    for eps in (0.3, 0.5, 0.7):
+        est = stoc_estimate(m, k, eps, z, 200, RngSpec(10))
+        assert est.violations == _dense_stoc_violations(m, k, eps, z, 200, RngSpec(10))
+
+
+def test_stoc_probe_strategies():
+    assert np.array_equal(coherence.stoc_probe("e1", 3, 0), [1, 0, 0])
+    assert np.allclose(coherence.stoc_probe("flat", 4, 0), 0.5)
+    g = coherence.stoc_probe("gaussian-seeded", 6, 7)
+    assert g.shape == (6,) and np.array_equal(g, coherence.stoc_probe("gaussian-seeded", 6, 7))
+    with pytest.raises(BadValue):
+        coherence.stoc_probe("ones", 3, 0)
 
 
 def test_coherence_report_fields(kerdock16_r8):

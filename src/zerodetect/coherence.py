@@ -198,8 +198,8 @@ def average_coherence(m: MeasurementMatrix) -> float:
     """Largest off-diagonal Gram row sum modulus, normalized by p - 1."""
     if m.p < 2:
         raise SingleColumn("average coherence needs p >= 2")
-    a = m.matrix
-    rowsum = hermitian_apply(m, a.sum(axis=1)) - np.einsum("ij,ij->j", a.conj(), a)
+    a, v = m.matrix, m.matrix.view(np.float64)  # |a_ij|^2 from (re, im): no copy of conj(A)
+    rowsum = hermitian_apply(m, a.sum(axis=1)) - np.einsum("ij,ij->j", v, v).reshape(-1, 2).sum(1)
     return float(np.abs(rowsum).max() / (m.p - 1))
 
 

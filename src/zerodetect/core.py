@@ -25,6 +25,7 @@ from .errors import (
 
 UNIT_NORM_TOL = 1e-10
 ZERO_COLUMN_TOL = 1e-14
+_I_POWERS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 
 
 def locked(a: np.ndarray) -> np.ndarray:
@@ -71,13 +72,24 @@ class GroupPartition:
         return (column - 1) // self.r + 1
 
 
+@cache
+def _walsh_tables(u: int):
+    # of u alone: place values, bits over u places, base-4 digits over u/2, F, F / sqrt(n), places
+    n, h, weights = 1 << u, u // 2, 1 << np.arange(u - 1, -1, -1)
+    bits = np.arange(n)[:, np.newaxis] // weights & 1
+    had = (-1.0) ** (bits[: 1 << h, h:] @ bits[: 1 << h, h:].T)
+    digits = np.arange(n * n)[:, np.newaxis] // (weights * weights) & 3
+    places = (digits >> 1) @ weights * n + (digits & 1) @ weights
+    return tuple(map(locked, (weights, bits, digits[:n, h:], had, had / (1 << h), places)))
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementMatrix:
     """Complex n x p matrix with unit-norm columns, optionally block-partitioned.
 
-    The matrix is read-only. A locked, C-contiguous complex128 ndarray that owns
-    its memory (base None) is adopted as it is; any other input is copied.
-    matrices.attach_groups re-partitions a checked matrix without a second scan.
+    The matrix is read-only. A locked, C-contiguous complex128 ndarray that owns its memory
+    (base None) is adopted as it is; any other input is copied. matrices.attach_groups
+    re-partitions it without a second scan; its first correlation looks for a Walsh plan.
     """
 
     matrix: np.ndarray
@@ -107,27 +119,30 @@ class MeasurementMatrix:
             )
 
     @cached_property
-    def _kron_factors(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(B^H, conj(C)) when p = r^2 and every row is exactly the Kronecker
-        product A[t, c r + d] = B[t, c] C[t, d], else None.
-
-        B[t] = A[t, ::r] and C[t] = A[t, :r] / A[t, 0]; the identity is checked
-        under array_equal in row slabs of at most 1 MB. Kerdock frames pass:
-        Tr is Z4-linear in the digits of lambda, and every product and quotient
-        of {1, i, -1, -i} / sqrt(M) is exact. Found on first use, not at
-        construction, so building a matrix never pays for it.
+    def _walsh_plan(self):
+        """(gather, F, F / sqrt(n), places) when the matrix is exactly a Z4 character frame,
+        else None: n = 2^u, u even, p = n^2, entry (t, lambda) is i^(sum_j lambda_j tau_j(t)) /
+        sqrt(n) over lambda's base-4 digits (first slowest), tau_j(t) is row t of the unit
+        column 4^(u-1-j), and the residues w = tau(t) mod 2 are distinct; checked exactly, in
+        row slabs of at most 1 MB. gather[w, alpha] = k n + t for the row t of residue w and
+        i^k = i^(-alpha . tau(t)). Found on first use, not at construction.
         """
-        a, r = self.matrix, math.isqrt(self.p)
-        if r < 2 or r * r != self.p or not np.all(a[:, 0]):
+        a, n, u = self.matrix, self.n, self.n.bit_length() - 1
+        if n != 1 << u or u % 2 or self.p != n * n:
             return None
-        b, c = a[:, ::r], a[:, :r] / a[:, :1]
-        step = max(1, 2**20 // a[0].nbytes)
-        for t in range(0, self.n, step):
-            rows = slice(t, t + step)
-            if not np.array_equal(b[rows, :, np.newaxis] * c[rows, np.newaxis, :],
-                                  a[rows].reshape(-1, r, r)):
+        weights, bits, digits, *transform = _walsh_tables(u)
+        powers = _I_POWERS / math.sqrt(n)
+        tau = (a[:, weights * weights, np.newaxis] == powers).argmax(axis=-1)  # else 0: fails below
+        rows = np.argsort(residues := (tau & 1) @ weights)
+        if len(set(residues.tolist())) < n:
+            return None
+        words = tau.reshape(n, 2, -1).swapaxes(0, 1) @ digits.T & 3
+        hi, lo = powers[words[0]][:, :, np.newaxis], _I_POWERS[words[1]][:, np.newaxis, :]
+        v, k = a.view(np.float64).reshape(n, n, 2 * n), max(1, 2**20 // a[0].nbytes)  # k rows: 1 MB
+        for t in range(0, n, k):
+            if not ((hi[t : t + k] * lo[t : t + k]).view(np.float64) == v[t : t + k]).all():
                 return None
-        return locked(np.ascontiguousarray(b.conj().T)), locked(c.conj())
+        return locked((tau[rows] @ (-n * bits.T) & 3 * n) + rows[:, np.newaxis]), *transform
 
     @property
     def n(self) -> int:
@@ -395,9 +410,8 @@ def hermitian_apply(m, y) -> np.ndarray:
     """Correlate measurements with every column: s_j = <a_j, y> = a_j^H y.
 
     y is one vector (n,) or a stack (T, n) whose rows come out exactly as they
-    would alone. Non-finite measurements are rejected, not ranked. A
-    MeasurementMatrix with Kronecker rows (Kerdock) takes one (r x n)(n x r)
-    product per row, equal to the dense product to rounding; all else is dense.
+    would alone. Non-finite measurements are rejected, not ranked. A Z4 character frame
+    (Kerdock) takes a Walsh-Hadamard transform, equal to dense to rounding; all else is dense.
     """
     a = _matrix_of(m)
     y = np.asarray(y, dtype=np.complex128)
@@ -407,11 +421,18 @@ def hermitian_apply(m, y) -> np.ndarray:
         )
     if not np.all(np.isfinite(y)):
         raise BadValue("measurements must be finite")
-    factors = m._kron_factors if isinstance(m, MeasurementMatrix) else None
-    if factors is not None:
-        # s[c r + d] = sum_t conj(B[t, c]) conj(C[t, d]) y[t]: an (r, r) block per row
-        bh, cc = factors
-        return (bh @ (y[..., np.newaxis] * cc)).reshape(*y.shape[:-1], a.shape[1])
+    if isinstance(m, MeasurementMatrix) and (plan := m._walsh_plan) is not None:
+        # s[beta, alpha] = sum_w (F (x) F)[beta, w] i^(-alpha . tau_w) y_w / sqrt(n): a gather from
+        # y i^k, F and F / sqrt(n) over w's halves, column places; 128 KB chunks avoid page faults
+        gather, had, had_scaled, places = plan
+        n, p, r = len(gather), len(places), len(had)
+        ys, step, chunks = y.reshape(-1, n), max(1, 2**13 // p), []
+        for t in range(0, len(ys) or 1, step):
+            z = (ys[t : t + step, np.newaxis, :] * _I_POWERS[:, np.newaxis]).reshape(-1, 4 * n)
+            z = z.take(gather, axis=1, mode="clip").view(np.float64)  # in range: never clips
+            z = had_scaled @ (had @ z.reshape(-1, r, 2 * n * r)).reshape(-1, r, 2 * n)
+            chunks.append(z.reshape(-1, 2 * p).view(complex).take(places, axis=1, mode="clip"))
+        return (chunks[0] if len(chunks) == 1 else np.concatenate(chunks)).reshape(*y.shape[:-1], p)
     # (y^H a)^H row by row: no copy of a^H, one matrix-vector product per row
     return (y.conj()[..., np.newaxis, :] @ a)[..., 0, :].conj()
 

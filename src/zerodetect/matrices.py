@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GroupPartition, MeasurementMatrix, RngSpec, as_int, locked, read_cmat
+from .core import _I_POWERS, GroupPartition, MeasurementMatrix, RngSpec, as_int, locked, read_cmat
 from .errors import CmatFormatError, ConstructionError, IndivisibleGroupSize, InvalidSpec
 from .galois import modulus_poly, trace_sequence
 
-_I_POWERS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 _Z4 = np.arange(4, dtype=np.uint8)
 _SLAB_ENTRIES = 2**15  # per np.take: an intp copy of 256 KB (one row if rows are longer)
 
@@ -153,7 +152,7 @@ def build_bernoulli(n: int, p: int, rng: RngSpec) -> MeasurementMatrix:
 def attach_groups(m: MeasurementMatrix, r: int) -> MeasurementMatrix:
     """Partition the columns into contiguous blocks of size r: a shallow copy of
     the validated m, so no second norm scan, the same locked array and any
-    Kronecker factors m has already found.
+    Walsh plan m has already found.
     """
     r = as_int(r, "group size", IndivisibleGroupSize)
     if r < 1 or m.p % r != 0:

@@ -293,7 +293,7 @@ def _dense_stoc_violations(m, k, eps, z, trials, rng):
     return violations
 
 
-# Kerdock m = 5 correlates through its Kronecker rows, a Bernoulli matrix through
+# Kerdock m = 5 correlates through its Walsh plan, a Bernoulli matrix through
 # the dense product; each case has an eps whose count is strictly between 0 and 200
 @pytest.mark.parametrize("family, strategy, k", [
     ("kerdock5", "gaussian-seeded", 32), ("kerdock5", "flat", 64), ("kerdock5", "flat", 512),

@@ -156,7 +156,7 @@ def test_hermitian_apply_stack_rows_equal_single_vectors():
 
 
 # ---------------------------------------------------------------------------
-# hermitian_apply on Kronecker rows (Kerdock frames)
+# hermitian_apply on Z4 character frames (Kerdock)
 
 
 @cache
@@ -164,23 +164,42 @@ def _kerdock(m: int) -> MeasurementMatrix:
     return build_kerdock(KerdockSpec(m))
 
 
-def _rows_from_factors(factors) -> np.ndarray:
-    bh, cc = factors
-    b, c = bh.conj().T, cc.conj()
-    return (b[:, :, np.newaxis] * c[:, np.newaxis, :]).reshape(len(b), -1)
+def _matrix_from_plan(plan) -> np.ndarray:
+    # gather[w, alpha] = k n + t: row t has residue w and conj(A[t, lambda]) = i^k (-1)^(beta . w)
+    # / sqrt(n) at lambda's place beta n + alpha; every such product is exact
+    gather, had, had_scaled, places = plan
+    n = len(gather)
+    rows, phases = gather[:, 0] % n, np.array([1, 1j, -1, -1j])[gather // n]
+    assert np.array_equal(gather % n, np.repeat(rows[:, np.newaxis], n, axis=1))
+    by_place = np.kron(had, had_scaled).T[:, :, np.newaxis] * phases.conj()[:, np.newaxis, :]
+    a = np.empty((n, n * n), dtype=np.complex128)
+    a[rows] = by_place.reshape(n, n * n)[:, places]
+    return a
 
 
+# a Z4 character frame's rows are Kronecker products of their half-digit factors,
+# and its plan rebuilds the frame exactly
 @pytest.mark.parametrize("m", [1, 3, 5])
 def test_kerdock_rows_are_found_to_be_kronecker_products(m):
     k = _kerdock(m)
-    assert np.array_equal(_rows_from_factors(k._kron_factors), k.matrix)
+    assert np.array_equal(_matrix_from_plan(k._walsh_plan), k.matrix)
 
 
 def test_cmat_round_trip_keeps_kerdock_rows_kronecker(tmp_path):
     path = tmp_path / "k3.cmat"
     write_cmat(path, _kerdock(3))
     back = MeasurementMatrix(read_cmat(path)[0])
-    assert np.array_equal(_rows_from_factors(back._kron_factors), _kerdock(3).matrix)
+    assert np.array_equal(_matrix_from_plan(back._walsh_plan), _kerdock(3).matrix)
+
+
+def test_kerdock_rows_in_any_order_keep_the_plan():
+    k = _kerdock(3)
+    shuffled = MeasurementMatrix(k.matrix[np.random.default_rng(30).permutation(k.n)])
+    assert np.array_equal(_matrix_from_plan(shuffled._walsh_plan), shuffled.matrix)
+    ys = _random_complex(np.random.default_rng(31), (3, k.n))
+    dense = ys @ shuffled.matrix.conj()
+    bound = 4 * k.n * np.finfo(float).eps * np.abs(ys).sum(axis=1) / np.sqrt(k.n)
+    assert np.all(np.abs(hermitian_apply(shuffled, ys) - dense) <= bound[:, np.newaxis])
 
 
 @cache
@@ -189,11 +208,14 @@ def _not_kronecker():
     swapped[:, [5, 200]] = swapped[:, [200, 5]]
     flipped = _kerdock(5).matrix.copy()
     flipped[-1, 5] *= -1  # only the last row slab breaks the identity
+    rotated = _kerdock(3).matrix.copy()
+    rotated[7] *= np.exp(0.25j * np.pi)  # unit columns and Kronecker rows, but not Z4
     rng = np.random.default_rng(27)
     return {
         "bernoulli 64 x 4096": build_bernoulli(64, 4096, RngSpec(5)),
         "kerdock m = 3, two columns swapped": MeasurementMatrix(swapped),
         "kerdock m = 5, one sign flipped in the last row": MeasurementMatrix(flipped),
+        "kerdock m = 3, one row times e^(i pi / 4)": MeasurementMatrix(rotated),
         "p not a square": normalize_columns(_random_complex(rng, (6, 8))),
         "zero in column 0": MeasurementMatrix(np.eye(4)),
     }
@@ -202,9 +224,23 @@ def _not_kronecker():
 @pytest.mark.parametrize("case", list(_not_kronecker()))
 def test_other_matrices_keep_the_dense_product(case):
     m = _not_kronecker()[case]
-    assert m._kron_factors is None
+    assert m._walsh_plan is None
     y = _random_complex(np.random.default_rng(28), m.n)
     assert np.array_equal(hermitian_apply(m, y), m.matrix.conj().T @ y)
+
+
+def test_kerdock_correlations_of_an_empty_stack():
+    assert hermitian_apply(_kerdock(3), np.zeros((0, 16))).shape == (0, 256)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_kerdock_correlations_of_gaussian_integers_are_exact(m):
+    # every partial sum of dyadic terms is exact, so any order of summation
+    # gives the dense product bitwise: this holds the phases and the 1 / sqrt(n)
+    k = _kerdock(m)
+    ys = np.round(8 * _random_complex(np.random.default_rng(32), (3, k.n)))
+    assert np.array_equal(hermitian_apply(k, ys), ys @ k.matrix.conj())
+    assert np.array_equal(hermitian_apply(k, ys[0]), k.matrix.conj().T @ ys[0])
 
 
 def test_hermitian_apply_stack_rows_equal_single_vectors_kerdock():
@@ -297,14 +333,14 @@ def test_measurement_matrix_adopts_a_locked_owning_array():
 
 def test_attach_groups_adopts_the_checked_frame_without_a_second_scan():
     m = build_kerdock(KerdockSpec(3))
-    factors = m._kron_factors
-    assert factors is not None
+    plan = m._walsh_plan
+    assert plan is not None
     with mock.patch.object(MeasurementMatrix, "__post_init__", autospec=True,
                            side_effect=MeasurementMatrix.__post_init__) as post_init:
         grouped = attach_groups(m, 8)
     assert post_init.call_count == 0
     assert grouped.matrix is m.matrix
-    assert grouped._kron_factors is factors
+    assert grouped._walsh_plan is plan
     assert grouped.groups == GroupPartition(32, 8) and m.groups is None
 
 
@@ -312,7 +348,7 @@ def test_detection_equal_when_grouped_before_or_after_first_detection():
     y = np.exp(0.5j * np.arange(64)) * (1 + np.arange(64) % 5)
     before = attach_groups(build_kerdock(KerdockSpec(5)), 64)
     first = build_kerdock(KerdockSpec(5))
-    zd_ost(y, first, 16)  # finds and caches the Kronecker factors
+    zd_ost(y, first, 16)  # finds and caches the plan
     after = attach_groups(first, 64)
     for detect, theta in ((zd_ost, 16), (zd_groth, 4)):
         a, b = detect(y, before, theta), detect(y, after, theta)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MeasurementMatrix, RngSpec, _keyed_streams, hermitian_apply
+from .core import MeasurementMatrix, RngSpec, as_int, hermitian_apply
 from .errors import (
     BadK, BadValue, CmatFormatError, DimensionMismatch, NoGroups, SingleColumn, ZeroZ,
 )
@@ -243,14 +243,15 @@ def stoc_estimate(
     first k as the support block, and counts a violation when either
     ||(A_S^H A_S - I) z||_inf or ||A_{S^c}^H A_S z||_inf exceeds eps ||z||_2.
     Trial t permutes with substream (rng, t), so the count is independent of
-    evaluation order. All the keys come from one pass, and one Philox is
-    re-keyed per trial; its permutations are those of rng.substream(t).
+    evaluation order: rng.substreams yields its generator, whose permutations
+    are those of rng.substream(t).
     A^H u comes from hermitian_apply, which makes no copy of A^H. Needs
     1 <= k < p, a finite epsilon >= 0 and a finite nonzero z (see stoc_probe).
     """
     p = m.p
     if not 1 <= k < p:
         raise BadK(f"need 1 <= k < p, got k={k}, p={p}")
+    trials = as_int(trials, "trials")
     if trials < 1:
         raise BadValue("trials must be >= 1")
     if not (np.isfinite(epsilon) and epsilon >= 0):
@@ -267,7 +268,7 @@ def stoc_estimate(
     a = m.matrix
     budget = epsilon * z_norm
     violations = 0
-    for gen in _keyed_streams(rng.substream_keys(trials=range(trials))):
+    for gen in rng.substreams(trials=range(trials)):
         perm = gen.permutation(p)
         head = perm[:k]
         u = a[:, head] @ z

@@ -249,51 +249,31 @@ def _seed_words(value: int) -> tuple[int, int]:
 
 
 # numpy's SeedSequence hash (NEP 19, after O'Neill's seed_seq_fe) over a pool of
-# four uint32 words. Every hashed word takes the next constant of a fixed
-# multiplicative chain (call j xors with entry j and multiplies by entry j + 1),
-# so the constants depend only on how many words were hashed before.
-_MASK32 = 0xFFFFFFFF
+# four uint32 words. Hash call j xors with c_j and multiplies by c_(j+1), where
+# c_j = init * mult^j mod 2^32, so the constants depend only on how many calls came before.
+# _hashmix and _mix take uint32 arrays, whose arithmetic wraps mod 2^32 as the C code's does.
 _POOL = 4
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MIX_INIT, _MIX_MULT = 0x43B0D7E5, 0x931E8875
 
 
-@cache
-def _chain(init: int, mult: int, count: int) -> tuple[int, ...]:
-    out = [init]
-    for _ in range(count - 1):
-        out.append(out[-1] * mult & _MASK32)
-    return tuple(out)
+def _chain(init: int, mult: int, start: int, count: int) -> np.ndarray:
+    # c_start .. c_(start+count-1) as (count, 1) uint32 columns, to broadcast over a block
+    return np.array([init * pow(mult, j, 2**32) % 2**32 for j in range(start, start + count)],
+                    dtype=np.uint32)[:, np.newaxis]
 
 
-# generate_state: 4 calls give the four uint32 words of two uint64 words; as
-# (5, 1) uint32 columns the constants broadcast over a block of pools
-_STATE_COLUMNS = np.array(_chain(0x8B51F9DD, 0x58F38DED, _POOL + 1), dtype=np.uint32)[:, np.newaxis]
+# generate_state: 4 calls give the four uint32 words of two uint64 words
+_STATE_COLUMNS = _chain(0x8B51F9DD, 0x58F38DED, 0, _POOL + 1)
 
 
 def _hashmix(value, xor, mul):
-    # value, xor and mul are uint32 words: Python ints or broadcasting uint32 arrays
-    h = (value ^ xor) * mul & _MASK32
+    h = (value ^ xor) * mul
     return h ^ h >> 16
 
 
 def _mix(x, y):
-    h = (_MIX_L * x - _MIX_R * y) & _MASK32
+    h = _MIX_L * x - _MIX_R * y
     return h ^ h >> 16
-
-
-def _keyed_streams(keys: np.ndarray):
-    """Yield one generator per row of keys, re-keyed in place: its draws are those
-    of a fresh Philox on that key (counter 0, empty buffer, no cached 32-bit
-    half). The generator is shared, so finish with it before taking the next."""
-    rng = np.random.Generator(np.random.Philox(0))
-    zeros = np.zeros(4, dtype=np.uint64)
-    for key in keys:
-        rng.bit_generator.state = {
-            "bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-        yield rng
 
 
 @dataclass(frozen=True)
@@ -328,46 +308,36 @@ class RngSpec:
         """Generator for a derived stream; equal (spec, path) give identical draws."""
         return np.random.Generator(np.random.Philox(self._sequence(path)))
 
-    def substream_keys(self, *prefix: int, trials: range) -> np.ndarray:
-        """Philox keys (T, 2) of the substreams prefix + (t,) for t in trials, in
-        one pass: row i equals
-        self._sequence(prefix + (trials[i],)).generate_state(2, np.uint64).
+    def substreams(self, *prefix: int, trials: range):
+        """Yield one generator per t in trials that draws as self.substream(*prefix, t).
 
-        The words before t are hashed once, in Python ints; the two words of
-        every t run as wrapping uint32 arrays over the block.
+        numpy's SeedSequence mixes the seed, stream id and prefix once, into its pool;
+        the two words of every t continue that hash, and generate_state follows, as
+        wrapping uint32 arrays over the block. One Philox is re-keyed in place per
+        trial (counter 0, empty buffer, no cached 32-bit half), so finish with each
+        generator before taking the next.
         """
         ends = (trials[0], trials[-1]) if trials else (0,)
         if not 0 <= min(ends) <= max(ends) < 2**64:
             raise BadValue(f"trials must be 64-bit unsigned, got {trials!r}")
         t = np.fromiter(trials, dtype=np.uint64, count=len(trials))
-        # with a spawn key, SeedSequence pads the seed's words to the pool size
-        # with zeros; a 64-bit seed has one or two words, so its two halves and
-        # two zeros are always the padded pool
-        words = [*_seed_words(self.master_seed), 0, 0, *_seed_words(self.stream_id)]
-        for v in prefix:
-            words += _seed_words(v)
-        # mix_entropy: 4 calls fill the pool and 12 cross-mix it, then 4 per
-        # further word, the two words of t last
-        c = _chain(_MIX_INIT, _MIX_MULT, _POOL * (len(words) + 2) + 1)
-        pool = [_hashmix(w, c[i], c[i + 1]) for i, w in enumerate(words[:_POOL])]
-        j = _POOL
-        for src in range(_POOL):
-            for dst in range(_POOL):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[j], c[j + 1]))
-                    j += 1
-        for w in words[_POOL:]:
-            for dst in range(_POOL):
-                pool[dst] = _mix(pool[dst], _hashmix(w, c[j], c[j + 1]))
-                j += 1
-        # the two words of every t, over the block: pools (4, T)
-        block = np.array(pool, dtype=np.uint32)[:, np.newaxis]
-        cols = np.array(c[j:], dtype=np.uint32)[:, np.newaxis]
-        for w in ((t & _MASK32).astype(np.uint32), (t >> 32).astype(np.uint32)):
+        seq = self._sequence(prefix)
+        # mix_entropy hashed the seed padded to the pool and the spawn key, 4 calls a word
+        cols = _chain(0x43B0D7E5, 0x931E8875, _POOL * (_POOL + len(seq.spawn_key)), 2 * _POOL + 1)
+        block = seq.pool[:, np.newaxis]  # pools (4, T) once the words of t are mixed in
+        for w in (t.astype(np.uint32), (t >> 32).astype(np.uint32)):
             block = _mix(block, _hashmix(w, cols[:_POOL], cols[1:_POOL + 1]))
             cols = cols[_POOL:]
         state = _hashmix(block, _STATE_COLUMNS[:-1], _STATE_COLUMNS[1:]).astype(np.uint64)
-        return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+        keys = (state[0::2] | state[1::2] << np.uint64(32)).T
+        rng = np.random.Generator(np.random.Philox(0))
+        zeros = np.zeros(4, dtype=np.uint64)
+        for key in keys:
+            rng.bit_generator.state = {
+                "bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            }
+            yield rng
 
 
 # ---------------------------------------------------------------------------

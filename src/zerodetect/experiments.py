@@ -27,7 +27,6 @@ from .core import (
     MeasurementMatrix,
     RngSpec,
     SignalInstance,
-    _keyed_streams,
     as_int,
     hermitian_apply,
     write_csv,
@@ -180,6 +179,7 @@ class ExperimentConfig:
             raise BadValue(f"unknown signal model {self.signal_model!r}")
         if self.noise_convention not in NOISE_CONVENTIONS:
             raise BadValue(f"unknown noise convention {self.noise_convention!r}")
+        object.__setattr__(self, "trials", as_int(self.trials, "trials"))
         if self.trials < 1:
             raise BadValue("trials must be >= 1")
         if not 0 <= self.sigma2 < math.inf:
@@ -290,10 +290,9 @@ def _measure_block(config: ExperimentConfig, m: MeasurementMatrix, k: int,
     """Signals (T, p) and measurements y = A x + w (T, n) of the given trials.
 
     Trial t draws its signal, then its noise, from substream (master seed, k, t):
-    the block derives all its keys in one pass and re-keys one Philox per trial,
-    which gives the draws of RngSpec.substream(k, t). Each trial only draws;
-    the signals and noise are assembled once per block. k = 0 draws no signal
-    and sigma2 = 0 no noise.
+    RngSpec.substreams yields its generator, which draws as RngSpec.substream(k, t)
+    would. Each trial only draws; the signals and noise are assembled once per
+    block. k = 0 draws no signal and sigma2 = 0 no noise.
     """
     law = config.amplitude_law
     domain, width = (m.groups.q, m.groups.r) if config.signal_model == "group" else (m.p, 1)
@@ -301,8 +300,7 @@ def _measure_block(config: ExperimentConfig, m: MeasurementMatrix, k: int,
     blocks = np.empty((len(trials), k), dtype=np.intp)
     u = np.empty((len(trials), 2 * k * width))
     parts = np.zeros((len(trials), 2, m.n))
-    keys = RngSpec(config.master_seed).substream_keys(k, trials=trials)
-    for i, rng in enumerate(_keyed_streams(keys)):
+    for i, rng in enumerate(RngSpec(config.master_seed).substreams(k, trials=trials)):
         if k:
             blocks[i], u[i] = _signal_draws(rng, domain, width, k)
         if config.sigma2:

@@ -265,6 +265,19 @@ def test_stoc_validation(kerdock16):
         stoc_estimate(kerdock16, 4, -0.1, z, 10, RngSpec(0))
 
 
+@pytest.mark.parametrize("trials", [2.5, "3"])
+def test_stoc_rejects_non_integer_trials(kerdock16, trials):
+    z = np.ones(4, dtype=np.complex128)
+    with pytest.raises(BadValue, match="trials must be an integer"):
+        stoc_estimate(kerdock16, 4, 0.5, z, trials, RngSpec(0))
+
+
+def test_stoc_takes_numpy_integer_trials(kerdock16):
+    z = np.ones(4, dtype=np.complex128)
+    ours = stoc_estimate(kerdock16, 4, 0.5, z, np.int64(3), RngSpec(0))
+    assert type(ours.trials) is int and ours == stoc_estimate(kerdock16, 4, 0.5, z, 3, RngSpec(0))
+
+
 @pytest.mark.parametrize("eps, bad_entry", [(np.nan, None), (np.inf, None), (0.1, np.nan)])
 def test_stoc_rejects_non_finite_epsilon_and_probe(kerdock16, eps, bad_entry):
     z = np.ones(4, dtype=np.complex128)

@@ -14,7 +14,6 @@ from zerodetect.core import (
     RngSpec,
     SignalInstance,
     SupportSet,
-    _keyed_streams,
     column_norms,
     format_cmat_entry,
     hermitian_apply,
@@ -448,17 +447,20 @@ _words = st.one_of(st.sampled_from(_WORD_EDGES), st.integers(0, 2**64 - 1))
 @given(seed=_words, stream=_words, prefix=st.lists(_words, max_size=3), start=_words,
        count=st.integers(0, 6))
 def test_substream_keys_match_numpy_seed_sequence(seed, stream, prefix, start, count):
-    # a tripwire on the numpy version: substream_keys reimplements SeedSequence's
-    # hash, so a numpy release that changes SeedSequence fails here
+    # a tripwire on the numpy version: substreams starts from SeedSequence's own pool,
+    # but its hash over the two words of t and generate_state are still written by
+    # hand, so a numpy release that changes SeedSequence fails here
     spec = RngSpec(seed, stream)
     spawn = tuple(w for v in (stream, *prefix) for w in (v & 0xFFFFFFFF, v >> 32))
     blocks = [range(t, t + 1) for t in _WORD_EDGES] + [range(start, min(start + count, 2**64))]
     for trials in blocks:
         ref = [np.random.SeedSequence(seed, spawn_key=spawn + (t & 0xFFFFFFFF, t >> 32))
                .generate_state(2, np.uint64) for t in trials]
-        keys = spec.substream_keys(*prefix, trials=trials)
-        assert keys.dtype == np.uint64 and keys.shape == (len(trials), 2)
-        assert np.array_equal(keys, np.array(ref, dtype=np.uint64).reshape(-1, 2))
+        keys = [rng.bit_generator.state["state"]["key"]
+                for rng in spec.substreams(*prefix, trials=trials)]
+        assert all(key.dtype == np.uint64 and key.shape == (2,) for key in keys)
+        assert np.array_equal(np.array(keys, dtype=np.uint64).reshape(-1, 2),
+                              np.array(ref, dtype=np.uint64).reshape(-1, 2))
 
 
 @pytest.mark.parametrize("trials", [
@@ -467,7 +469,7 @@ def test_keyed_streams_draw_as_substreams(trials):
     # a tripwire on the numpy version: re-keying writes Philox's state layout by
     # hand, so a numpy release that changes it or its seeding fails here
     spec = RngSpec(20260808, 3)
-    for t, rng in zip(trials, _keyed_streams(spec.substream_keys(16, trials=trials))):
+    for t, rng in zip(trials, spec.substreams(16, trials=trials), strict=True):
         ref = spec.substream(16, t)
         # full-range uint32 draws come first and return raw words, where bounded
         # draws could reject the zero words of a stale buffer or cached half;
@@ -482,11 +484,12 @@ def test_keyed_streams_draw_as_substreams(trials):
 
 def test_substream_keys_validation():
     spec = RngSpec(1)
-    assert spec.substream_keys(trials=range(0)).shape == (0, 2)
+    assert list(spec.substreams(trials=range(0))) == []
     for prefix, trials in [((), range(-1, 2)), ((), range(1, -2, -1)),
                            ((), range(2**64, 2**64 + 1)), ((-1,), range(1)), ((2**64,), range(1))]:
+        streams = spec.substreams(*prefix, trials=trials)
         with pytest.raises(BadValue):
-            spec.substream_keys(*prefix, trials=trials)
+            next(streams)  # raised before the first generator is yielded
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +557,9 @@ def test_rng_spec_takes_numpy_integers():
     assert spec == RngSpec(7, 2)
     a = RngSpec(np.uint64(7)).substream(np.int64(3), 0).standard_normal(4)
     assert np.array_equal(a, RngSpec(7).substream(3, 0).standard_normal(4))
-    keys = RngSpec(7).substream_keys(np.int64(3), trials=range(2))
-    assert np.array_equal(keys, RngSpec(7).substream_keys(3, trials=range(2)))
+    for ours, ref in zip(RngSpec(7).substreams(np.int64(3), trials=range(2)),
+                         (RngSpec(7).substream(3, t) for t in range(2)), strict=True):
+        assert np.array_equal(ours.standard_normal(4), ref.standard_normal(4))
     with pytest.raises(BadValue, match="master_seed must be an integer, got float"):
         RngSpec(7.0)
     with pytest.raises(BadValue, match="must be an integer, got float"):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zerodetect.core import MeasurementMatrix, RngSpec, SignalInstance, _keyed_streams
+from zerodetect.core import MeasurementMatrix, RngSpec, SignalInstance
 from zerodetect.errors import (
     BadK,
     BadValue,
@@ -99,7 +99,7 @@ def test_uniform_split_matches_two_uniform_draws(key, bounds, size, skip):
     # uniform must stay low + range * next_double, rounded twice (a fused
     # multiply-add would fail here); skip leaves a cached 32-bit half behind
     law = UniformAmplitude(*bounds)
-    ours, ref = (next(_keyed_streams(np.array([key], dtype=np.uint64))) for _ in range(2))
+    ours, ref = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
     for rng in (ours, ref):
         rng.integers(0, 2**32, skip, dtype=np.uint32)
     mags, phases = _uniform_split(ours.random(2 * size), law)
@@ -554,6 +554,17 @@ def test_config_validation():
         ExperimentConfig(signal_model="group")  # needs group_size
     with pytest.raises(BadValue):
         ExperimentConfig(noise_convention="weird")
+
+
+@pytest.mark.parametrize("trials", [2.5, "3"])
+def test_config_rejects_non_integer_trials(trials):
+    with pytest.raises(BadValue, match="trials must be an integer"):
+        ExperimentConfig(trials=trials)
+
+
+def test_config_stores_numpy_integer_trials_as_int():
+    config = ExperimentConfig(trials=np.int64(3))
+    assert type(config.trials) is int and config == ExperimentConfig(trials=3)
 
 
 @pytest.mark.parametrize("key", ["k_grid", "theta_grid"])

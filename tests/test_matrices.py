@@ -63,14 +63,6 @@ def test_kerdock_worst_case_coherence_exhaustive(kerdock16):
     assert abs(g.max() - 0.25) < 1e-10
 
 
-def test_kerdock_duplicate_column_is_rejected():
-    words = matrices.kerdock_codewords(KerdockSpec(3))
-    words[:, 7] = words[:, 3]
-    with mock.patch.object(matrices, "kerdock_codewords", return_value=words):
-        with pytest.raises(ConstructionError, match="overlapping columns"):
-            build_kerdock(KerdockSpec(3))
-
-
 def test_kerdock_linear_duplicate_is_rejected():
     # a word table built from traces with a repeated row is still Z4-linear,
     # but lambda = xi^0 - xi^1 gives the zero word, a copy of column 0
@@ -122,17 +114,6 @@ def test_kerdock_frame_assembled_in_ragged_slabs(m):
         mat = build_kerdock(spec).matrix
     assert take.call_count == -(-spec.rows // 3)
     assert np.array_equal(mat.view(np.uint64), expected.view(np.uint64))
-
-
-@pytest.mark.parametrize("word", [4, 255])
-@pytest.mark.parametrize("column", [4, 5])  # u = 4 at m = 3: column 4 is lambda = xi^2
-def test_kerdock_word_outside_z4_fails_the_linearity_check(word, column):
-    # np.take(mode="clip") is exact only for words in 0..3, which the check guarantees
-    words = matrices.kerdock_codewords(KerdockSpec(3))
-    words[1, column] = word
-    with mock.patch.object(matrices, "kerdock_codewords", return_value=words):
-        with pytest.raises(ConstructionError, match="not Z4-linear"):
-            build_kerdock(KerdockSpec(3))
 
 
 def test_kerdock_codewords_are_uint8_in_frame_layout():

@@ -381,7 +381,9 @@ def hermitian_apply(m, y) -> np.ndarray:
 
     y is one vector (n,) or a stack (T, n) whose rows come out exactly as they
     would alone. Non-finite measurements are rejected, not ranked. A Z4 character frame
-    (Kerdock) takes a Walsh-Hadamard transform, equal to dense to rounding; all else is dense.
+    (Kerdock) takes a Walsh-Hadamard transform, equal to dense to rounding where neither
+    overflows (its stages overflow first); all else is dense. A lone vector, or a stack
+    whose temporaries fit in 128 KB, takes one Walsh pass; larger stacks go in such chunks.
     """
     a = _matrix_of(m)
     y = np.asarray(y, dtype=np.complex128)
@@ -389,20 +391,24 @@ def hermitian_apply(m, y) -> np.ndarray:
         raise DimensionMismatch(
             f"expected length-{a.shape[0]} vectors, got shape {y.shape}"
         )
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise BadValue("measurements must be finite")
     if isinstance(m, MeasurementMatrix) and (plan := m._walsh_plan) is not None:
         # s[beta, alpha] = sum_w (F (x) F)[beta, w] i^(-alpha . tau_w) y_w / sqrt(n): a gather from
         # y i^k, F and F / sqrt(n) over w's halves, column places; 128 KB chunks avoid page faults
         gather, had, had_scaled, places = plan
         n, p, r = len(gather), len(places), len(had)
-        ys, step, chunks = y.reshape(-1, n), max(1, 2**13 // p), []
-        for t in range(0, len(ys) or 1, step):
-            z = (ys[t : t + step, np.newaxis, :] * _I_POWERS[:, np.newaxis]).reshape(-1, 4 * n)
+
+        def walsh(ys):
+            z = (ys[..., np.newaxis, :] * _I_POWERS[:, np.newaxis]).reshape(-1, 4 * n)
             z = z.take(gather, axis=1, mode="clip").view(np.float64)  # in range: never clips
             z = had_scaled @ (had @ z.reshape(-1, r, 2 * n * r)).reshape(-1, r, 2 * n)
-            chunks.append(z.reshape(-1, 2 * p).view(complex).take(places, axis=1, mode="clip"))
-        return (chunks[0] if len(chunks) == 1 else np.concatenate(chunks)).reshape(*y.shape[:-1], p)
+            return z.reshape(-1, 2 * p).view(complex).take(places, axis=1, mode="clip")
+
+        step = max(1, 2**13 // p)
+        if y.ndim == 1 or len(y) <= step:
+            return walsh(y).reshape(*y.shape[:-1], p)
+        return np.concatenate([walsh(y[t : t + step]) for t in range(0, len(y), step)])
     # (y^H a)^H row by row: no copy of a^H, one matrix-vector product per row
     return (y.conj()[..., np.newaxis, :] @ a)[..., 0, :].conj()
 

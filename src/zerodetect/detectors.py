@@ -11,6 +11,7 @@ every key below v, then keys equal to v in index order, so ties go to the
 smaller index. The batch engine keeps that set; detectors rank it best first.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -86,9 +87,13 @@ def select_mask(keys: np.ndarray, theta: int) -> np.ndarray:
 def select(scores: np.ndarray, theta: int, largest: bool = False) -> np.ndarray:
     """0-based positions of the theta smallest (or largest) scores along the
     last axis, best first, equal scores by index: the order a stable sort of
-    the whole row gives, from a stable sort of select_mask's theta entries."""
+    the whole row gives, from a stable sort of select_mask's theta entries.
+    A lone row indexes its positions by that sort; a stack takes them along its rows."""
     keys = -scores if largest else scores
     mask = select_mask(keys, theta)
+    if keys.ndim == 1:
+        picked = np.flatnonzero(mask)
+        return picked[keys[picked].argsort(kind="stable")]
     shape = keys.shape[:-1] + (theta,)
     picked = np.nonzero(mask)[-1].reshape(shape)
     order = keys[mask].reshape(shape).argsort(axis=-1, kind="stable")
@@ -96,8 +101,10 @@ def select(scores: np.ndarray, theta: int, largest: bool = False) -> np.ndarray:
 
 
 def group_norms(s: np.ndarray, groups: GroupPartition) -> np.ndarray:
-    """Block norms ||A_i^H y||_2 from correlations s of shape (..., p)."""
-    return np.linalg.norm(s.reshape(*s.shape[:-1], groups.q, groups.r), axis=-1)
+    """Block norms ||A_i^H y||_2 from correlations s of shape (..., p): the
+    arithmetic of np.linalg.norm(..., axis=-1), without its dispatch."""
+    blocks = s.reshape(*s.shape[:-1], groups.q, groups.r)
+    return np.sqrt(np.add.reduce((blocks.conj() * blocks).real, axis=-1))
 
 
 def _detect(rule: str, y, m: MeasurementMatrix, theta: int) -> DetectionResult:
@@ -108,6 +115,8 @@ def _detect(rule: str, y, m: MeasurementMatrix, theta: int) -> DetectionResult:
     grouped, largest = RULES[rule]
     s = hermitian_apply(m, y)
     scores = group_norms(s, m.groups) if grouped else np.abs(s)
+    if not math.isfinite(scores.max()):  # finite y whose correlations or block norms overflow
+        raise BadValue("scores overflow: measurements too large to rank")
     ranking = select(scores, theta, largest)
     return DetectionResult(tuple((ranking + 1).tolist()), scores, "group" if grouped else "element")
 

@@ -117,6 +117,17 @@ def test_detect_rejects_non_finite_measurement(tmp_path, capsys):
     assert "ERROR BadValue" in capsys.readouterr().err
 
 
+def test_detect_rejects_measurements_whose_correlations_overflow(kerdock_file, tmp_path, capsys):
+    # finite entries whose Walsh correlations overflow: an error, not a traceback
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run("detect", "--matrix", str(kerdock_file), "--yinline", ",".join(["1e308"] * 16),
+                   "--theta", "250", "--out", str(tmp_path / "r.csv"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "ERROR BadValue" in err
+    assert "Traceback" not in err
+
+
 def test_threads_flag_is_gone(tmp_path, capsys):
     mat = tmp_path / "eye.cmat"
     write_cmat(mat, np.eye(4))

@@ -251,6 +251,18 @@ def test_hermitian_apply_stack_rows_equal_single_vectors_kerdock():
         assert np.array_equal(stacked[t], hermitian_apply(m, ys[t]))
 
 
+# a chunk holds 32 rows at m = 3 and 2 at m = 5: stacks on both sides of its boundaries
+@pytest.mark.parametrize("degree, rows", [(3, 31), (3, 32), (3, 33), (3, 65),
+                                          (5, 1), (5, 2), (5, 3), (5, 5)])
+def test_hermitian_apply_rows_equal_lone_calls_across_chunk_boundaries(degree, rows):
+    m = _kerdock(degree)
+    ys = _random_complex(np.random.default_rng(rows), (rows, m.n))
+    stacked = hermitian_apply(m, ys)
+    assert stacked.shape == (rows, m.p)
+    for t in range(rows):
+        assert np.array_equal(stacked[t], hermitian_apply(m, ys[t]))
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(m=st.sampled_from([1, 3, 5]), rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
        scale=st.sampled_from([1e-3, 1.0, 1e3]))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from zerodetect.core import MeasurementMatrix, RngSpec
+from zerodetect.core import GroupPartition, MeasurementMatrix, RngSpec, hermitian_apply
 from zerodetect.detectors import group_norms, ost_topk, select, select_mask, zd_groth, zd_ost
 from zerodetect.errors import BadValue, DimensionMismatch, NoGroups, ThetaOutOfRange
 from zerodetect.matrices import KerdockSpec, attach_groups, build_bernoulli, build_kerdock
@@ -179,6 +179,34 @@ def test_non_finite_measurements_are_rejected(bad):
         zd_ost(np.full(4, bad), I4, 2)
 
 
+def test_measurements_whose_scores_overflow_are_rejected():
+    # finite, but the Walsh stages overflow: 248 of 256 correlations are not finite
+    m = attach_groups(build_kerdock(KerdockSpec(3)), 8)
+    y = np.full(m.n, 1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for detector, theta in ((zd_ost, 250), (zd_ost, 2), (ost_topk, 2), (zd_groth, 2)):
+            with pytest.raises(BadValue, match="overflow"):
+                detector(y, m, theta)
+    # finite correlations whose squares leave the double range: the block norms overflow
+    y = np.full(m.n, 1e154)
+    assert np.isfinite(hermitian_apply(m, y)).all()
+    with np.errstate(over="ignore"), pytest.raises(BadValue, match="overflow"):
+        zd_groth(y, m, 2)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (3,)])
+@pytest.mark.parametrize("r", [1, 8, 64, 4096])
+def test_group_norms_equal_linalg_norm(shape, r):
+    # the same arithmetic as np.linalg.norm, without its dispatch: equal bit for bit
+    # while numpy keeps that arithmetic (a tripwire on its version)
+    m = build_kerdock(KerdockSpec(5))
+    rng, size = np.random.default_rng(r), (*shape, m.n)
+    s = hermitian_apply(m, rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    blocks = s.reshape(*shape, m.p // r, r)
+    expected = np.linalg.norm(blocks, axis=-1)
+    assert np.array_equal(group_norms(s, GroupPartition(m.p // r, r)), expected)
+
+
 def test_select_kernel_matches_sort_oracles_with_ties():
     rng = np.random.default_rng(51)
     scores = rng.integers(0, 4, size=(30, 12)).astype(float)  # many ties
@@ -219,6 +247,9 @@ def test_partial_selection_matches_sort_oracle(case):
     expected = _sort_select(scores, theta, largest)
     if theta:
         assert np.array_equal(select(scores, theta, largest), expected)
+        if scores.ndim == 1:  # a lone row ranks as the one row of a stack
+            assert np.array_equal(select(scores, theta, largest),
+                                  select(scores[np.newaxis], theta, largest)[0])
     # the batch engine's mask holds the oracle's first theta positions (theta = 0: none)
     keys = -scores if largest else scores
     want = np.zeros(scores.shape, dtype=bool)

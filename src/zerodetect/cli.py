@@ -121,7 +121,8 @@ def _cmd_detect(args) -> int:
         raise BadValue("--theta must be >= 1")
     m = load_matrix(args.matrix, args.group_size)
     y = _read_y(args, m.n)
-    result = zd_groth(y, m, args.theta) if args.group else zd_ost(y, m, args.theta)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported as BadValue
+        result = zd_groth(y, m, args.theta) if args.group else zd_ost(y, m, args.theta)
     rows = [(rank, index, result.scores[index - 1])
             for rank, index in enumerate(result.ranking, start=1)]
     write_csv(args.out, ("rank", "index", "score"), rows)

@@ -9,6 +9,8 @@ Selection is exact and partial, never a sort of a whole score row: with keys
 = scores (-scores for the largest) and v the theta-th smallest key, it takes
 every key below v, then keys equal to v in index order, so ties go to the
 smaller index. The batch engine keeps that set; detectors rank it best first.
+A matrix keeps A^H y of the last vector a detector ranked on it, keyed by that
+vector's bytes, so detectors called in turn on one vector correlate it once.
 """
 
 import math
@@ -17,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GroupPartition, MeasurementMatrix, SupportSet, as_int, hermitian_apply
+from .core import GroupPartition, MeasurementMatrix, SupportSet, as_int, hermitian_apply, locked
 from .errors import BadValue, DimensionMismatch, NoGroups, ThetaOutOfRange
 
 
@@ -107,16 +109,34 @@ def group_norms(s: np.ndarray, groups: GroupPartition) -> np.ndarray:
     return np.sqrt(np.add.reduce((blocks.conj() * blocks).real, axis=-1))
 
 
+def scores_of(s: np.ndarray, m: MeasurementMatrix, grouped: bool) -> np.ndarray:
+    """|s|, or the block norms when grouped, of correlations s (..., p); one max rejects
+    finite measurements whose correlations or block norms overflow."""
+    scores = group_norms(s, m.groups) if grouped else np.abs(s)
+    if not math.isfinite(scores.max()):
+        raise BadValue("scores overflow: measurements too large to rank")
+    return scores
+
+
+def _correlations(m: MeasurementMatrix, y: np.ndarray) -> np.ndarray:
+    # hermitian_apply(m, y) of one complex128 vector, locked and kept on m with y's bytes
+    # until another vector comes; one tuple store, so concurrent callers at worst recompute
+    key = y.tobytes()
+    last = m.__dict__.get("_last_correlation")
+    if last is not None and last[0] == key:
+        return last[1]
+    s = locked(hermitian_apply(m, y))
+    m.__dict__["_last_correlation"] = key, s
+    return s
+
+
 def _detect(rule: str, y, m: MeasurementMatrix, theta: int) -> DetectionResult:
     theta = check_theta(rule, theta, m)
-    y = np.asarray(y)
+    y = np.asarray(y, dtype=np.complex128)
     if y.ndim != 1:
         raise DimensionMismatch(f"expected one measurement vector, got shape {y.shape}")
     grouped, largest = RULES[rule]
-    s = hermitian_apply(m, y)
-    scores = group_norms(s, m.groups) if grouped else np.abs(s)
-    if not math.isfinite(scores.max()):  # finite y whose correlations or block norms overflow
-        raise BadValue("scores overflow: measurements too large to rank")
+    scores = scores_of(_correlations(m, y), m, grouped)
     ranking = select(scores, theta, largest)
     return DetectionResult(tuple((ranking + 1).tolist()), scores, "group" if grouped else "element")
 

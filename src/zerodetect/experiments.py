@@ -31,7 +31,7 @@ from .core import (
     hermitian_apply,
     write_csv,
 )
-from .detectors import RULES, check_theta, group_norms, select_mask
+from .detectors import RULES, check_theta, scores_of, select_mask
 from .errors import BadK, BadValue, DimensionMismatch, IncompleteReport, NoGroups
 from .matrices import KerdockSpec, attach_groups, build_bernoulli, build_kerdock, load_matrix
 from .theory import NOISE_CONVENTIONS
@@ -243,8 +243,7 @@ def _detect_block(combos, m: MeasurementMatrix, y: np.ndarray, support: np.ndarr
     The combos must have passed _check_detection."""
     s = hermitian_apply(m, y)
     rules = {RULES[_DETECTORS[det][0]] for det, _ in combos}
-    scores = {grouped: group_norms(s, m.groups) if grouped else np.abs(s)
-              for grouped in {grouped for grouped, _ in rules}}
+    scores = {grouped: scores_of(s, m, grouped) for grouped in {grouped for grouped, _ in rules}}
     # keys per rule, built once per block; smaller is better
     keys = {(grouped, largest): -scores[grouped] if largest else scores[grouped]
             for grouped, largest in rules}

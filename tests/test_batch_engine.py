@@ -13,12 +13,14 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zerodetect import experiments
-from zerodetect.core import RngSpec, hermitian_apply
+from zerodetect.core import RngSpec, SignalInstance, hermitian_apply
 from zerodetect.detectors import group_norms, ost_topk, zd_groth, zd_ost
+from zerodetect.errors import BadValue
 from zerodetect.experiments import (
     DETECTOR_NAMES,
     BatchCell,
@@ -224,3 +226,22 @@ def test_noiseless_kerdock_signals_tie_at_a_selection_boundary():
                 if theta < ordered.shape[-1]:
                     ties += np.count_nonzero(ordered[:, theta - 1] == ordered[:, theta])
     assert ties >= 1
+
+
+def test_measurements_whose_scores_overflow_are_rejected():
+    # finite y whose Walsh correlations overflow (248 of 256 at m = 3): their NaN keys
+    # would leave a selection short of theta, so the block raises as the detectors do
+    m = build_matrix(ExperimentConfig(matrix_family="kerdock", kerdock_m=3, sigma2=0.0,
+                                      group_size=8, k_grid=(3,), theta_grid=(1,), trials=1))
+    x = np.zeros(m.p, dtype=np.complex128)
+    x[[5, 90, 200]] = 1.0
+    signal = SignalInstance(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for detector, theta, y in (
+            ("zd_ost", 250, np.full(m.n, 1e308)), ("zd_ost", 1, np.full(m.n, 1e308)),
+            ("ost_topk", 2, np.full(m.n, 1e308)), ("ost_topk_full_support", 3, np.full(m.n, 1e308)),
+            ("zd_groth", 2, np.full(m.n, 1e308)),
+            ("zd_groth", 2, np.full(m.n, 1e154)),  # finite correlations, overflowing block norms
+        ):
+            with pytest.raises(BadValue, match="scores overflow"):
+                evaluate_detection(detector, theta, m, y, signal)

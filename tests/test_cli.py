@@ -2,10 +2,14 @@
 
 import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zerodetect
 from zerodetect.cli import build_parser, main
 from zerodetect.coherence import (
     STAT_HEADER, coherence_report, read_coherence_csv, stoc_estimate, stoc_probe,
@@ -117,15 +121,17 @@ def test_detect_rejects_non_finite_measurement(tmp_path, capsys):
     assert "ERROR BadValue" in capsys.readouterr().err
 
 
-def test_detect_rejects_measurements_whose_correlations_overflow(kerdock_file, tmp_path, capsys):
-    # finite entries whose Walsh correlations overflow: an error, not a traceback
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run("detect", "--matrix", str(kerdock_file), "--yinline", ",".join(["1e308"] * 16),
-                   "--theta", "250", "--out", str(tmp_path / "r.csv"))
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "ERROR BadValue" in err
-    assert "Traceback" not in err
+def test_detect_rejects_measurements_whose_correlations_overflow(kerdock_file, tmp_path):
+    # finite entries whose Walsh correlations overflow: one error line, no traceback, and,
+    # as a process with numpy's default warning settings, no RuntimeWarning before it
+    src = str(Path(zerodetect.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "zerodetect.cli", "detect", "--matrix", str(kerdock_file),
+         "--yinline", ",".join(["1e308"] * 16), "--theta", "250", "--out", str(tmp_path / "r.csv")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, cwd=tmp_path)
+    assert done.returncode == 1
+    assert done.stderr == "ERROR BadValue: scores overflow: measurements too large to rank\n"
 
 
 def test_threads_flag_is_gone(tmp_path, capsys):

@@ -1,8 +1,12 @@
 """Thresholding detectors: selections, tie-breaks, invariances."""
 
+import sys
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zerodetect.core import GroupPartition, MeasurementMatrix, RngSpec, hermitian_apply
@@ -276,3 +280,110 @@ def test_kerdock_selections_match_dense_scores_up_to_rounding_ties():
             got = np.array(detector(y, m, theta).ranking) - 1
             want = np.argsort(s, kind="stable")[:theta]
             assert np.all(np.abs(s[got] - s[want]) <= 1e-12 * s.max())
+
+
+# the last vector's correlations, kept on its matrix: reuse must never show
+
+_K3 = attach_groups(build_kerdock(KerdockSpec(3)), 8)
+_RULES = {"zd_ost": (zd_ost, 256), "zd_groth": (zd_groth, 32), "ost_topk": (ost_topk, 256)}
+# Gaussian integers and signed zeros: every correlation is exact, and -0.0 is a new key
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -2.0, 1j, -0.5j, 3 + 1j])
+_POOL = 3
+
+
+def _fresh(m):
+    # the same array and groups under a matrix whose slot is empty
+    return MeasurementMatrix(m.matrix, m.groups)
+
+
+def _assert_same(got, want):
+    assert got.ranking == want.ranking and got.mode == want.mode
+    assert got.scores.tobytes() == want.scores.tobytes()
+
+
+_CALL = st.tuples(st.just("call"), st.integers(0, _POOL - 1), st.sampled_from(sorted(_RULES)),
+                  st.integers(1, 256), st.booleans())
+_EDIT = st.tuples(st.just("edit"), st.integers(0, _POOL - 1), st.integers(0, _K3.n - 1), _ENTRIES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_ENTRIES, min_size=_K3.n, max_size=_K3.n), min_size=_POOL,
+                max_size=_POOL),
+       st.lists(st.one_of(_CALL, _CALL, _EDIT), min_size=1, max_size=12))
+def test_detections_equal_those_on_a_fresh_matrix(pool, steps):
+    m = _fresh(_K3)
+    ys = [np.array(v, dtype=np.complex128) for v in pool]
+    for step in steps:
+        if step[0] == "edit":  # in place, between calls
+            _, i, at, value = step
+            ys[i][at] = value
+            continue
+        _, i, rule, theta, as_list = step
+        detector, limit = _RULES[rule]
+        theta = 1 + (theta - 1) % limit
+        y = ys[i].tolist() if as_list else ys[i]
+        _assert_same(detector(y, m, theta), detector(ys[i], _fresh(m), theta))
+
+
+def test_one_vector_is_correlated_once_per_matrix():
+    m, other = _fresh(_K3), attach_groups(_K3, 16)  # one array, two matrices
+    assert other.matrix is m.matrix
+    y, z = np.exp(0.5j * np.arange(m.n)), np.exp(0.25j * np.arange(m.n))
+    with mock.patch("zerodetect.detectors.hermitian_apply", wraps=hermitian_apply) as apply:
+        zd_ost(y, m, 16)
+        zd_groth(y, m, 4)
+        ost_topk(y.tolist(), m, 3)  # the same values, as a list
+        assert apply.call_count == 1
+        zd_groth(z, other, 2)  # the other matrix has its own slot
+        zd_ost(y, m, 5)
+        assert apply.call_count == 2
+        zd_ost(z, other, 5)
+        assert apply.call_count == 2
+        y[3] = -y[3]  # an edit in place is a new vector
+        zd_ost(y, m, 5)
+        assert apply.call_count == 3
+
+
+def test_writes_into_returned_arrays_do_not_reach_the_kept_correlations():
+    m, y = _fresh(_K3), np.exp(0.5j * np.arange(_K3.n))
+    want_s = hermitian_apply(m, y)
+    first = zd_ost(y, m, 16)
+    first.scores.setflags(write=True)  # the scores own their memory
+    first.scores[:] = -1.0
+    s = hermitian_apply(m, y)
+    assert s.flags.writeable  # a fresh array each call
+    s[:] = 0.0
+    assert hermitian_apply(m, y).tobytes() == want_s.tobytes()
+    for detector, theta in ((zd_ost, 16), (zd_groth, 4), (ost_topk, 3)):
+        _assert_same(detector(y, m, theta), detector(y, _fresh(m), theta))
+
+
+def test_threads_sharing_a_matrix_get_their_own_vectors_rankings():
+    # more threads than cores, switching often, on one matrix: a slot read must never pair
+    # one thread's key with another's correlations
+    m, rng = _fresh(_K3), np.random.default_rng(7)
+    ys = [rng.standard_normal(_K3.n) + 1j * rng.standard_normal(_K3.n) for _ in range(3)]
+    want = [[detector(y, _fresh(m), theta) for detector, theta in ((zd_ost, 16), (zd_groth, 4))]
+            for y in ys]
+    failures = []
+
+    def work(i):
+        for _ in range(150):
+            for (detector, theta), expected in zip(((zd_ost, 16), (zd_groth, 4)), want[i % 3]):
+                got = detector(ys[i % 3], m, theta)
+                if (got.ranking, got.scores.tobytes()) != (expected.ranking,
+                                                           expected.scores.tobytes()):
+                    failures.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures

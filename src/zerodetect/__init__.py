@@ -48,6 +48,7 @@ from .matrices import (
     KerdockSpec,
     attach_groups,
     build_bernoulli,
+    build_frame,
     build_kerdock,
     load_matrix,
 )

@@ -25,14 +25,7 @@ from .experiments import (
     run_batch,
     write_report_csv,
 )
-from .matrices import (
-    KerdockSpec,
-    attach_groups,
-    build_bernoulli,
-    build_kerdock,
-    kerdock_meta,
-    load_matrix,
-)
+from .matrices import build_frame, load_matrix
 from . import coherence, theory
 
 
@@ -50,23 +43,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_gen_matrix(args) -> int:
-    if args.family == "kerdock":
-        if args.m is None:
-            raise BadValue("--family kerdock needs --m")
-        if args.rows is not None or args.cols is not None:
-            raise BadValue("--rows/--cols apply only to --family bernoulli")
-        spec = KerdockSpec(args.m)
-        m = build_kerdock(spec)
-        meta = kerdock_meta(spec)
-    else:
-        if args.rows is None or args.cols is None:
-            raise BadValue("--family bernoulli needs --rows and --cols")
-        m = build_bernoulli(args.rows, args.cols, RngSpec(args.seed))
-        meta = {"family": "bernoulli", "rows": str(args.rows),
-                "cols": str(args.cols), "seed": str(args.seed)}
-    if args.group_size is not None:
-        m = attach_groups(m, args.group_size)
-        meta["group_size"] = str(args.group_size)
+    if args.family == "kerdock" and (args.rows is not None or args.cols is not None):
+        raise BadValue("--rows/--cols apply only to --family bernoulli")
+    m, meta = build_frame(args.family, args.m, args.rows, args.cols, args.seed, args.group_size)
     write_cmat(args.out, m, meta)
     if args.verbose:
         print(f"wrote {m.n} x {m.p} {args.family} matrix to {args.out}")

@@ -34,6 +34,15 @@ def locked(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def adopted(a, dtype) -> np.ndarray:
+    """a itself if it is a locked, C-contiguous dtype ndarray that owns its memory (base None),
+    else a locked copy: the caller's own arrays are never locked."""
+    if not (type(a) is np.ndarray and a.dtype == dtype and a.base is None
+            and a.flags.c_contiguous and not a.flags.writeable):
+        a = locked(np.array(a, dtype=dtype, order="C"))
+    return a
+
+
 def as_int(value, what: str, error: type[ValueError] = BadValue) -> int:
     """Any integer (numpy's too) as an int; anything else raises error."""
     try:
@@ -87,8 +96,8 @@ def _walsh_tables(u: int):
 class MeasurementMatrix:
     """Complex n x p matrix with unit-norm columns, optionally block-partitioned.
 
-    The matrix is read-only. A locked, C-contiguous complex128 ndarray that owns its memory
-    (base None) is adopted as it is; any other input is copied. matrices.attach_groups
+    The matrix is read-only: a locked, C-contiguous complex128 ndarray that owns its memory
+    is adopted as it is; any other input is copied (core.adopted). matrices.attach_groups
     re-partitions it without a second scan; its first correlation looks for a Walsh plan.
     """
 
@@ -96,11 +105,8 @@ class MeasurementMatrix:
     groups: GroupPartition | None = None
 
     def __post_init__(self):
-        a = self.matrix
-        if not (type(a) is np.ndarray and a.dtype == np.complex128 and a.base is None
-                and a.flags.c_contiguous and not a.flags.writeable):
-            a = locked(np.array(a, dtype=np.complex128, order="C"))
-            object.__setattr__(self, "matrix", a)
+        a = adopted(self.matrix, np.complex128)
+        object.__setattr__(self, "matrix", a)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise BadValue(f"expected a 2-D matrix with n, p >= 1, got shape {a.shape}")
         v = a.view(np.float64)  # (re, im) pairs: norms without full-size temporaries
@@ -175,11 +181,11 @@ class SupportSet:
 
     @classmethod
     def from_indices(cls, indices, domain_size: int) -> "SupportSet":
-        return cls(tuple(sorted(int(i) for i in indices)), domain_size)
+        return cls(tuple(sorted(as_int(i, "index") for i in indices)), domain_size)
 
     @classmethod
     def from_zero_based(cls, indices, domain_size: int) -> "SupportSet":
-        return cls.from_indices((int(i) + 1 for i in indices), domain_size)
+        return cls.from_indices((as_int(i, "index") + 1 for i in indices), domain_size)
 
     def complement(self) -> "SupportSet":
         inside = set(self.indices)
@@ -212,12 +218,12 @@ class SignalInstance:
     x: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.complex128)
+        x = adopted(self.x, np.complex128)
         if x.ndim != 1 or x.size < 1:
             raise BadValue("signal must be a nonempty 1-D vector")
         if not np.all(np.isfinite(x)):
             raise BadValue("signal entries must be finite")
-        object.__setattr__(self, "x", locked(np.array(x)))
+        object.__setattr__(self, "x", x)
 
     @classmethod
     def from_vector(cls, x) -> "SignalInstance":
@@ -446,11 +452,14 @@ def write_cmat(path, m, meta: dict | None = None) -> None:
     n, p = a.shape
     lines = [f"{n} {p}"]
     if meta:
-        for key, value in meta.items():
-            if " " in str(key) or " " in str(value):
-                raise BadValue("meta keys and values must not contain spaces")
-        tokens = " ".join(f"{k}={v}" for k, v in meta.items())
-        lines.append(f"# meta: {tokens}")
+        pairs = {str(key): str(value) for key, value in meta.items()}
+        if len(pairs) < len(meta):
+            raise BadValue(f"meta keys {list(meta)!r} are not distinct as text")
+        for key, value in pairs.items():
+            if not key or "=" in key or any(c.isspace() for c in key + value):
+                raise BadValue(f"meta {key!r}: {value!r} would not read back; keys must be "
+                               "nonempty without '=', and neither may hold whitespace")
+        lines.append("# meta: " + " ".join(f"{k}={v}" for k, v in pairs.items()))
     for row in a:
         lines.append(" ".join(format_cmat_entry(z) for z in row))
     with open(path, "w", encoding="ascii") as fh:

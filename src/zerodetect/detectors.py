@@ -19,7 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GroupPartition, MeasurementMatrix, SupportSet, as_int, hermitian_apply, locked
+from .core import (
+    GroupPartition, MeasurementMatrix, SupportSet, adopted, as_int, hermitian_apply, locked,
+)
 from .errors import BadValue, DimensionMismatch, NoGroups, ThetaOutOfRange
 
 
@@ -38,9 +40,7 @@ class DetectionResult:
     mode: str  # "element" | "group"
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=float)
-        scores.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "scores", adopted(self.scores, np.float64))
         if self.mode not in ("element", "group"):
             raise BadValue(f"unknown detection mode {self.mode!r}")
 
@@ -87,19 +87,12 @@ def select_mask(keys: np.ndarray, theta: int) -> np.ndarray:
 
 
 def select(scores: np.ndarray, theta: int, largest: bool = False) -> np.ndarray:
-    """0-based positions of the theta smallest (or largest) scores along the
-    last axis, best first, equal scores by index: the order a stable sort of
-    the whole row gives, from a stable sort of select_mask's theta entries.
-    A lone row indexes its positions by that sort; a stack takes them along its rows."""
+    """0-based positions of the theta smallest (or largest) entries of one score row,
+    best first, equal scores by index: the order a stable sort of the whole row
+    gives, from a stable sort of select_mask's theta entries."""
     keys = -scores if largest else scores
-    mask = select_mask(keys, theta)
-    if keys.ndim == 1:
-        picked = np.flatnonzero(mask)
-        return picked[keys[picked].argsort(kind="stable")]
-    shape = keys.shape[:-1] + (theta,)
-    picked = np.nonzero(mask)[-1].reshape(shape)
-    order = keys[mask].reshape(shape).argsort(axis=-1, kind="stable")
-    return np.take_along_axis(picked, order, axis=-1)
+    picked = np.flatnonzero(select_mask(keys, theta))
+    return picked[keys[picked].argsort(kind="stable")]
 
 
 def group_norms(s: np.ndarray, groups: GroupPartition) -> np.ndarray:
@@ -138,7 +131,8 @@ def _detect(rule: str, y, m: MeasurementMatrix, theta: int) -> DetectionResult:
     grouped, largest = RULES[rule]
     scores = scores_of(_correlations(m, y), m, grouped)
     ranking = select(scores, theta, largest)
-    return DetectionResult(tuple((ranking + 1).tolist()), scores, "group" if grouped else "element")
+    return DetectionResult(tuple((ranking + 1).tolist()), locked(scores),
+                           "group" if grouped else "element")
 
 
 def zd_ost(y, m: MeasurementMatrix, theta: int) -> DetectionResult:

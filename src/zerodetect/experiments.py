@@ -33,8 +33,8 @@ from .core import (
 )
 from .detectors import RULES, check_theta, scores_of, select_mask
 from .errors import BadK, BadValue, DimensionMismatch, IncompleteReport, NoGroups
-from .matrices import KerdockSpec, attach_groups, build_bernoulli, build_kerdock, load_matrix
-from .theory import NOISE_CONVENTIONS
+from .matrices import build_frame, load_matrix
+from .theory import noise_component_variance
 
 # detector -> (its rule in detectors.RULES, target mask); the full-support
 # baseline is ost_topk at theta = k
@@ -105,8 +105,11 @@ def _assemble_signals(domain: int, width: int, blocks: np.ndarray, u: np.ndarray
 
 
 def _noise_scale(sigma2: float, convention: str) -> float:
-    """Standard deviation of each real component of the noise (see gen_noise)."""
-    return math.sqrt(sigma2 / 2) if convention == "total" else math.sqrt(sigma2)
+    """Standard deviation of each real component of the noise (see gen_noise), once
+    sigma2 and the convention are checked."""
+    if not 0 <= sigma2 < math.inf:
+        raise BadValue(f"sigma2 must be finite and >= 0, got {sigma2!r}")
+    return math.sqrt(noise_component_variance(sigma2, convention))
 
 
 def _draw_signal(domain: int, width: int, k: int, law: UniformAmplitude,
@@ -140,14 +143,11 @@ def gen_noise(n: int, sigma2: float, convention: str,
     "total": per-entry variance sigma2 (components sigma2/2 each), so
     E||w||^2 = n sigma2. "per_component": each component has variance sigma2.
     """
-    if not 0 <= sigma2 < math.inf:
-        raise BadValue(f"sigma2 must be finite and >= 0, got {sigma2!r}")
-    if convention not in NOISE_CONVENTIONS:
-        raise BadValue(f"unknown noise convention {convention!r}")
+    scale = _noise_scale(sigma2, convention)
     if sigma2 == 0:
         return np.zeros(n, dtype=np.complex128)
     parts = rng.standard_normal((2, n))
-    return _noise_scale(sigma2, convention) * (parts[0] + 1j * parts[1])
+    return scale * (parts[0] + 1j * parts[1])
 
 
 @dataclass(frozen=True)
@@ -177,13 +177,10 @@ class ExperimentConfig:
             raise BadValue(f"unknown matrix family {self.matrix_family!r}")
         if self.signal_model not in SIGNAL_MODELS:
             raise BadValue(f"unknown signal model {self.signal_model!r}")
-        if self.noise_convention not in NOISE_CONVENTIONS:
-            raise BadValue(f"unknown noise convention {self.noise_convention!r}")
+        _noise_scale(self.sigma2, self.noise_convention)
         object.__setattr__(self, "trials", as_int(self.trials, "trials"))
         if self.trials < 1:
             raise BadValue("trials must be >= 1")
-        if not 0 <= self.sigma2 < math.inf:
-            raise BadValue(f"sigma2 must be finite and >= 0, got {self.sigma2!r}")
         if not 0 < self.amplitude_lo <= self.amplitude_hi < math.inf:
             raise BadValue("need 0 < amplitude_lo <= amplitude_hi < inf, got "
                            f"[{self.amplitude_lo}, {self.amplitude_hi}]")
@@ -211,15 +208,8 @@ def build_matrix(config: ExperimentConfig) -> MeasurementMatrix:
         if config.matrix_file is None:
             raise BadValue("file family needs matrix_file")
         return load_matrix(config.matrix_file, config.group_size)
-    if config.matrix_family == "kerdock":
-        m = build_kerdock(KerdockSpec(config.kerdock_m))
-    else:
-        if config.rows is None or config.cols is None:
-            raise BadValue("bernoulli family needs rows and cols")
-        m = build_bernoulli(config.rows, config.cols, RngSpec(config.matrix_seed))
-    if config.group_size is not None:
-        m = attach_groups(m, config.group_size)
-    return m
+    return build_frame(config.matrix_family, config.kerdock_m, config.rows, config.cols,
+                       config.matrix_seed, config.group_size)[0]
 
 
 class TrialMetrics(NamedTuple):

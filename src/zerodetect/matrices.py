@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _I_POWERS, GroupPartition, MeasurementMatrix, RngSpec, as_int, locked, read_cmat
-from .errors import CmatFormatError, ConstructionError, IndivisibleGroupSize, InvalidSpec
+from .errors import BadValue, CmatFormatError, ConstructionError, IndivisibleGroupSize, InvalidSpec
 from .galois import modulus_poly, trace_sequence
 
 _Z4 = np.arange(4, dtype=np.uint8)
@@ -132,6 +132,7 @@ def build_bernoulli(n: int, p: int, rng: RngSpec) -> MeasurementMatrix:
     Entries come from a single counter-based stream keyed by the RngSpec, so
     the matrix is a pure function of (masterSeed, streamId).
     """
+    n, p = as_int(n, "rows", InvalidSpec), as_int(p, "cols", InvalidSpec)
     if n < 1 or p < 1:
         raise InvalidSpec(f"need n, p >= 1, got n={n}, p={p}")
     gen = rng.generator()
@@ -150,6 +151,26 @@ def attach_groups(m: MeasurementMatrix, r: int) -> MeasurementMatrix:
     grouped = copy.copy(m)
     object.__setattr__(grouped, "groups", GroupPartition(m.p // r, r))
     return grouped
+
+
+def build_frame(family: str, m: int | None = None, rows: int | None = None,
+                cols: int | None = None, seed: int = 0, group_size: int | None = None):
+    """(frame, meta): the Kerdock frame of degree m, or the rows x cols Bernoulli frame
+    of RngSpec(seed), in groups of group_size if given, with its CMAT header meta."""
+    if family == "kerdock":
+        spec = KerdockSpec(m)
+        frame, meta = build_kerdock(spec), kerdock_meta(spec)
+    elif family == "bernoulli":
+        if rows is None or cols is None:
+            raise BadValue("the bernoulli family needs rows and cols")
+        frame = build_bernoulli(rows, cols, RngSpec(seed))
+        meta = {"family": "bernoulli", "rows": str(rows), "cols": str(cols), "seed": str(seed)}
+    else:
+        raise InvalidSpec(f"unknown frame family {family!r}")
+    if group_size is not None:
+        frame = attach_groups(frame, group_size)
+        meta["group_size"] = str(group_size)
+    return frame, meta
 
 
 def load_matrix(path, group_size: int | None = None) -> MeasurementMatrix:

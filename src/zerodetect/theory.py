@@ -20,18 +20,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SignalInstance
+from .core import SignalInstance, adopted
 from .errors import BadValue, EmptySupport
 
-NOISE_CONVENTIONS = ("total", "per_component")
 
-
-def noise_energy_per_measurement(sigma: float, convention: str) -> float:
-    """E|w_t|^2 for one measurement entry under the given convention."""
+def noise_component_variance(sigma2: float, convention: str) -> float:
+    """Variance of each real component of a noise entry at level sigma2: sigma2 / 2
+    under "total", sigma2 under "per_component"."""
     if convention == "total":
-        return sigma**2
+        return sigma2 / 2
     if convention == "per_component":
-        return 2 * sigma**2
+        return sigma2
     raise BadValue(f"unknown noise convention {convention!r}")
 
 
@@ -125,8 +124,7 @@ class SignalStats:
     snr_min: float
 
     def __post_init__(self):
-        mags = np.asarray(self.sorted_magnitudes, dtype=float)
-        mags.setflags(write=False)
+        mags = adopted(self.sorted_magnitudes, np.float64)
         object.__setattr__(self, "sorted_magnitudes", mags)
         if mags.size == 0:
             raise EmptySupport("statistics need at least one nonzero entry")
@@ -158,7 +156,8 @@ def stats_from_magnitudes(magnitudes, sigma: float, n: int,
     if n < 1:
         raise BadValue("n must be >= 1")
     mags = np.sort(np.abs(np.asarray(magnitudes, dtype=float)))[::-1]
-    snr = float(np.sum(mags**2)) / (n * noise_energy_per_measurement(sigma, convention))
+    # E||w||^2 = n E|w_t|^2, and E|w_t|^2 is twice each real component's variance
+    snr = float(np.sum(mags**2)) / (n * 2 * noise_component_variance(sigma**2, convention))
     # the min is mags[-1]; initial=inf lets an empty mags reach SignalStats, which rejects it
     return SignalStats(mags, snr, float(np.min(mags, initial=np.inf)) ** 2 / sigma**2)
 

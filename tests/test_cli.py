@@ -15,7 +15,8 @@ from zerodetect.coherence import (
     STAT_HEADER, coherence_report, read_coherence_csv, stoc_estimate, stoc_probe,
 )
 from zerodetect.core import RngSpec, read_cmat, write_cmat, write_csv
-from zerodetect.matrices import load_matrix
+from zerodetect.experiments import ExperimentConfig, build_matrix
+from zerodetect.matrices import build_frame, load_matrix
 
 
 def run(*argv):
@@ -65,6 +66,33 @@ def test_gen_matrix_kerdock_cmat_digests(tmp_path, m, extra, digest):
     out = tmp_path / "k.cmat"
     assert run("gen-matrix", "--family", "kerdock", "--m", m, *extra, "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+_FRAMES = {"kerdock-m3": (["--family", "kerdock", "--m", "3"], dict(kerdock_m=3)),
+           "bernoulli-16x64-seed3": (["--family", "bernoulli", "--rows", "16", "--cols", "64",
+                                      "--seed", "3"],
+                                     dict(matrix_family="bernoulli", rows=16, cols=64,
+                                          matrix_seed=3))}
+
+
+@pytest.mark.parametrize("group_size", [None, 8], ids=["ungrouped", "groups8"])
+@pytest.mark.parametrize("frame", list(_FRAMES))
+def test_gen_matrix_files_load_as_the_frame_factory_builds(tmp_path, frame, group_size):
+    # gen-matrix and simulate build frames through one factory, build_frame
+    flags, config = _FRAMES[frame]
+    extra = [] if group_size is None else ["--group-size", str(group_size)]
+    out = tmp_path / "f.cmat"
+    assert run("gen-matrix", *flags, *extra, "--out", str(out)) == 0
+    family = config.get("matrix_family", "kerdock")
+    built, meta = build_frame(family, config.get("kerdock_m"), config.get("rows"),
+                              config.get("cols"), config.get("matrix_seed", 0), group_size)
+    configured = build_matrix(ExperimentConfig(**config, group_size=group_size))
+    loaded = load_matrix(out)
+    assert read_cmat(out)[1] == meta
+    for m in (built, configured):
+        assert m.matrix.tobytes() == loaded.matrix.tobytes()
+        assert m.groups == loaded.groups
+    assert (loaded.groups is None) == (group_size is None)
 
 
 def test_gen_matrix_validation(tmp_path, capsys):

@@ -15,6 +15,7 @@ from zerodetect.coherence import (
     coherence_report,
     group_coherences,
     stoc_estimate,
+    stoc_probe,
     worst_case_coherence,
 )
 from zerodetect.core import MeasurementMatrix, RngSpec, normalize_columns
@@ -270,6 +271,15 @@ def test_stoc_rejects_non_integer_trials(kerdock16, trials):
     z = np.ones(4, dtype=np.complex128)
     with pytest.raises(BadValue, match="trials must be an integer"):
         stoc_estimate(kerdock16, 4, 0.5, z, trials, RngSpec(0))
+
+
+def test_stoc_rejects_non_integer_k(kerdock16):
+    z = np.ones(2, dtype=np.complex128)
+    with pytest.raises(BadK, match="k must be an integer, got float"):
+        stoc_estimate(kerdock16, 2.0, 0.5, z, 10, RngSpec(0))
+    with pytest.raises(BadK, match="k must be an integer, got float"):
+        stoc_probe("flat", 2.5, 0)
+    assert stoc_probe("flat", np.int64(4), 0).shape == (4,)
 
 
 def test_stoc_takes_numpy_integer_trials(kerdock16):

@@ -412,6 +412,15 @@ def test_support_set_accepts_any_integer():
             SupportSet((1, bad), 3)
 
 
+def test_support_set_builders_reject_non_integers():
+    # int() would truncate these; the constructor rejects them, and so do its builders
+    with pytest.raises(BadValue, match="index must be an integer, got float"):
+        SupportSet.from_indices([1.7, 2.2], 3)
+    with pytest.raises(BadValue, match="index must be an integer, got float"):
+        SupportSet.from_zero_based([0.0, 1.5], 3)
+    assert SupportSet.from_zero_based(np.array([2, 0]), 3).indices == (1, 3)
+
+
 def test_signal_instance_invariants():
     x = np.array([0.0, 2.0, 0.0, 1.0j])
     sig = SignalInstance.from_vector(x)
@@ -561,6 +570,26 @@ def test_cmat_reader_rejects_malformed(tmp_path, body):
 def test_cmat_meta_rejects_spaces(tmp_path):
     with pytest.raises(BadValue):
         write_cmat(tmp_path / "m.cmat", np.eye(2), meta={"k": "a b"})
+
+
+@pytest.mark.parametrize("meta", [
+    {"k": "a\tb"}, {"k": "a\nb"}, {"k\n": "v"}, {"a=b": "v"}, {"": "v"}, {"k": "\u2028"},
+    {1: "a", "1": "b"},
+], ids=["tab", "newline", "key-newline", "key-equals", "empty-key", "line-separator",
+        "keys-equal-as-text"])
+def test_cmat_meta_rejects_what_does_not_read_back(tmp_path, meta):
+    path = tmp_path / "m.cmat"
+    with pytest.raises(BadValue):
+        write_cmat(path, np.eye(2), meta=meta)
+    assert not path.exists()
+
+
+def test_cmat_meta_round_trips_what_it_accepts(tmp_path):
+    # a value may hold '=' (read_cmat splits at the first) and may be empty
+    meta = {"family": "test", "expr": "a=b=c", "empty": "", "seed": 7, "poly_z4": "1,3,2,0,1"}
+    path = tmp_path / "m.cmat"
+    write_cmat(path, np.eye(2), meta=meta)
+    assert read_cmat(path)[1] == {key: str(value) for key, value in meta.items()}
 
 
 def test_rng_spec_takes_numpy_integers():

@@ -556,6 +556,16 @@ def test_config_validation():
         ExperimentConfig(noise_convention="weird")
 
 
+def test_gen_noise_and_config_check_sigma2_and_convention_alike():
+    rng = RngSpec(69).generator()
+    for sigma2, convention, match in ((-1.0, "total", r"sigma2 must be finite and >= 0, got -1.0"),
+                                      (1.0, "weird", "unknown noise convention 'weird'")):
+        with pytest.raises(BadValue, match=match):
+            gen_noise(4, sigma2, convention, rng)
+        with pytest.raises(BadValue, match=match):
+            ExperimentConfig(sigma2=sigma2, noise_convention=convention)
+
+
 @pytest.mark.parametrize("trials", [2.5, "3"])
 def test_config_rejects_non_integer_trials(trials):
     with pytest.raises(BadValue, match="trials must be an integer"):

@@ -8,11 +8,12 @@ import pytest
 
 from zerodetect import matrices
 from zerodetect.core import RngSpec
-from zerodetect.errors import ConstructionError, IndivisibleGroupSize, InvalidSpec
+from zerodetect.errors import BadValue, ConstructionError, IndivisibleGroupSize, InvalidSpec
 from zerodetect.matrices import (
     KerdockSpec,
     attach_groups,
     build_bernoulli,
+    build_frame,
     build_kerdock,
     kerdock_meta,
 )
@@ -184,6 +185,28 @@ def test_bernoulli_reproducible_and_stream_dependent():
 def test_bernoulli_rejects_bad_shape():
     with pytest.raises(InvalidSpec):
         build_bernoulli(0, 4, RngSpec(0))
+    with pytest.raises(InvalidSpec, match="rows must be an integer, got float"):
+        build_bernoulli(8.0, 32, RngSpec(0))
+    with pytest.raises(InvalidSpec, match="cols must be an integer, got str"):
+        build_bernoulli(8, "32", RngSpec(0))
+
+
+def test_build_frame_rules():
+    frame, meta = build_frame("bernoulli", rows=8, cols=32, seed=7, group_size=4)
+    assert np.array_equal(frame.matrix, build_bernoulli(8, 32, RngSpec(7)).matrix)
+    assert (frame.groups.q, frame.groups.r) == (8, 4)
+    assert meta == {"family": "bernoulli", "rows": "8", "cols": "32", "seed": "7",
+                    "group_size": "4"}
+    frame, meta = build_frame("kerdock", 3)
+    assert frame.groups is None and meta == kerdock_meta(KerdockSpec(3))
+    with pytest.raises(BadValue, match="bernoulli family needs rows and cols"):
+        build_frame("bernoulli", rows=8)
+    with pytest.raises(InvalidSpec):
+        build_frame("kerdock", None)
+    with pytest.raises(InvalidSpec, match="unknown frame family"):
+        build_frame("gaussian", rows=8, cols=32)
+    with pytest.raises(IndivisibleGroupSize):
+        build_frame("bernoulli", rows=8, cols=32, group_size=5)
 
 
 def test_attach_groups_kerdock(kerdock16):

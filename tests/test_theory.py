@@ -11,6 +11,7 @@ from zerodetect.errors import BadValue, EmptySupport
 from zerodetect.matrices import KerdockSpec, attach_groups, build_kerdock
 from zerodetect.theory import (
     BoundParams,
+    SignalStats,
     chi2_tail_bound,
     coherence_property,
     epsilon0,
@@ -18,6 +19,7 @@ from zerodetect.theory import (
     fdp_bound_groupwise,
     group_coherence_property,
     group_guarantee_constants,
+    noise_component_variance,
     noise_thresholds,
     pe_bound,
     signal_stats,
@@ -165,6 +167,23 @@ def test_signal_stats_rejects_empty_support():
 def test_stats_from_magnitudes_rejects_non_finite(bad):
     with pytest.raises(BadValue, match="finite"):
         stats_from_magnitudes([bad, 1.0], sigma=1.0, n=2)
+
+
+def test_signal_stats_leaves_the_callers_magnitudes_writable():
+    mags = np.array([4.0, 3.0])
+    stats = SignalStats(mags, 12.5, 9.0)
+    assert mags.flags.writeable and not stats.sorted_magnitudes.flags.writeable
+    mags[0] = 9.0
+    assert stats.sorted_magnitudes[0] == 4.0
+
+
+def test_noise_convention_component_variance():
+    assert noise_component_variance(7.0, "total") == 3.5
+    assert noise_component_variance(7.0, "per_component") == 7.0
+    with pytest.raises(BadValue, match="unknown noise convention 'weird'"):
+        noise_component_variance(7.0, "weird")
+    with pytest.raises(BadValue, match="unknown noise convention 'weird'"):
+        stats_from_magnitudes([1.0], sigma=1.0, n=2, convention="weird")
 
 
 # ---------------------------------------------------------------------------

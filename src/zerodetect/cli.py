@@ -43,8 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_gen_matrix(args) -> int:
-    if args.family == "kerdock" and (args.rows is not None or args.cols is not None):
-        raise BadValue("--rows/--cols apply only to --family bernoulli")
     m, meta = build_frame(args.family, args.m, args.rows, args.cols, args.seed, args.group_size)
     write_cmat(args.out, m, meta)
     if args.verbose:

@@ -7,9 +7,11 @@ Definitions (natural logarithms everywhere):
   mu_g   = max_{i != j} ||A_i^H A_j||_2                   (group worst-case)
   nu_g   = max_i ||sum_{j != i} A_i^H A_j||_2 / (q - 1)   (group average)
 
-Every statistic is exact, through LAPACK: mu and mu_g come from one scan of
-A^H A in row slabs (memory bounded by one slab, never the p x p Gram) with
-batched spectral norms of its r x r blocks; nu and nu_g come from A 1 in O(np).
+Every statistic is exact to rounding, through LAPACK: mu, mu_g and nu_g come
+from one scan of A^H A in row slabs (memory bounded by one slab, never the p x p
+Gram) with batched spectral norms of its r x r blocks; nu comes from A 1 in O(np).
+nu_g sums block rows, sum_J A_I^H A_J - A_I^H A_I: bit for bit ||A_I^H (sum_J A_J - A_I)||_2
+on dyadic frames (Kerdock, Bernoulli with n a power of 4), elsewhere to rounding (1e-15 relative).
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MeasurementMatrix, RngSpec, as_int, hermitian_apply
+from .core import MeasurementMatrix, RngSpec, _squared_column_norms, as_int, hermitian_apply
 from .errors import (
     BadK, BadValue, CmatFormatError, DimensionMismatch, NoGroups, SingleColumn, ZeroZ,
 )
@@ -157,17 +159,18 @@ def _first_max(values: np.ndarray, best: float, pair: tuple[int, int],
 
 
 def _gram_scan(m: MeasurementMatrix, r: int | None = None):
-    """(mu, pair, mu_g, group_pair) from A^H A walked in row slabs of at most
+    """(mu, pair, mu_g, nu_g, group_pair) from A^H A walked in row slabs of at most
     _SLAB_ENTRIES entries (or one group's rows), never the whole p x p Gram.
 
-    Self-pairs are masked below zero, so whenever p >= 2 (q >= 2 for groups)
-    a reported pair is two distinct columns (groups). mu_g needs r.
+    A slab's (b, q, r, r) blocks A_I^H A_J give mu_g off the diagonal and nu_g as each
+    row's sum less its diagonal block; without r those are None. Self-pairs are masked
+    below zero, so a reported pair is two distinct columns (groups) when p >= 2 (q >= 2).
     """
     a, p = m.matrix, m.p
     step = r or 1
     rows = max(step, _SLAB_ENTRIES // p // step * step)
     mu, pair = -1.0, (1, 1)
-    mu_g, group_pair = -1.0, (1, 2)
+    mu_g, nu_g, group_pair = -1.0, 0.0, (1, 2)
     for start in range(0, p, rows):
         g = a[:, start:start + rows].conj().T @ a
         h = g.shape[0]
@@ -176,13 +179,16 @@ def _gram_scan(m: MeasurementMatrix, r: int | None = None):
         mu, pair = _first_max(mag, mu, pair, start)
         if r is not None:
             b = h // r
+            own = np.arange(b), start // r + np.arange(b)
             blocks = g.reshape(b, r, p // r, r).swapaxes(1, 2)
+            rest = blocks.sum(axis=1) - blocks[own]
+            nu_g = max(nu_g, float(np.linalg.norm(rest, ord=2, axis=(-2, -1)).max()))
             norms = np.linalg.norm(blocks, ord=2, axis=(-2, -1))
-            norms[np.arange(b), start // r + np.arange(b)] = -1.0
+            norms[own] = -1.0
             mu_g, group_pair = _first_max(norms, mu_g, group_pair, start // r)
     if r is None:
-        mu_g = group_pair = None
-    return max(mu, 0.0), pair, mu_g, group_pair
+        return max(mu, 0.0), pair, None, None, None
+    return max(mu, 0.0), pair, mu_g, nu_g / (p // r - 1), group_pair
 
 
 def worst_case_coherence(m: MeasurementMatrix) -> float:
@@ -199,18 +205,8 @@ def average_coherence(m: MeasurementMatrix) -> float:
     """Largest off-diagonal Gram row sum modulus, normalized by p - 1."""
     if m.p < 2:
         raise SingleColumn("average coherence needs p >= 2")
-    a, v = m.matrix, m.matrix.view(np.float64)  # |a_ij|^2 from (re, im): no copy of conj(A)
-    rowsum = hermitian_apply(m, a.sum(axis=1)) - np.einsum("ij,ij->j", v, v).reshape(-1, 2).sum(1)
+    rowsum = hermitian_apply(m, m.matrix.sum(axis=1)) - _squared_column_norms(m.matrix)
     return float(np.abs(rowsum).max() / (m.p - 1))
-
-
-def _average_group_coherence(m: MeasurementMatrix) -> float:
-    # nu_g = max_i ||A_i^H (sum_j A_j - A_i)||_2 / (q - 1), in O(np)
-    q, r = m.groups.q, m.groups.r
-    blocks = m.matrix.reshape(m.n, q, r).swapaxes(0, 1)
-    rest = blocks.sum(axis=0) - blocks
-    c = blocks.conj().swapaxes(1, 2) @ rest
-    return float(np.linalg.norm(c, ord=2, axis=(-2, -1)).max() / (q - 1))
 
 
 class GroupCoherences(NamedTuple):
@@ -225,8 +221,7 @@ def group_coherences(m: MeasurementMatrix) -> GroupCoherences:
         raise NoGroups("matrix has no group partition")
     if m.groups.q < 2:
         raise NoGroups("group coherences need q >= 2")
-    _, _, mu_g, pair = _gram_scan(m, m.groups.r)
-    return GroupCoherences(mu_g, _average_group_coherence(m), pair)
+    return GroupCoherences(*_gram_scan(m, m.groups.r)[2:])
 
 
 def stoc_estimate(
@@ -282,10 +277,7 @@ def stoc_estimate(
 
 
 def coherence_report(m: MeasurementMatrix) -> CoherenceReport:
-    """Compute every applicable coherence statistic of a matrix."""
+    """Every coherence statistic of m; the group ones are None unless it has q >= 2 groups."""
     grouped = m.groups is not None and m.groups.q >= 2
-    mu, pair, mu_g, group_pair = _gram_scan(m, m.groups.r if grouped else None)
-    nu = average_coherence(m)
-    if grouped:
-        return CoherenceReport(mu, nu, mu_g, _average_group_coherence(m), pair, group_pair)
-    return CoherenceReport(mu, nu, None, None, pair)
+    mu, pair, mu_g, nu_g, group_pair = _gram_scan(m, m.groups.r if grouped else None)
+    return CoherenceReport(mu, average_coherence(m), mu_g, nu_g, pair, group_pair)

@@ -81,6 +81,11 @@ class GroupPartition:
         return (column - 1) // self.r + 1
 
 
+def _squared_column_norms(a: np.ndarray) -> np.ndarray:
+    v = a.view(np.float64)  # sum_i |a_ij|^2 from the (re, im) pairs: no full-size temporary
+    return np.einsum("ij,ij->j", v, v).reshape(-1, 2).sum(axis=1)
+
+
 @cache
 def _walsh_tables(u: int):
     # of u alone: place values, bits over u places, base-4 digits over u/2, F, F / sqrt(n), places
@@ -109,11 +114,10 @@ class MeasurementMatrix:
         object.__setattr__(self, "matrix", a)
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
             raise BadValue(f"expected a 2-D matrix with n, p >= 1, got shape {a.shape}")
-        v = a.view(np.float64)  # (re, im) pairs: norms without full-size temporaries
-        norms = np.sqrt(np.einsum("ij,ij->j", v, v).reshape(-1, 2).sum(axis=1))
+        norms = np.sqrt(_squared_column_norms(a))
         bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN, inf fail
         if bad.size:
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(a).all():
                 raise BadValue("matrix entries must be finite")
             j = int(bad[0])
             raise BadValue(

@@ -158,6 +158,8 @@ def build_frame(family: str, m: int | None = None, rows: int | None = None,
     """(frame, meta): the Kerdock frame of degree m, or the rows x cols Bernoulli frame
     of RngSpec(seed), in groups of group_size if given, with its CMAT header meta."""
     if family == "kerdock":
+        if rows is not None or cols is not None:
+            raise BadValue("rows and cols apply only to the bernoulli family")
         spec = KerdockSpec(m)
         frame, meta = build_kerdock(spec), kerdock_meta(spec)
     elif family == "bernoulli":

@@ -312,6 +312,11 @@ class GroupFdpBound(NamedTuple):
     success_floor_product: float  # (1 - 1/q)(1 - e^2/q)
 
 
+def _group_noise_threshold(sigma: float, q: int, r: int) -> float:
+    # 2 sigma sqrt(2 log q + (r/2) log 2), where chi2_tail_bound's union over q blocks is 1/q
+    return 2 * sigma * math.sqrt(2 * math.log(q) + (r / 2) * math.log(2))
+
+
 def fdp_bound_groupwise(group_norms: np.ndarray, sigma: float, mu_g: float,
                         q: int, r: int, c3: float, theta: int) -> GroupFdpBound:
     """False-discovery bound for group zero detection.
@@ -333,10 +338,7 @@ def fdp_bound_groupwise(group_norms: np.ndarray, sigma: float, mu_g: float,
         raise BadValue("need q >= 2, r >= 1, theta >= 1")
     k = norms.shape[0]
     x_norm = float(np.sqrt(np.sum(norms**2)))
-    log_q = math.log(q)
-    threshold = c3 * mu_g * x_norm * math.sqrt(log_q) + 2 * sigma * math.sqrt(
-        2 * log_q + (r / 2) * math.log(2)
-    )
+    threshold = c3 * mu_g * x_norm * math.sqrt(math.log(q)) + _group_noise_threshold(sigma, q, r)
     m = int(np.count_nonzero(norms >= threshold))
     e2 = math.e**2
     return GroupFdpBound(
@@ -365,7 +367,7 @@ def noise_thresholds(sigma: float, p: int, q: int | None = None,
     if q is not None and r is not None:
         if q < 1 or r < 1:
             raise BadValue("need q >= 1 and r >= 1")
-        group = 2 * sigma * math.sqrt(2 * math.log(q) + (r / 2) * math.log(2))
+        group = _group_noise_threshold(sigma, q, r)
     return NoiseThresholds(element, group)
 
 

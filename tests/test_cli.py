@@ -101,6 +101,9 @@ def test_gen_matrix_validation(tmp_path, capsys):
     assert run("gen-matrix", "--family", "kerdock", "--m", "2", "--out", out) == 1
     assert "ERROR InvalidSpec" in capsys.readouterr().err
     assert run("gen-matrix", "--family", "bernoulli", "--rows", "4", "--out", out) == 1
+    capsys.readouterr()
+    assert run("gen-matrix", "--family", "kerdock", "--m", "3", "--rows", "4", "--out", out) == 1
+    assert "ERROR BadValue" in capsys.readouterr().err
 
 
 def test_gen_matrix_bernoulli_seed_determinism(tmp_path):

@@ -189,6 +189,31 @@ def test_slab_scan_matches_dense_oracles(data, n, q, r, seed):
     assert gi < gj and abs(norm2(blocks[gi - 1].conj().T @ blocks[gj - 1]) - got.mu_group) <= 1e-9
 
 
+def _closed_form_nu_group(m):
+    # nu_g = max_I ||A_I^H (sum_J A_J - A_I)||_2 / (q - 1), from A in O(np)
+    q, r = m.groups.q, m.groups.r
+    blocks = m.matrix.reshape(m.n, q, r).swapaxes(0, 1)
+    c = blocks.conj().swapaxes(1, 2) @ (blocks.sum(axis=0) - blocks)
+    return float(np.linalg.norm(c, ord=2, axis=(-2, -1)).max() / (q - 1))
+
+
+@pytest.fixture(scope="module")
+def kerdock64():
+    return build_kerdock(KerdockSpec(5))
+
+
+@pytest.mark.parametrize("frame, r", [("kerdock16", 4), ("kerdock16", 8), ("kerdock16", 32),
+                                      ("kerdock64", 16), ("kerdock64", 64), ("bernoulli", 8)])
+def test_scan_nu_group_is_the_closed_form_bitwise_on_dyadic_frames(request, frame, r):
+    # every product and sum of these entries is exact, so summing the scan's Gram
+    # blocks and multiplying A_I^H by the summed columns give the same bits
+    if frame == "bernoulli":
+        m = attach_groups(build_bernoulli(16, 64, RngSpec(3)), r)
+    else:
+        m = attach_groups(request.getfixturevalue(frame), r)
+    assert coherence_report(m).nu_group == _closed_form_nu_group(m)
+
+
 def test_group_coherences_requires_partition(kerdock16):
     with pytest.raises(NoGroups):
         group_coherences(kerdock16)

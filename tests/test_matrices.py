@@ -9,6 +9,7 @@ import pytest
 from zerodetect import matrices
 from zerodetect.core import RngSpec
 from zerodetect.errors import BadValue, ConstructionError, IndivisibleGroupSize, InvalidSpec
+from zerodetect.experiments import ExperimentConfig, build_matrix
 from zerodetect.matrices import (
     KerdockSpec,
     attach_groups,
@@ -207,6 +208,16 @@ def test_build_frame_rules():
         build_frame("gaussian", rows=8, cols=32)
     with pytest.raises(IndivisibleGroupSize):
         build_frame("bernoulli", rows=8, cols=32, group_size=5)
+
+
+def test_kerdock_frames_take_no_rows_or_cols():
+    # one rule for both entry points: a config's rows or cols never fall silently away
+    for rows, cols in ((8, None), (None, 32), (8, 32)):
+        with pytest.raises(BadValue, match="rows and cols apply only to the bernoulli family"):
+            build_frame("kerdock", 3, rows, cols)
+        config = ExperimentConfig(matrix_family="kerdock", rows=rows, cols=cols, matrix_seed=5)
+        with pytest.raises(BadValue, match="rows and cols apply only to the bernoulli family"):
+            build_matrix(config)
 
 
 def test_attach_groups_kerdock(kerdock16):

@@ -266,10 +266,11 @@ _POOL = 4
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
+@cache
 def _chain(init: int, mult: int, start: int, count: int) -> np.ndarray:
-    # c_start .. c_(start+count-1) as (count, 1) uint32 columns, to broadcast over a block
-    return np.array([init * pow(mult, j, 2**32) % 2**32 for j in range(start, start + count)],
-                    dtype=np.uint32)[:, np.newaxis]
+    # c_start .. c_(start+count-1) as locked (count, 1) uint32 columns, to broadcast over a block
+    return locked(np.array([init * pow(mult, j, 2**32) % 2**32
+                            for j in range(start, start + count)], dtype=np.uint32)[:, np.newaxis])
 
 
 # generate_state: 4 calls give the four uint32 words of two uint64 words
@@ -409,9 +410,12 @@ def hermitian_apply(m, y) -> np.ndarray:
         gather, had, had_scaled, places = plan
         n, p, r = len(gather), len(places), len(had)
 
-        def walsh(ys):
-            z = (ys[..., np.newaxis, :] * _I_POWERS[:, np.newaxis]).reshape(-1, 4 * n)
-            z = z.take(gather, axis=1, mode="clip").view(np.float64)  # in range: never clips
+        def walsh(ys):  # y i^k, gathered flat for a lone vector and by rows for a stack
+            if ys.ndim == 1:  # the gather is in range: "clip" never clips
+                z = (ys * _I_POWERS[:, np.newaxis]).take(gather, mode="clip").view(np.float64)
+            else:
+                z = (ys[:, np.newaxis] * _I_POWERS[:, np.newaxis]).reshape(-1, 4 * n)
+                z = z.take(gather, axis=1, mode="clip").view(np.float64)
             z = had_scaled @ (had @ z.reshape(-1, r, 2 * n * r)).reshape(-1, r, 2 * n)
             return z.reshape(-1, 2 * p).view(complex).take(places, axis=1, mode="clip")
 

@@ -207,6 +207,8 @@ def build_matrix(config: ExperimentConfig) -> MeasurementMatrix:
     if config.matrix_family == "file":
         if config.matrix_file is None:
             raise BadValue("file family needs matrix_file")
+        if config.rows is not None or config.cols is not None:
+            raise BadValue("rows and cols apply only to the bernoulli family")
         return load_matrix(config.matrix_file, config.group_size)
     return build_frame(config.matrix_family, config.kerdock_m, config.rows, config.cols,
                        config.matrix_seed, config.group_size)[0]

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from zerodetect.core import GroupPartition, MeasurementMatrix, RngSpec, hermitian_apply
 from zerodetect.detectors import (
-    DetectionResult, group_norms, ost_topk, select, select_mask, zd_groth, zd_ost,
+    _SHORT_ROW, DetectionResult, group_norms, ost_topk, select, select_mask, zd_groth, zd_ost,
 )
 from zerodetect.errors import BadValue, DimensionMismatch, NoGroups, ThetaOutOfRange
 from zerodetect.matrices import KerdockSpec, attach_groups, build_bernoulli, build_kerdock
@@ -247,10 +248,11 @@ _QUANTIZED = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, 3.5])
 
 @st.composite
 def _score_rows(draw):
-    p = draw(st.integers(1, 12))
+    # short rows, and rows on both sides of the bound where select stops sorting whole rows
+    p = draw(st.one_of(st.integers(1, 12), st.integers(_SHORT_ROW - 8, _SHORT_ROW + 8),
+                       st.integers(1, 600)))
     t = draw(st.integers(1, 4))
-    values = draw(st.lists(_QUANTIZED, min_size=t * p, max_size=t * p))
-    scores = np.array(values).reshape(t, p)
+    scores = draw(arrays(np.float64, (t, p), elements=_QUANTIZED))
     if t == 1 and draw(st.booleans()):
         scores = scores[0]  # a lone row
     return scores, draw(st.integers(0, p)), draw(st.booleans())

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from zerodetect import matrices
-from zerodetect.core import RngSpec
+from zerodetect.core import RngSpec, write_cmat
 from zerodetect.errors import BadValue, ConstructionError, IndivisibleGroupSize, InvalidSpec
 from zerodetect.experiments import ExperimentConfig, build_matrix
 from zerodetect.matrices import (
@@ -218,6 +218,17 @@ def test_kerdock_frames_take_no_rows_or_cols():
         config = ExperimentConfig(matrix_family="kerdock", rows=rows, cols=cols, matrix_seed=5)
         with pytest.raises(BadValue, match="rows and cols apply only to the bernoulli family"):
             build_matrix(config)
+
+
+def test_file_frames_take_no_rows_or_cols(tmp_path):
+    # the file sets the shape; rows or cols beside it would fall silently away
+    path = tmp_path / "b.cmat"
+    write_cmat(path, build_bernoulli(16, 64, RngSpec(3)))
+    for rows, cols in ((8, None), (None, 32), (16, 64)):
+        config = ExperimentConfig(matrix_family="file", matrix_file=str(path), rows=rows, cols=cols)
+        with pytest.raises(BadValue, match="rows and cols apply only to the bernoulli family"):
+            build_matrix(config)
+    assert build_matrix(ExperimentConfig(matrix_family="file", matrix_file=str(path))).p == 64
 
 
 def test_attach_groups_kerdock(kerdock16):

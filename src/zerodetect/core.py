@@ -410,12 +410,9 @@ def hermitian_apply(m, y) -> np.ndarray:
         gather, had, had_scaled, places = plan
         n, p, r = len(gather), len(places), len(had)
 
-        def walsh(ys):  # y i^k, gathered flat for a lone vector and by rows for a stack
-            if ys.ndim == 1:  # the gather is in range: "clip" never clips
-                z = (ys * _I_POWERS[:, np.newaxis]).take(gather, mode="clip").view(np.float64)
-            else:
-                z = (ys[:, np.newaxis] * _I_POWERS[:, np.newaxis]).reshape(-1, 4 * n)
-                z = z.take(gather, axis=1, mode="clip").view(np.float64)
+        def walsh(ys):
+            z = (ys[..., np.newaxis, :] * _I_POWERS[:, np.newaxis]).reshape(-1, 4 * n)
+            z = z.take(gather, axis=1, mode="clip").view(np.float64)  # in range: never clips
             z = had_scaled @ (had @ z.reshape(-1, r, 2 * n * r)).reshape(-1, r, 2 * n)
             return z.reshape(-1, 2 * p).view(complex).take(places, axis=1, mode="clip")
 

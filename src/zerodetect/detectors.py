@@ -104,10 +104,9 @@ def select(scores: np.ndarray, theta: int, largest: bool = False) -> np.ndarray:
 
 def group_norms(s: np.ndarray, groups: GroupPartition) -> np.ndarray:
     """Block norms ||A_i^H y||_2 from correlations s of shape (..., p): the
-    arithmetic of np.linalg.norm(..., axis=-1), without its dispatch or a second copy."""
+    arithmetic of np.linalg.norm(..., axis=-1), without its dispatch."""
     blocks = s.reshape(*s.shape[:-1], groups.q, groups.r)
-    squares = np.conjugate(blocks)
-    return np.sqrt(np.add.reduce(np.multiply(squares, blocks, out=squares).real, axis=-1))
+    return np.sqrt(np.add.reduce((blocks.conj() * blocks).real, axis=-1))
 
 
 def scores_of(s: np.ndarray, m: MeasurementMatrix, grouped: bool) -> np.ndarray:

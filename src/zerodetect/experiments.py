@@ -33,7 +33,7 @@ from .core import (
 )
 from .detectors import RULES, check_theta, scores_of, select_mask
 from .errors import BadK, BadValue, DimensionMismatch, IncompleteReport, NoGroups
-from .matrices import build_frame, load_matrix
+from .matrices import build_frame, check_rows_cols, load_matrix
 from .theory import noise_component_variance
 
 # detector -> (its rule in detectors.RULES, target mask); the full-support
@@ -207,8 +207,7 @@ def build_matrix(config: ExperimentConfig) -> MeasurementMatrix:
     if config.matrix_family == "file":
         if config.matrix_file is None:
             raise BadValue("file family needs matrix_file")
-        if config.rows is not None or config.cols is not None:
-            raise BadValue("rows and cols apply only to the bernoulli family")
+        check_rows_cols("file", config.rows, config.cols)
         return load_matrix(config.matrix_file, config.group_size)
     return build_frame(config.matrix_family, config.kerdock_m, config.rows, config.cols,
                        config.matrix_seed, config.group_size)[0]

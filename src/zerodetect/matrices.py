@@ -153,22 +153,28 @@ def attach_groups(m: MeasurementMatrix, r: int) -> MeasurementMatrix:
     return grouped
 
 
+def check_rows_cols(family: str, rows: int | None, cols: int | None) -> None:
+    """The rows/cols rule of every frame source: bernoulli needs both, any other neither."""
+    if family == "bernoulli":
+        if rows is None or cols is None:
+            raise BadValue("the bernoulli family needs rows and cols")
+    elif rows is not None or cols is not None:
+        raise BadValue("rows and cols apply only to the bernoulli family")
+
+
 def build_frame(family: str, m: int | None = None, rows: int | None = None,
                 cols: int | None = None, seed: int = 0, group_size: int | None = None):
     """(frame, meta): the Kerdock frame of degree m, or the rows x cols Bernoulli frame
     of RngSpec(seed), in groups of group_size if given, with its CMAT header meta."""
+    if family not in ("kerdock", "bernoulli"):
+        raise InvalidSpec(f"unknown frame family {family!r}")
+    check_rows_cols(family, rows, cols)
     if family == "kerdock":
-        if rows is not None or cols is not None:
-            raise BadValue("rows and cols apply only to the bernoulli family")
         spec = KerdockSpec(m)
         frame, meta = build_kerdock(spec), kerdock_meta(spec)
-    elif family == "bernoulli":
-        if rows is None or cols is None:
-            raise BadValue("the bernoulli family needs rows and cols")
+    else:
         frame = build_bernoulli(rows, cols, RngSpec(seed))
         meta = {"family": "bernoulli", "rows": str(rows), "cols": str(cols), "seed": str(seed)}
-    else:
-        raise InvalidSpec(f"unknown frame family {family!r}")
     if group_size is not None:
         frame = attach_groups(frame, group_size)
         meta["group_size"] = str(group_size)

@@ -4,7 +4,9 @@ Conventions: indices in user-facing structures are 1-based, matrices are
 dense row-major complex128, and all randomness flows through RngSpec
 (counter-based Philox streams, so equal seeds give bit-identical draws).
 All types here are immutable after construction and safe to share across
-concurrent tasks; the operations are pure functions.
+concurrent tasks; the operations are pure functions. A Kerdock frame built
+from its trace table (MeasurementMatrix.from_traces) makes its dense array
+on first read; concurrent first reads may make it twice, with equal bytes.
 """
 
 import math
@@ -86,6 +88,23 @@ def _squared_column_norms(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", v, v).reshape(-1, 2).sum(axis=1)
 
 
+def _unit_columns(a) -> np.ndarray:
+    # a adopted as complex128 (see adopted), else BadValue unless 2-D, n, p >= 1, unit columns
+    a = adopted(a, np.complex128)
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+        raise BadValue(f"expected a 2-D matrix with n, p >= 1, got shape {a.shape}")
+    norms = np.sqrt(_squared_column_norms(a))
+    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN, inf fail
+    if bad.size:
+        if not np.isfinite(a).all():
+            raise BadValue("matrix entries must be finite")
+        j = int(bad[0])
+        raise BadValue(
+            f"column {j + 1} has norm {float(norms[j])!r}, not unit within {UNIT_NORM_TOL}"
+        )
+    return a
+
+
 @cache
 def _walsh_tables(u: int):
     # of u alone: place values, bits over u places, base-4 digits over u/2, F, F / sqrt(n), places
@@ -97,36 +116,65 @@ def _walsh_tables(u: int):
     return tuple(map(locked, (weights, bits, digits[:n, h:], had, had / (1 << h), places)))
 
 
+def _z4_plan(tau: np.ndarray):
+    # (gather, F, F / sqrt(n), places) of the frame of the (n, u) integer table tau (n = 2^u,
+    # u even), or None unless the residues w = tau(t) mod 2 are distinct; see _walsh_plan
+    n, u = tau.shape
+    weights, bits, _, *transform = _walsh_tables(u)
+    rows = np.argsort(residues := (tau & 1) @ weights)
+    if len(set(residues.tolist())) < n:
+        return None
+    return locked((tau[rows] @ (-n * bits.T) & 3 * n) + rows[:, np.newaxis]), *transform
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementMatrix:
     """Complex n x p matrix with unit-norm columns, optionally block-partitioned.
 
     The matrix is read-only: a locked, C-contiguous complex128 ndarray that owns its memory
     is adopted as it is; any other input is copied (core.adopted). matrices.attach_groups
-    re-partitions it without a second scan; its first correlation looks for a Walsh plan.
+    re-partitions it without a second scan. A frame made by from_traces carries its Walsh
+    plan and fills its array on first read of .matrix; any other looks for a plan on its
+    first correlation.
     """
 
     matrix: np.ndarray
     groups: GroupPartition | None = None
 
     def __post_init__(self):
-        a = adopted(self.matrix, np.complex128)
+        a = _unit_columns(self.matrix)
         object.__setattr__(self, "matrix", a)
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise BadValue(f"expected a 2-D matrix with n, p >= 1, got shape {a.shape}")
-        norms = np.sqrt(_squared_column_norms(a))
-        bad = np.flatnonzero(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL))  # NaN, inf fail
-        if bad.size:
-            if not np.isfinite(a).all():
-                raise BadValue("matrix entries must be finite")
-            j = int(bad[0])
-            raise BadValue(
-                f"column {j + 1} has norm {float(norms[j])!r}, not unit within {UNIT_NORM_TOL}"
-            )
+        object.__setattr__(self, "_shape", a.shape)
         if self.groups is not None and self.groups.p != a.shape[1]:
             raise BadValue(
                 f"partition covers {self.groups.p} columns but matrix has {a.shape[1]}"
             )
+
+    @classmethod
+    def from_traces(cls, tau: np.ndarray, fill) -> "MeasurementMatrix | None":
+        """The n x n^2 Z4 character frame of the u x n trace table tau (n = 2^u, u even), with
+        the Walsh plan derived from tau, or None when tau gives none (_walsh_plan). Nothing
+        dense is made here: fill() returns the entries, checked as the constructor checks
+        them, on the first read of .matrix, in one slot that shallow copies (attach_groups)
+        share. Two threads may both fill it; the arrays are equal, as with the correlation
+        memo of detectors.
+        """
+        if (plan := _z4_plan(tau.T)) is None:
+            return None
+        m, n = cls.__new__(cls), tau.shape[1]
+        m.__dict__.update(groups=None, _shape=(n, n * n), _walsh_plan=plan, _dense=[None, fill])
+        return m
+
+    def __getattr__(self, name):
+        # reached only for names not set: .matrix of a frame from from_traces before its fill
+        slot = self.__dict__.get("_dense")
+        if name != "matrix" or slot is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        a = slot[0]
+        if a is None:
+            a = slot[0] = _unit_columns(slot[1]())
+        self.__dict__["matrix"] = a
+        return a
 
     @cached_property
     def _walsh_plan(self):
@@ -135,16 +183,16 @@ class MeasurementMatrix:
         sqrt(n) over lambda's base-4 digits (first slowest), tau_j(t) is row t of the unit
         column 4^(u-1-j), and the residues w = tau(t) mod 2 are distinct; checked exactly, in
         row slabs of at most 1 MB. gather[w, alpha] = k n + t for the row t of residue w and
-        i^k = i^(-alpha . tau(t)). Found on first use, not at construction.
+        i^k = i^(-alpha . tau(t)). Recognised from the entries on first use; a frame made by
+        from_traces has it from tau instead.
         """
         a, n, u = self.matrix, self.n, self.n.bit_length() - 1
         if n != 1 << u or u % 2 or self.p != n * n:
             return None
-        weights, bits, digits, *transform = _walsh_tables(u)
+        weights, _, digits, *_ = _walsh_tables(u)
         powers = _I_POWERS / math.sqrt(n)
         tau = (a[:, weights * weights, np.newaxis] == powers).argmax(axis=-1)  # else 0: fails below
-        rows = np.argsort(residues := (tau & 1) @ weights)
-        if len(set(residues.tolist())) < n:
+        if (plan := _z4_plan(tau)) is None:
             return None
         words = tau.reshape(n, 2, -1).swapaxes(0, 1) @ digits.T & 3
         hi, lo = powers[words[0]][:, :, np.newaxis], _I_POWERS[words[1]][:, np.newaxis, :]
@@ -152,15 +200,15 @@ class MeasurementMatrix:
         for t in range(0, n, k):
             if not ((hi[t : t + k] * lo[t : t + k]).view(np.float64) == v[t : t + k]).all():
                 return None
-        return locked((tau[rows] @ (-n * bits.T) & 3 * n) + rows[:, np.newaxis]), *transform
+        return plan
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self._shape[0]
 
     @property
     def p(self) -> int:
-        return self.matrix.shape[1]
+        return self._shape[1]
 
 
 @dataclass(frozen=True)
@@ -395,20 +443,21 @@ def hermitian_apply(m, y) -> np.ndarray:
     (Kerdock) takes a Walsh-Hadamard transform, equal to dense to rounding where neither
     overflows (its stages overflow first); all else is dense. A lone vector, or a stack
     whose temporaries fit in 128 KB, takes one Walsh pass; larger stacks go in such chunks.
+    The Walsh path reads only the plan, so a frame from MeasurementMatrix.from_traces
+    correlates without filling its dense array.
     """
-    a = _matrix_of(m)
+    a = None if isinstance(m, MeasurementMatrix) else _matrix_of(m)  # a frame's only if dense
+    n = m.n if a is None else a.shape[0]
     y = np.asarray(y, dtype=np.complex128)
-    if y.ndim not in (1, 2) or y.shape[-1] != a.shape[0]:
-        raise DimensionMismatch(
-            f"expected length-{a.shape[0]} vectors, got shape {y.shape}"
-        )
+    if y.ndim not in (1, 2) or y.shape[-1] != n:
+        raise DimensionMismatch(f"expected length-{n} vectors, got shape {y.shape}")
     if not np.isfinite(y).all():
         raise BadValue("measurements must be finite")
-    if isinstance(m, MeasurementMatrix) and (plan := m._walsh_plan) is not None:
+    if a is None and (plan := m._walsh_plan) is not None:
         # s[beta, alpha] = sum_w (F (x) F)[beta, w] i^(-alpha . tau_w) y_w / sqrt(n): a gather from
         # y i^k, F and F / sqrt(n) over w's halves, column places; 128 KB chunks avoid page faults
         gather, had, had_scaled, places = plan
-        n, p, r = len(gather), len(places), len(had)
+        p, r = len(places), len(had)
 
         def walsh(ys):
             z = (ys[..., np.newaxis, :] * _I_POWERS[:, np.newaxis]).reshape(-1, 4 * n)
@@ -421,7 +470,7 @@ def hermitian_apply(m, y) -> np.ndarray:
             return walsh(y).reshape(*y.shape[:-1], p)
         return np.concatenate([walsh(y[t : t + step]) for t in range(0, len(y), step)])
     # (y^H a)^H row by row: no copy of a^H, one matrix-vector product per row
-    return (y.conj()[..., np.newaxis, :] @ a)[..., 0, :].conj()
+    return (y.conj()[..., np.newaxis, :] @ (m.matrix if a is None else a))[..., 0, :].conj()
 
 
 # ---------------------------------------------------------------------------

@@ -4,28 +4,32 @@ The Kerdock frame with degree parameter m (odd) is the M x M^2 matrix,
 M = 2^(m+1), built from the Galois ring GR(4, u), u = m + 1. Its rows are
 indexed by t in (0, 1, xi, ..., xi^(M-2)), its columns by the ring elements
 lambda, and entry (t, lambda) is i^Tr(lambda * t) / sqrt(M). The trace is
-Z4-linear, so the whole Z4 word table follows from the u x M traces
+Z4-linear, so the whole Z4 word table follows from the u x M trace table
 Tr(xi^j t), read off one Z4 sequence s_e = Tr(xi^e) (galois.trace_sequence).
 The table is uint8 in the frame's own (M, M^2) layout, grown from those rows
 by one broadcast add per coefficient of lambda; uint8 arithmetic wraps mod
 256, so every value stays exact mod 4. The frame takes i^word / sqrt(M) by
-np.take in row slabs and is locked, so MeasurementMatrix never copies it.
+np.take in row slabs and is locked, so MeasurementMatrix never copies it;
+a built frame is filled on the first read of .matrix only, as it correlates
+through the Walsh plan of its trace table (MeasurementMatrix.from_traces).
 
 Distinct columns are either orthogonal or have inner-product modulus exactly
 1/sqrt(M), the worst-case coherence of the frame. The word table is the Z4
 span of the trace rows, so it is Z4-linear in lambda by construction; then
 every inner product depends only on the difference of its two columns'
-lambdas, so the one Gram row of the column lambda = 0 gives the exact
+lambdas, so the correlations of the column lambda = 0 give the exact
 worst-case coherence, which the constructor checks against 1/sqrt(M). A
 duplicated or overlapping column fails that check.
 """
 
 import copy
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .core import _I_POWERS, GroupPartition, MeasurementMatrix, RngSpec, as_int, locked, read_cmat
+from .core import (_I_POWERS, GroupPartition, MeasurementMatrix, RngSpec, as_int, hermitian_apply,
+                   locked, read_cmat)
 from .errors import BadValue, CmatFormatError, ConstructionError, IndivisibleGroupSize, InvalidSpec
 from .galois import modulus_poly, trace_sequence
 
@@ -72,6 +76,18 @@ def _z4_span(tau: np.ndarray) -> np.ndarray:
     return span
 
 
+def kerdock_traces(spec: KerdockSpec) -> np.ndarray:
+    """The u x M trace table of the frame, uint8: entry (j, t) is Tr(xi^j * t), rows t = 0,
+    1, xi, xi^2, ...; row j is the column of lambda = xi^j."""
+    u = spec.ring_degree
+    M = spec.rows
+    # Tr(xi^j * 0) = 0 and Tr(xi^j * xi^e) = s_{j+e}
+    s = np.array(trace_sequence(u, M + u - 2), dtype=np.uint8)
+    tau = np.zeros((u, M), dtype=np.uint8)
+    tau[:, 1:] = s[np.add.outer(np.arange(u), np.arange(M - 1))]
+    return tau
+
+
 def kerdock_codewords(spec: KerdockSpec) -> np.ndarray:
     """Z4 words of the frame, laid out as it: C-contiguous uint8 (M, M^2), entry Tr(lambda * t).
 
@@ -79,32 +95,37 @@ def kerdock_codewords(spec: KerdockSpec) -> np.ndarray:
     in the basis (1, xi, ..., xi^(u-1)), coefficient of 1 most significant;
     rows follow t = 0, 1, xi, xi^2, ....
     """
-    u = spec.ring_degree
-    M = spec.rows
-    # Tr(xi^j * 0) = 0 and Tr(xi^j * xi^e) = s_{j+e}
-    s = np.array(trace_sequence(u, M + u - 2), dtype=np.uint8)
-    tau = np.zeros((u, M), dtype=np.uint8)
-    tau[:, 1:] = s[np.add.outer(np.arange(u), np.arange(M - 1))]
     # trace is Z4-linear, so Tr(lambda t) = sum_j lambda_j Tr(xi^j t)
-    return _z4_span(tau)
+    return _z4_span(kerdock_traces(spec))
+
+
+def _kerdock_entries(tau: np.ndarray) -> np.ndarray:
+    # the frame i^word / sqrt(M) over the span of the u x M trace table tau, by np.take in
+    # row slabs; _z4_span masks the words by & 3: all lie in 0..3, so clip never clips
+    words = _z4_span(tau)
+    table, a = _I_POWERS / np.sqrt(len(words)), np.empty(words.shape, dtype=np.complex128)
+    step = max(1, _SLAB_ENTRIES // words.shape[1])
+    for t in range(0, len(words), step):
+        np.take(table, words[t : t + step], out=a[t : t + step], mode="clip")
+    return locked(a)
 
 
 def build_kerdock(spec: KerdockSpec) -> MeasurementMatrix:
     """Deterministic M x M^2 Kerdock frame with unit-modulus-scaled entries.
 
-    All entries have modulus 1/sqrt(M) and the worst-case coherence is
-    exactly 1/sqrt(M); both are enforced at construction time.
+    All entries have modulus 1/sqrt(M) and the worst-case coherence is exactly
+    1/sqrt(M); the coherence is checked here, the entries when first read.
+    The frame carries the Walsh plan of its trace table and fills its dense
+    array on first read of .matrix (MeasurementMatrix.from_traces).
     """
-    words = kerdock_codewords(spec)
-    # _z4_span masks the words by & 3: all lie in 0..3, so clip never clips
-    table, a = _I_POWERS / np.sqrt(spec.rows), np.empty(words.shape, dtype=np.complex128)
-    step = max(1, _SLAB_ENTRIES // spec.cols)
-    for t in range(0, spec.rows, step):
-        np.take(table, words[t : t + step], out=a[t : t + step], mode="clip")
-    m = MeasurementMatrix(locked(a))  # adopted as it is: m.matrix is a
-    # under linearity a_lambda^H a_lambda' depends only on lambda' - lambda,
-    # so the row of lambda = 0 holds every off-diagonal modulus
-    worst = float(np.abs(a[:, 0].conj() @ a)[1:].max())
+    tau = kerdock_traces(spec)
+    fill = partial(_kerdock_entries, tau)
+    # a degenerate tau gives no plan, and then the dense frame correlates densely
+    m = MeasurementMatrix.from_traces(tau, fill) or MeasurementMatrix(fill())
+    # under linearity a_lambda^H a_lambda' depends only on lambda' - lambda, so the
+    # correlations of column lambda = 0, every entry 1/sqrt(M), hold every off-diagonal modulus
+    row = hermitian_apply(m, np.full(spec.rows, spec.coherence, dtype=np.complex128))
+    worst = float(np.abs(row)[1:].max())
     if worst > spec.coherence + 1e-8:
         raise ConstructionError(
             f"column enumeration produced overlapping columns: "
@@ -142,8 +163,9 @@ def build_bernoulli(n: int, p: int, rng: RngSpec) -> MeasurementMatrix:
 
 def attach_groups(m: MeasurementMatrix, r: int) -> MeasurementMatrix:
     """Partition the columns into contiguous blocks of size r: a shallow copy of
-    the validated m, so no second norm scan, the same locked array and any
-    Walsh plan m has already found.
+    the validated m, so no second norm scan, the same locked array (or, for a
+    built Kerdock frame, the same slot it is filled into) and any Walsh plan m
+    has already found.
     """
     r = as_int(r, "group size", IndivisibleGroupSize)
     if r < 1 or m.p % r != 0:

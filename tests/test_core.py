@@ -191,6 +191,26 @@ def test_cmat_round_trip_keeps_kerdock_rows_kronecker(tmp_path):
     assert np.array_equal(_matrix_from_plan(back._walsh_plan), _kerdock(3).matrix)
 
 
+# a built frame's plan comes from its trace table; the recogniser, run on its entries,
+# finds the same arrays
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_built_kerdock_plan_equals_the_recognised_plan(m):
+    k = build_kerdock(KerdockSpec(m))
+    recognised = MeasurementMatrix(np.array(k.matrix))._walsh_plan
+    assert all(np.array_equal(a, b) for a, b in zip(k._walsh_plan, recognised, strict=True))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_built_kerdock_and_its_cmat_round_trip_correlate_alike(tmp_path, m):
+    path = tmp_path / "k.cmat"
+    write_cmat(path, build_kerdock(KerdockSpec(m)))
+    built, loaded = build_kerdock(KerdockSpec(m)), MeasurementMatrix(read_cmat(path)[0])
+    ys = _random_complex(np.random.default_rng(33), (4, built.n))
+    for y in (ys, *ys):
+        assert np.array_equal(hermitian_apply(built, y).view(np.uint64),
+                              hermitian_apply(loaded, y).view(np.uint64))
+
+
 def test_kerdock_rows_in_any_order_keep_the_plan():
     k = _kerdock(3)
     shuffled = MeasurementMatrix(k.matrix[np.random.default_rng(30).permutation(k.n)])
@@ -359,7 +379,7 @@ def test_detection_equal_when_grouped_before_or_after_first_detection():
     y = np.exp(0.5j * np.arange(64)) * (1 + np.arange(64) % 5)
     before = attach_groups(build_kerdock(KerdockSpec(5)), 64)
     first = build_kerdock(KerdockSpec(5))
-    zd_ost(y, first, 16)  # finds and caches the plan
+    zd_ost(y, first, 16)  # detects once before grouping
     after = attach_groups(first, 64)
     for detect, theta in ((zd_ost, 16), (zd_groth, 4)):
         a, b = detect(y, before, theta), detect(y, after, theta)

@@ -6,8 +6,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from zerodetect import matrices
+from zerodetect import core, matrices
 from zerodetect.core import RngSpec, write_cmat
+from zerodetect.detectors import ost_topk, zd_groth, zd_ost
 from zerodetect.errors import BadValue, ConstructionError, IndivisibleGroupSize, InvalidSpec
 from zerodetect.experiments import ExperimentConfig, build_matrix
 from zerodetect.matrices import (
@@ -67,13 +68,11 @@ def test_kerdock_worst_case_coherence_exhaustive(kerdock16):
 
 def test_kerdock_linear_duplicate_is_rejected():
     # a word table built from traces with a repeated row is still Z4-linear,
-    # but lambda = xi^0 - xi^1 gives the zero word, a copy of column 0
-    u = KerdockSpec(3).ring_degree
-    tau = matrices.kerdock_codewords(KerdockSpec(3))[:, 4 ** np.arange(u - 1, -1, -1)].T
+    # but lambda = xi^0 - xi^1 gives the zero word, a copy of column 0; its
+    # residues repeat, so no Walsh plan comes from it and the dense row is checked
+    tau = matrices.kerdock_traces(KerdockSpec(3))
     tau[1] = tau[0]
-    digits = np.indices((4,) * u).reshape(u, -1)
-    words = ((digits.T @ tau) % 4).T
-    with mock.patch.object(matrices, "kerdock_codewords", return_value=words):
+    with mock.patch.object(matrices, "kerdock_traces", return_value=tau):
         with pytest.raises(ConstructionError, match=r"overlapping columns: max off-diagonal coherence 1\.0 "):
             build_kerdock(KerdockSpec(3))
 
@@ -116,6 +115,25 @@ def test_kerdock_frame_assembled_in_ragged_slabs(m):
         mat = build_kerdock(spec).matrix
     assert take.call_count == -(-spec.rows // 3)
     assert np.array_equal(mat.view(np.uint64), expected.view(np.uint64))
+
+
+def test_kerdock_detection_never_fills_the_dense_frame():
+    # the plan comes from the trace table, so building, grouping and detecting make no
+    # dense array; the first read of .matrix fills it once, for the grouped frame too
+    spec = KerdockSpec(5)
+    y = np.exp(0.5j * np.arange(spec.rows)) * (1 + np.arange(spec.rows) % 5)
+    with mock.patch.object(matrices, "_kerdock_entries", wraps=matrices._kerdock_entries) as fill, \
+            mock.patch.object(core, "_squared_column_norms",
+                              wraps=core._squared_column_norms) as scan:
+        built = build_kerdock(spec)
+        grouped = attach_groups(built, 64)
+        zd_ost(y, grouped, 16)
+        zd_groth(y, grouped, 4)
+        ost_topk(y, built, 16)
+        assert fill.call_count == 0 and scan.call_count == 0
+        assert grouped.matrix is built.matrix
+        assert fill.call_count == 1 and scan.call_count == 1
+    assert _sha256(built.matrix) == KERDOCK_DIGESTS[5][1]
 
 
 def test_kerdock_codewords_are_uint8_in_frame_layout():

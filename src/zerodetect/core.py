@@ -12,7 +12,7 @@ on first read; concurrent first reads may make it twice, with equal bytes.
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -28,6 +28,8 @@ from .errors import (
 UNIT_NORM_TOL = 1e-10
 ZERO_COLUMN_TOL = 1e-14
 _I_POWERS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
+_Z4 = np.arange(4, dtype=np.uint8)
+_SLAB_ENTRIES = 2**15  # per np.take: an intp copy of 256 KB (one row if rows are longer)
 
 
 def locked(a: np.ndarray) -> np.ndarray:
@@ -127,6 +129,27 @@ def _z4_plan(tau: np.ndarray):
     return locked((tau[rows] @ (-n * bits.T) & 3 * n) + rows[:, np.newaxis]), *transform
 
 
+def _z4_span(tau: np.ndarray) -> np.ndarray:
+    # (n, 4^u) table of sum_j lambda_j tau_j mod 4 over every lambda of the (u, n) table tau,
+    # first coefficient slowest: grown from the last one, a broadcast add per row
+    span = np.zeros((tau.shape[1], 1), dtype=tau.dtype)
+    for row in tau[::-1]:
+        span = (row[:, None, None] * _Z4[:, None] + span[:, None, :]).reshape(len(row), -1)
+    span &= 3
+    return span
+
+
+def _kerdock_entries(tau: np.ndarray) -> np.ndarray:
+    # the frame i^word / sqrt(n) over the span of the (u, n) table tau, by np.take in
+    # row slabs; _z4_span masks the words by & 3: all lie in 0..3, so clip never clips
+    words = _z4_span(tau)
+    table, a = _I_POWERS / np.sqrt(len(words)), np.empty(words.shape, dtype=np.complex128)
+    step = max(1, _SLAB_ENTRIES // words.shape[1])
+    for t in range(0, len(words), step):
+        np.take(table, words[t : t + step], out=a[t : t + step], mode="clip")
+    return locked(a)
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementMatrix:
     """Complex n x p matrix with unit-norm columns, optionally block-partitioned.
@@ -138,7 +161,7 @@ class MeasurementMatrix:
     first correlation.
     """
 
-    matrix: np.ndarray
+    matrix: np.ndarray = field(repr=False)  # repr would fill a frame from from_traces
     groups: GroupPartition | None = None
 
     def __post_init__(self):
@@ -151,18 +174,22 @@ class MeasurementMatrix:
             )
 
     @classmethod
-    def from_traces(cls, tau: np.ndarray, fill) -> "MeasurementMatrix | None":
-        """The n x n^2 Z4 character frame of the u x n trace table tau (n = 2^u, u even), with
-        the Walsh plan derived from tau, or None when tau gives none (_walsh_plan). Nothing
-        dense is made here: fill() returns the entries, checked as the constructor checks
-        them, on the first read of .matrix, in one slot that shallow copies (attach_groups)
-        share. Two threads may both fill it; the arrays are equal, as with the correlation
-        memo of detectors.
+    def from_traces(cls, tau) -> "MeasurementMatrix":
+        """The n x n^2 Z4 character frame of the u x n trace table tau (n = 2^u, u even): entry
+        (t, lambda) is i^(sum_j lambda_j tau[j, t]) / sqrt(n) over lambda's base-4 digits, first
+        slowest. Its Walsh plan comes from tau; a tau whose residues repeat has none, and the
+        frame then correlates densely (_walsh_plan). Nothing dense is made here: the entries
+        are filled from tau and checked as the constructor checks them on the first read of
+        .matrix, in one slot that shallow copies (attach_groups) share. Two threads may both
+        fill it; the arrays are equal, as with the correlation memo of detectors.
         """
-        if (plan := _z4_plan(tau.T)) is None:
-            return None
-        m, n = cls.__new__(cls), tau.shape[1]
-        m.__dict__.update(groups=None, _shape=(n, n * n), _walsh_plan=plan, _dense=[None, fill])
+        tau = adopted(tau, np.uint8)
+        u, n = tau.shape if tau.ndim == 2 else (0, 0)
+        if not u or u % 2 or n != 1 << u:
+            raise BadValue(f"expected a u x 2^u trace table with u even, got shape {tau.shape}")
+        m = cls.__new__(cls)
+        m.__dict__.update(groups=None, _shape=(n, n * n), _walsh_plan=_z4_plan(tau.T),
+                          _dense=[None, tau])
         return m
 
     def __getattr__(self, name):
@@ -172,7 +199,7 @@ class MeasurementMatrix:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         a = slot[0]
         if a is None:
-            a = slot[0] = _unit_columns(slot[1]())
+            a = slot[0] = _unit_columns(_kerdock_entries(slot[1]))
         self.__dict__["matrix"] = a
         return a
 

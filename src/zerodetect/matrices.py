@@ -8,33 +8,29 @@ Z4-linear, so the whole Z4 word table follows from the u x M trace table
 Tr(xi^j t), read off one Z4 sequence s_e = Tr(xi^e) (galois.trace_sequence).
 The table is uint8 in the frame's own (M, M^2) layout, grown from those rows
 by one broadcast add per coefficient of lambda; uint8 arithmetic wraps mod
-256, so every value stays exact mod 4. The frame takes i^word / sqrt(M) by
-np.take in row slabs and is locked, so MeasurementMatrix never copies it;
-a built frame is filled on the first read of .matrix only, as it correlates
-through the Walsh plan of its trace table (MeasurementMatrix.from_traces).
+256, so every value stays exact mod 4. The frame is made from the trace table
+alone (MeasurementMatrix.from_traces): it correlates through the Walsh plan of
+that table, and takes i^word / sqrt(M) by np.take in row slabs, locked, on the
+first read of .matrix only.
 
 Distinct columns are either orthogonal or have inner-product modulus exactly
 1/sqrt(M), the worst-case coherence of the frame. The word table is the Z4
 span of the trace rows, so it is Z4-linear in lambda by construction; then
 every inner product depends only on the difference of its two columns'
 lambdas, so the correlations of the column lambda = 0 give the exact
-worst-case coherence, which the constructor checks against 1/sqrt(M). A
+worst-case coherence, which build_kerdock checks against 1/sqrt(M). A
 duplicated or overlapping column fails that check.
 """
 
 import copy
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .core import (_I_POWERS, GroupPartition, MeasurementMatrix, RngSpec, as_int, hermitian_apply,
+from .core import (GroupPartition, MeasurementMatrix, RngSpec, _z4_span, as_int, hermitian_apply,
                    locked, read_cmat)
 from .errors import BadValue, CmatFormatError, ConstructionError, IndivisibleGroupSize, InvalidSpec
 from .galois import modulus_poly, trace_sequence
-
-_Z4 = np.arange(4, dtype=np.uint8)
-_SLAB_ENTRIES = 2**15  # per np.take: an intp copy of 256 KB (one row if rows are longer)
 
 
 @dataclass(frozen=True)
@@ -66,16 +62,6 @@ class KerdockSpec:
         return 1.0 / np.sqrt(self.rows)
 
 
-def _z4_span(tau: np.ndarray) -> np.ndarray:
-    # (M, 4^u) table of sum_j lambda_j tau_j mod 4 over every lambda, first
-    # coefficient slowest: grown from the last one, a broadcast add per row
-    span = np.zeros((tau.shape[1], 1), dtype=tau.dtype)
-    for row in tau[::-1]:
-        span = (row[:, None, None] * _Z4[:, None] + span[:, None, :]).reshape(len(row), -1)
-    span &= 3
-    return span
-
-
 def kerdock_traces(spec: KerdockSpec) -> np.ndarray:
     """The u x M trace table of the frame, uint8: entry (j, t) is Tr(xi^j * t), rows t = 0,
     1, xi, xi^2, ...; row j is the column of lambda = xi^j."""
@@ -99,17 +85,6 @@ def kerdock_codewords(spec: KerdockSpec) -> np.ndarray:
     return _z4_span(kerdock_traces(spec))
 
 
-def _kerdock_entries(tau: np.ndarray) -> np.ndarray:
-    # the frame i^word / sqrt(M) over the span of the u x M trace table tau, by np.take in
-    # row slabs; _z4_span masks the words by & 3: all lie in 0..3, so clip never clips
-    words = _z4_span(tau)
-    table, a = _I_POWERS / np.sqrt(len(words)), np.empty(words.shape, dtype=np.complex128)
-    step = max(1, _SLAB_ENTRIES // words.shape[1])
-    for t in range(0, len(words), step):
-        np.take(table, words[t : t + step], out=a[t : t + step], mode="clip")
-    return locked(a)
-
-
 def build_kerdock(spec: KerdockSpec) -> MeasurementMatrix:
     """Deterministic M x M^2 Kerdock frame with unit-modulus-scaled entries.
 
@@ -118,10 +93,7 @@ def build_kerdock(spec: KerdockSpec) -> MeasurementMatrix:
     The frame carries the Walsh plan of its trace table and fills its dense
     array on first read of .matrix (MeasurementMatrix.from_traces).
     """
-    tau = kerdock_traces(spec)
-    fill = partial(_kerdock_entries, tau)
-    # a degenerate tau gives no plan, and then the dense frame correlates densely
-    m = MeasurementMatrix.from_traces(tau, fill) or MeasurementMatrix(fill())
+    m = MeasurementMatrix.from_traces(kerdock_traces(spec))
     # under linearity a_lambda^H a_lambda' depends only on lambda' - lambda, so the
     # correlations of column lambda = 0, every entry 1/sqrt(M), hold every off-diagonal modulus
     row = hermitian_apply(m, np.full(spec.rows, spec.coherence, dtype=np.complex128))

@@ -69,7 +69,7 @@ def test_kerdock_worst_case_coherence_exhaustive(kerdock16):
 def test_kerdock_linear_duplicate_is_rejected():
     # a word table built from traces with a repeated row is still Z4-linear,
     # but lambda = xi^0 - xi^1 gives the zero word, a copy of column 0; its
-    # residues repeat, so no Walsh plan comes from it and the dense row is checked
+    # residues repeat, so it has no Walsh plan: the check fills the frame and reads its dense row
     tau = matrices.kerdock_traces(KerdockSpec(3))
     tau[1] = tau[0]
     with mock.patch.object(matrices, "kerdock_traces", return_value=tau):
@@ -109,9 +109,9 @@ def test_kerdock_golden_digests(m):
 def test_kerdock_frame_assembled_in_ragged_slabs(m):
     # three rows per slab: M = 4, 16 and 64 rows leave a last slab of one row
     spec = KerdockSpec(m)
-    expected = (matrices._I_POWERS / np.sqrt(spec.rows))[matrices.kerdock_codewords(spec)]
-    with mock.patch.object(matrices, "_SLAB_ENTRIES", 3 * spec.cols + 1), \
-            mock.patch.object(matrices.np, "take", wraps=np.take) as take:
+    expected = (core._I_POWERS / np.sqrt(spec.rows))[matrices.kerdock_codewords(spec)]
+    with mock.patch.object(core, "_SLAB_ENTRIES", 3 * spec.cols + 1), \
+            mock.patch.object(core.np, "take", wraps=np.take) as take:
         mat = build_kerdock(spec).matrix
     assert take.call_count == -(-spec.rows // 3)
     assert np.array_equal(mat.view(np.uint64), expected.view(np.uint64))
@@ -122,7 +122,7 @@ def test_kerdock_detection_never_fills_the_dense_frame():
     # dense array; the first read of .matrix fills it once, for the grouped frame too
     spec = KerdockSpec(5)
     y = np.exp(0.5j * np.arange(spec.rows)) * (1 + np.arange(spec.rows) % 5)
-    with mock.patch.object(matrices, "_kerdock_entries", wraps=matrices._kerdock_entries) as fill, \
+    with mock.patch.object(core, "_kerdock_entries", wraps=core._kerdock_entries) as fill, \
             mock.patch.object(core, "_squared_column_norms",
                               wraps=core._squared_column_norms) as scan:
         built = build_kerdock(spec)
@@ -134,6 +134,18 @@ def test_kerdock_detection_never_fills_the_dense_frame():
         assert grouped.matrix is built.matrix
         assert fill.call_count == 1 and scan.call_count == 1
     assert _sha256(built.matrix) == KERDOCK_DIGESTS[5][1]
+
+
+def test_kerdock_repr_does_not_fill_the_dense_frame():
+    built = build_kerdock(KerdockSpec(3))
+    assert repr(built) == "MeasurementMatrix(groups=None)"
+    assert "matrix" not in built.__dict__
+
+
+@pytest.mark.parametrize("shape", [(3, 8), (2, 8), (4, 4), (16,), (0, 1)])
+def test_from_traces_rejects_a_table_of_the_wrong_shape(shape):
+    with pytest.raises(BadValue, match="u x 2\\^u trace table with u even"):
+        core.MeasurementMatrix.from_traces(np.zeros(shape, dtype=np.uint8))
 
 
 def test_kerdock_codewords_are_uint8_in_frame_layout():

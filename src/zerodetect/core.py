@@ -109,24 +109,28 @@ def _unit_columns(a) -> np.ndarray:
 
 @cache
 def _walsh_tables(u: int):
-    # of u alone: place values, bits over u places, base-4 digits over u/2, F, F / sqrt(n), places
+    # of u alone: place values w, -n bits (u, n) as float64, the recogniser's digits of 0..n-1, F,
+    # F / sqrt(n), places sum_j w_j ((d_j >> 1) n + (d_j & 1)) over c's base-4 digits d_j, in O(p)
     n, h, weights = 1 << u, u // 2, 1 << np.arange(u - 1, -1, -1)
-    bits = np.arange(n)[:, np.newaxis] // weights & 1
-    had = (-1.0) ** (bits[: 1 << h, h:] @ bits[: 1 << h, h:].T)
-    digits = np.arange(n * n)[:, np.newaxis] // (weights * weights) & 3
-    places = (digits >> 1) @ weights * n + (digits & 1) @ weights
-    return tuple(map(locked, (weights, bits, digits[:n, h:], had, had / (1 << h), places)))
+    bits = np.arange(n) // weights[:, np.newaxis] & 1  # (u, n): column alpha is alpha's bits
+    had = (-1.0) ** (bits[h:, : 1 << h].T @ bits[h:, : 1 << h])
+    digits = np.arange(n)[:, np.newaxis] // (weights[h:] * weights[h:]) & 3
+    places = np.zeros(1, dtype=np.int64)
+    for step in weights[:, np.newaxis] * [0, 1, n, n + 1]:
+        places = (places[:, np.newaxis] + step).reshape(-1)
+    return tuple(map(locked, (weights, bits * -float(n), digits, had, had / (1 << h), places)))
 
 
 def _z4_plan(tau: np.ndarray):
-    # (gather, F, F / sqrt(n), places) of the frame of the (n, u) integer table tau (n = 2^u,
-    # u even), or None unless the residues w = tau(t) mod 2 are distinct; see _walsh_plan
+    # (gather, F, F / sqrt(n), places) of the frame of the (n, u) integer table tau (n = 2^u, u
+    # even), None if residues tau(t) mod 2 repeat; words by one float64 gemm, exact: |sum| <= 3nu
     n, u = tau.shape
-    weights, bits, _, *transform = _walsh_tables(u)
+    weights, neg_bits, _, *transform = _walsh_tables(u)
     rows = np.argsort(residues := (tau & 1) @ weights)
-    if len(set(residues.tolist())) < n:
+    if not (residues[rows] == np.arange(n)).all():
         return None
-    return locked((tau[rows] @ (-n * bits.T) & 3 * n) + rows[:, np.newaxis]), *transform
+    words = (tau[rows] @ neg_bits).astype(np.int64) & 3 * n
+    return locked(np.add(words, rows[:, np.newaxis], out=words)), *transform
 
 
 def _z4_span(tau: np.ndarray) -> np.ndarray:

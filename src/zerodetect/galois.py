@@ -13,6 +13,7 @@ reproducible across runs and machines.
 """
 
 from functools import lru_cache
+from operator import mul
 
 from .errors import BadValue, ConstructionError
 
@@ -67,14 +68,14 @@ def trace_sequence(m: int, length: int) -> tuple[int, ...]:
     s_k is the k-th power sum of the roots of g = modulus_poly(m), so Newton's
     identities give it from s_0 = m and the coefficients g_i (g_m = 1):
       s_k = -(g_{m-1} s_{k-1} + ... + g_{m-k+1} s_1 + k g_{m-k})   for k <= m,
-      s_k = -(g_{m-1} s_{k-1} + ... + g_0 s_{k-m})                 for k > m.
-    The sequence is periodic with period 2^m - 1, the order of xi.
+      s_k = c_0 s_{k-m} + ... + c_{m-1} s_{k-1}, c_i = -g_i mod 4    for k > m,
+    a linear recurrence with fixed coefficients, periodic with period 2^m - 1, the order of xi.
     """
     g = modulus_poly(m)
     s = [m % 4]
-    for k in range(1, length):
-        acc = sum(g[m - i] * s[k - i] for i in range(1, min(k - 1, m) + 1))
-        if k <= m:
-            acc += k * g[m - k]
-        s.append(-acc % 4)
+    for k in range(1, min(m + 1, length)):
+        s.append(-(sum(g[m - i] * s[k - i] for i in range(1, k)) + k * g[m - k]) % 4)
+    c = [-a % 4 for a in g[:m]]
+    for k in range(m + 1, length):
+        s.append(sum(map(mul, c, s[k - m : k])) % 4)
     return tuple(s[:length])

@@ -5,7 +5,7 @@ M = 2^(m+1), built from the Galois ring GR(4, u), u = m + 1. Its rows are
 indexed by t in (0, 1, xi, ..., xi^(M-2)), its columns by the ring elements
 lambda, and entry (t, lambda) is i^Tr(lambda * t) / sqrt(M). The trace is
 Z4-linear, so the whole Z4 word table follows from the u x M trace table
-Tr(xi^j t), read off one Z4 sequence s_e = Tr(xi^e) (galois.trace_sequence).
+Tr(xi^j t), whose row j is one Z4 sequence s_e = Tr(xi^e) from e = j (galois.trace_sequence).
 The table is uint8 in the frame's own (M, M^2) layout, grown from those rows
 by one broadcast add per coefficient of lambda; uint8 arithmetic wraps mod
 256, so every value stays exact mod 4. The frame is made from the trace table
@@ -22,7 +22,7 @@ worst-case coherence, which build_kerdock checks against 1/sqrt(M). A
 duplicated or overlapping column fails that check.
 """
 
-import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,18 +59,18 @@ class KerdockSpec:
 
     @property
     def coherence(self) -> float:
-        return 1.0 / np.sqrt(self.rows)
+        return 1 / math.sqrt(self.rows)
 
 
 def kerdock_traces(spec: KerdockSpec) -> np.ndarray:
     """The u x M trace table of the frame, uint8: entry (j, t) is Tr(xi^j * t), rows t = 0,
     1, xi, xi^2, ...; row j is the column of lambda = xi^j."""
-    u = spec.ring_degree
-    M = spec.rows
-    # Tr(xi^j * 0) = 0 and Tr(xi^j * xi^e) = s_{j+e}
+    u, M = spec.ring_degree, spec.rows
+    # Tr(xi^j * 0) = 0 and Tr(xi^j * xi^e) = s_{j+e}: row j is the sequence from s_j on
     s = np.array(trace_sequence(u, M + u - 2), dtype=np.uint8)
     tau = np.zeros((u, M), dtype=np.uint8)
-    tau[:, 1:] = s[np.add.outer(np.arange(u), np.arange(M - 1))]
+    for j in range(u):
+        tau[j, 1:] = s[j : j + M - 1]
     return tau
 
 
@@ -142,8 +142,8 @@ def attach_groups(m: MeasurementMatrix, r: int) -> MeasurementMatrix:
     r = as_int(r, "group size", IndivisibleGroupSize)
     if r < 1 or m.p % r != 0:
         raise IndivisibleGroupSize(f"group size {r} does not divide p = {m.p}")
-    grouped = copy.copy(m)
-    object.__setattr__(grouped, "groups", GroupPartition(m.p // r, r))
+    grouped = object.__new__(type(m))
+    grouped.__dict__.update(m.__dict__, groups=GroupPartition(m.p // r, r))
     return grouped
 
 

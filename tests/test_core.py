@@ -14,6 +14,7 @@ from zerodetect.core import (
     RngSpec,
     SignalInstance,
     SupportSet,
+    _walsh_tables,
     column_norms,
     format_cmat_entry,
     hermitian_apply,
@@ -219,6 +220,23 @@ def test_kerdock_rows_in_any_order_keep_the_plan():
     dense = ys @ shuffled.matrix.conj()
     bound = 4 * k.n * np.finfo(float).eps * np.abs(ys).sum(axis=1) / np.sqrt(k.n)
     assert np.all(np.abs(hermitian_apply(shuffled, ys) - dense) <= bound[:, np.newaxis])
+
+
+# each table of _walsh_tables(u) equals its defining formula over the base-4 digits of
+# every column index, a (p, u) table; the cached tables hold no array of that size
+@pytest.mark.parametrize("u", [2, 4, 6, 8])
+def test_walsh_tables_equal_their_digit_formulas(u):
+    n, h, weights = 1 << u, u // 2, 1 << np.arange(u - 1, -1, -1)
+    bits = np.arange(n)[:, np.newaxis] // weights & 1
+    digits = np.arange(n * n)[:, np.newaxis] // (weights * weights) & 3
+    had = (-1.0) ** (bits[: 1 << h, h:] @ bits[: 1 << h, h:].T)
+    places = (digits >> 1) @ weights * n + (digits & 1) @ weights
+    expected = (weights, -n * bits.T.astype(float), digits[:n, h:], had, had / (1 << h), places)
+    tables = _walsh_tables(u)
+    assert len(tables) == len(expected)
+    for got, want in zip(tables, expected):
+        assert got.dtype == want.dtype and np.array_equal(got, want) and not got.flags.writeable
+        assert max(got.size, getattr(got.base, "size", 0)) < n * n * u
 
 
 @cache

@@ -106,3 +106,26 @@ def test_trace_sequence_satisfies_recurrence_of_modulus():
         s = trace_sequence(m, 3 * m)
         for k in range(2 * m):
             assert sum(g[i] * s[k + i] for i in range(m + 1)) % 4 == 0
+
+
+def _newton_trace_sequence(m: int, length: int) -> tuple[int, ...]:
+    # Newton's identities read literally, one power sum at a time: s_0 = m and
+    # s_k = -(g_{m-1} s_{k-1} + ... + g_{m-min(k-1, m)} s_{k-min(k-1, m)} + [k <= m] k g_{m-k})
+    g = modulus_poly(m)
+    s = [m % 4]
+    for k in range(1, length):
+        acc = sum(g[m - i] * s[k - i] for i in range(1, min(k - 1, m) + 1))
+        if k <= m:
+            acc += k * g[m - k]
+        s.append(-acc % 4)
+    return tuple(s[:length])
+
+
+@pytest.mark.parametrize("m", sorted(PRIMITIVE_BINARY_POLYS))
+def test_trace_sequence_equals_newtons_identities(m):
+    # every length up to two periods and m terms past them, so both the Newton
+    # terms (k <= m) and the fixed recurrence after them are covered, and every cut
+    longest = 2 * (2**m - 1) + m
+    reference = _newton_trace_sequence(m, longest)
+    for length in range(longest + 1):
+        assert trace_sequence(m, length) == reference[:length]

@@ -73,7 +73,7 @@ def test_kerdock_linear_duplicate_is_rejected():
     tau = matrices.kerdock_traces(KerdockSpec(3))
     tau[1] = tau[0]
     with mock.patch.object(matrices, "kerdock_traces", return_value=tau):
-        with pytest.raises(ConstructionError, match=r"overlapping columns: max off-diagonal coherence 1\.0 "):
+        with pytest.raises(ConstructionError, match=r"overlapping columns: max off-diagonal coherence 1\.0 exceeds 0\.25$"):
             build_kerdock(KerdockSpec(3))
 
 

@@ -109,27 +109,26 @@ def _unit_columns(a) -> np.ndarray:
 
 @cache
 def _walsh_tables(u: int):
-    # of u alone: place values w, -n bits (u, n) as float64, the recogniser's digits of 0..n-1, F,
-    # F / sqrt(n), places sum_j w_j ((d_j >> 1) n + (d_j & 1)) over c's base-4 digits d_j, in O(p)
+    # of u alone, for plans of frames of u x n tables (from_traces): place values w, -n bits (u, n)
+    # as float64, F, F / sqrt(n), places sum_j w_j ((d_j >> 1) n + (d_j & 1)) over c's base-4 d_j
     n, h, weights = 1 << u, u // 2, 1 << np.arange(u - 1, -1, -1)
     bits = np.arange(n) // weights[:, np.newaxis] & 1  # (u, n): column alpha is alpha's bits
     had = (-1.0) ** (bits[h:, : 1 << h].T @ bits[h:, : 1 << h])
-    digits = np.arange(n)[:, np.newaxis] // (weights[h:] * weights[h:]) & 3
     places = np.zeros(1, dtype=np.int64)
     for step in weights[:, np.newaxis] * [0, 1, n, n + 1]:
         places = (places[:, np.newaxis] + step).reshape(-1)
-    return tuple(map(locked, (weights, bits * -float(n), digits, had, had / (1 << h), places)))
+    return tuple(map(locked, (weights, bits * -float(n), had, had / (1 << h), places)))
 
 
 def _z4_plan(tau: np.ndarray):
-    # (gather, F, F / sqrt(n), places) of the frame of the (n, u) integer table tau (n = 2^u, u
+    # (gather, F, F / sqrt(n), places) of the frame of the (u, n) integer table tau (n = 2^u, u
     # even), None if residues tau(t) mod 2 repeat; words by one float64 gemm, exact: |sum| <= 3nu
-    n, u = tau.shape
-    weights, neg_bits, _, *transform = _walsh_tables(u)
-    rows = np.argsort(residues := (tau & 1) @ weights)
+    u, n = tau.shape
+    weights, neg_bits, *transform = _walsh_tables(u)
+    rows = np.argsort(residues := weights @ (tau & 1))
     if not (residues[rows] == np.arange(n)).all():
         return None
-    words = (tau[rows] @ neg_bits).astype(np.int64) & 3 * n
+    words = (tau[:, rows].T @ neg_bits).astype(np.int64) & 3 * n
     return locked(np.add(words, rows[:, np.newaxis], out=words)), *transform
 
 
@@ -143,12 +142,16 @@ def _z4_span(tau: np.ndarray) -> np.ndarray:
     return span
 
 
-def _kerdock_entries(tau: np.ndarray) -> np.ndarray:
-    # the frame i^word / sqrt(n) over the span of the (u, n) table tau, by np.take in
-    # row slabs; _z4_span masks the words by & 3: all lie in 0..3, so clip never clips
+def _kerdock_slabs(tau: np.ndarray):
+    # words, table, step: rows t.. of the frame of the (u, n) table tau (from_traces) are
+    # np.take(table, words[t : t + step]), slabs of _SLAB_ENTRIES (one row if rows are longer)
     words = _z4_span(tau)
-    table, a = _I_POWERS / np.sqrt(len(words)), np.empty(words.shape, dtype=np.complex128)
-    step = max(1, _SLAB_ENTRIES // words.shape[1])
+    return words, _I_POWERS / np.sqrt(len(words)), max(1, _SLAB_ENTRIES // words.shape[1])
+
+
+def _kerdock_entries(tau: np.ndarray) -> np.ndarray:
+    words, table, step = _kerdock_slabs(tau)  # words lie in 0..3 (_z4_span's & 3): never clips
+    a = np.empty(words.shape, dtype=np.complex128)
     for t in range(0, len(words), step):
         np.take(table, words[t : t + step], out=a[t : t + step], mode="clip")
     return locked(a)
@@ -192,7 +195,7 @@ class MeasurementMatrix:
         if not u or u % 2 or n != 1 << u:
             raise BadValue(f"expected a u x 2^u trace table with u even, got shape {tau.shape}")
         m = cls.__new__(cls)
-        m.__dict__.update(groups=None, _shape=(n, n * n), _walsh_plan=_z4_plan(tau.T),
+        m.__dict__.update(groups=None, _shape=(n, n * n), _walsh_plan=_z4_plan(tau),
                           _dense=[None, tau])
         return m
 
@@ -209,27 +212,24 @@ class MeasurementMatrix:
 
     @cached_property
     def _walsh_plan(self):
-        """(gather, F, F / sqrt(n), places) when the matrix is exactly a Z4 character frame,
-        else None: n = 2^u, u even, p = n^2, entry (t, lambda) is i^(sum_j lambda_j tau_j(t)) /
-        sqrt(n) over lambda's base-4 digits (first slowest), tau_j(t) is row t of the unit
-        column 4^(u-1-j), and the residues w = tau(t) mod 2 are distinct; checked exactly, in
-        row slabs of at most 1 MB. gather[w, alpha] = k n + t for the row t of residue w and
-        i^k = i^(-alpha . tau(t)). Recognised from the entries on first use; a frame made by
-        from_traces has it from tau instead.
+        """(gather, F, F / sqrt(n), places) when the matrix is exactly the frame of a u x n table
+        tau (entries: from_traces) with distinct residues w = tau(t) mod 2, else None; gather[w,
+        alpha] = k n + t for the row t of residue w and i^k = i^(-alpha . tau(t)). Any frame not
+        from from_traces reads tau off its unit columns 4^(u-1-j) on first use and compares each
+        entry exactly with the fill's (_kerdock_entries), slab by slab in one reused buffer.
         """
         a, n, u = self.matrix, self.n, self.n.bit_length() - 1
         if n != 1 << u or u % 2 or self.p != n * n:
             return None
-        weights, _, digits, *_ = _walsh_tables(u)
-        powers = _I_POWERS / math.sqrt(n)
-        tau = (a[:, weights * weights, np.newaxis] == powers).argmax(axis=-1)  # else 0: fails below
-        if (plan := _z4_plan(tau)) is None:
+        units = a.T[4 ** np.arange(u - 1, -1, -1), :, np.newaxis]  # row j: i^tau[j] / sqrt(n)
+        tau = (units == _I_POWERS / math.sqrt(n)).argmax(axis=-1).astype(np.uint8)  # 1-byte words
+        if (plan := _z4_plan(tau)) is None:  # an entry that is no power of i reads 0: fails below
             return None
-        words = tau.reshape(n, 2, -1).swapaxes(0, 1) @ digits.T & 3
-        hi, lo = powers[words[0]][:, :, np.newaxis], _I_POWERS[words[1]][:, np.newaxis, :]
-        v, k = a.view(np.float64).reshape(n, n, 2 * n), max(1, 2**20 // a[0].nbytes)  # k rows: 1 MB
-        for t in range(0, n, k):
-            if not ((hi[t : t + k] * lo[t : t + k]).view(np.float64) == v[t : t + k]).all():
+        words, table, step = _kerdock_slabs(tau)
+        slab, v = np.empty_like(a[:step]), a.view(np.float64)
+        for t in range(0, n, step):  # n and step are powers of 2: every slab is full
+            np.take(table, words[t : t + step], out=slab, mode="clip")
+            if not (slab.view(np.float64) == v[t : t + step]).all():  # -0.0 == 0.0
                 return None
         return plan
 
@@ -250,16 +250,15 @@ class SupportSet:
     domain_size: int
 
     def __post_init__(self):
+        object.__setattr__(self, "domain_size", as_int(self.domain_size, "domain size"))
         if self.domain_size < 1:
             raise BadValue("domain size must be >= 1")
         indices = tuple(as_int(i, "index") for i in self.indices)
-        prev = 0
-        for i in indices:
+        for prev, i in zip((0, *indices), indices):
             if not 1 <= i <= self.domain_size:
                 raise BadValue(f"index {i} outside 1..{self.domain_size}")
             if i <= prev:
                 raise BadValue("indices must be strictly increasing (sorted, no duplicates)")
-            prev = i
         object.__setattr__(self, "indices", indices)
 
     @classmethod

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zerodetect import core
 from zerodetect.core import (
     GroupPartition,
     MeasurementMatrix,
@@ -177,8 +178,7 @@ def _matrix_from_plan(plan) -> np.ndarray:
     return a
 
 
-# a Z4 character frame's rows are Kronecker products of their half-digit factors,
-# and its plan rebuilds the frame exactly
+# a Z4 character frame is recognised, and its plan rebuilds the frame exactly
 @pytest.mark.parametrize("m", [1, 3, 5])
 def test_kerdock_rows_are_found_to_be_kronecker_products(m):
     k = _kerdock(m)
@@ -231,7 +231,7 @@ def test_walsh_tables_equal_their_digit_formulas(u):
     digits = np.arange(n * n)[:, np.newaxis] // (weights * weights) & 3
     had = (-1.0) ** (bits[: 1 << h, h:] @ bits[: 1 << h, h:].T)
     places = (digits >> 1) @ weights * n + (digits & 1) @ weights
-    expected = (weights, -n * bits.T.astype(float), digits[:n, h:], had, had / (1 << h), places)
+    expected = (weights, -n * bits.T.astype(float), had, had / (1 << h), places)
     tables = _walsh_tables(u)
     assert len(tables) == len(expected)
     for got, want in zip(tables, expected):
@@ -299,6 +299,36 @@ def test_hermitian_apply_rows_equal_lone_calls_across_chunk_boundaries(degree, r
     assert stacked.shape == (rows, m.p)
     for t in range(rows):
         assert np.array_equal(stacked[t], hermitian_apply(m, ys[t]))
+
+
+def _same_plan(got, want):
+    return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+# the recogniser accepts the frame of a u x n table tau with distinct residues, each entry as
+# the fill takes it, with the plan from_traces derives from tau; it accepts it with any zero
+# written -0.0, and rejects it with one entry moved to another power of i, or when residues repeat
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(u=st.sampled_from([2, 4]), data=st.data())
+def test_recogniser_accepts_exactly_the_frames_of_trace_tables(u, data):
+    n = 1 << u
+    residues = np.array(data.draw(st.permutations(range(n))))
+    high = data.draw(st.lists(st.integers(0, 1), min_size=u * n, max_size=u * n))
+    tau = (residues >> np.arange(u - 1, -1, -1)[:, np.newaxis] & 1) + 2 * np.reshape(high, (u, n))
+    tau = tau.astype(np.uint8)
+    want = MeasurementMatrix.from_traces(tau)._walsh_plan
+    frame = core._kerdock_entries(tau)
+    assert _same_plan(MeasurementMatrix(frame)._walsh_plan, want)
+    signed = frame.copy()
+    signed.view(np.float64)[signed.view(np.float64) == 0] = -0.0
+    assert _same_plan(MeasurementMatrix(signed)._walsh_plan, want)
+    moved = frame.copy()
+    t, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n * n - 1))
+    moved[t, c] *= data.draw(st.sampled_from([1j, -1, -1j]))  # still +-1 or +-i over sqrt(n)
+    assert MeasurementMatrix(moved)._walsh_plan is None
+    t, twin = data.draw(st.permutations(range(n)))[:2]
+    tau[:, twin] = tau[:, t] & 1 | tau[:, twin] & 2
+    assert MeasurementMatrix(core._kerdock_entries(tau))._walsh_plan is None
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -442,12 +472,15 @@ def test_support_set_validation_and_complement():
 
 
 def test_support_set_accepts_any_integer():
-    s = SupportSet((np.int64(1), 2), 3)
-    assert s.indices == (1, 2)
-    assert all(type(i) is int for i in s.indices)
+    s = SupportSet((np.int64(1), 2), np.int64(3))
+    assert s.indices == (1, 2) and s.domain_size == 3
+    assert all(type(i) is int for i in (*s.indices, s.domain_size))
     for bad, kind in ((2.0, "float"), ("2", "str")):
         with pytest.raises(BadValue, match=f"index must be an integer, got {kind}"):
             SupportSet((1, bad), 3)
+    for bad, kind in ((2.5, "float"), ("3", "str")):
+        with pytest.raises(BadValue, match=f"domain size must be an integer, got {kind}"):
+            SupportSet((1,), bad)
 
 
 def test_support_set_builders_reject_non_integers():

@@ -4,15 +4,14 @@ Conventions: indices in user-facing structures are 1-based, matrices are
 dense row-major complex128, and all randomness flows through RngSpec
 (counter-based Philox streams, so equal seeds give bit-identical draws).
 All types here are immutable after construction and safe to share across
-concurrent tasks; the operations are pure functions. A Kerdock frame built
-from its trace table (MeasurementMatrix.from_traces) makes its dense array
-on first read; concurrent first reads may make it twice, with equal bytes.
+concurrent tasks; the operations are pure functions. The MeasurementMatrix
+docstring says where a frame's entries and its Walsh plan come from.
 """
 
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -157,68 +156,67 @@ def _kerdock_entries(tau: np.ndarray) -> np.ndarray:
     return locked(a)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MeasurementMatrix:
     """Complex n x p matrix with unit-norm columns, optionally block-partitioned.
 
-    The matrix is read-only: a locked, C-contiguous complex128 ndarray that owns its memory
-    is adopted as it is; any other input is copied (core.adopted). matrices.attach_groups
-    re-partitions it without a second scan. A frame made by from_traces carries its Walsh
-    plan and fills its array on first read of .matrix; any other looks for a plan on its
-    first correlation.
+    The entries live in one slot, _frame = [array or None, tau or None], which shallow
+    copies (matrices.attach_groups) share. The constructor writes [checked array, None]: a
+    locked, C-contiguous complex128 ndarray that owns its memory is adopted as it is, any
+    other input is copied (core.adopted). from_traces writes [None, tau], and the first read
+    of .matrix fills slot 0 from tau, checked as the constructor checks; two threads may both
+    fill it, with equal arrays. The Walsh plan (_walsh_plan) comes from tau when the slot
+    holds it, and is otherwise recognised from the array on the first correlation.
     """
 
-    matrix: np.ndarray = field(repr=False)  # repr would fill a frame from from_traces
-    groups: GroupPartition | None = None
+    groups: GroupPartition | None
+    n: int
+    p: int
 
-    def __post_init__(self):
-        a = _unit_columns(self.matrix)
-        object.__setattr__(self, "matrix", a)
-        object.__setattr__(self, "_shape", a.shape)
-        if self.groups is not None and self.groups.p != a.shape[1]:
-            raise BadValue(
-                f"partition covers {self.groups.p} columns but matrix has {a.shape[1]}"
-            )
+    def __init__(self, matrix, groups: GroupPartition | None = None):
+        a = _unit_columns(matrix)
+        if groups is not None and groups.p != a.shape[1]:
+            raise BadValue(f"partition covers {groups.p} columns but matrix has {a.shape[1]}")
+        self.__dict__.update(groups=groups, n=a.shape[0], p=a.shape[1], _frame=[a, None])
 
     @classmethod
     def from_traces(cls, tau) -> "MeasurementMatrix":
-        """The n x n^2 Z4 character frame of the u x n trace table tau (n = 2^u, u even): entry
-        (t, lambda) is i^(sum_j lambda_j tau[j, t]) / sqrt(n) over lambda's base-4 digits, first
-        slowest. Its Walsh plan comes from tau; a tau whose residues repeat has none, and the
-        frame then correlates densely (_walsh_plan). Nothing dense is made here: the entries
-        are filled from tau and checked as the constructor checks them on the first read of
-        .matrix, in one slot that shallow copies (attach_groups) share. Two threads may both
-        fill it; the arrays are equal, as with the correlation memo of detectors.
+        """The n x n^2 Z4 character frame of the u x n integer trace table tau (n = 2^u, u
+        even), entries taken mod 4: entry (t, lambda) is i^(sum_j lambda_j tau[j, t]) / sqrt(n)
+        over lambda's base-4 digits, first slowest. Nothing dense is made here.
         """
-        tau = adopted(tau, np.uint8)
+        tau = np.asarray(tau)
+        if tau.dtype.kind not in "iu":
+            raise BadValue(f"a trace table holds integers, got dtype {tau.dtype}")
+        # mod 4 as the low two bits: casts to uint8 wrap mod 256, negative entries too
+        tau = locked(np.bitwise_and(tau, 3, dtype=np.uint8, casting="unsafe", order="C"))
         u, n = tau.shape if tau.ndim == 2 else (0, 0)
         if not u or u % 2 or n != 1 << u:
             raise BadValue(f"expected a u x 2^u trace table with u even, got shape {tau.shape}")
         m = cls.__new__(cls)
-        m.__dict__.update(groups=None, _shape=(n, n * n), _walsh_plan=_z4_plan(tau),
-                          _dense=[None, tau])
+        m.__dict__.update(groups=None, n=n, p=n * n, _frame=[None, tau])
         return m
 
-    def __getattr__(self, name):
-        # reached only for names not set: .matrix of a frame from from_traces before its fill
-        slot = self.__dict__.get("_dense")
-        if name != "matrix" or slot is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        a = slot[0]
-        if a is None:
-            a = slot[0] = _unit_columns(_kerdock_entries(slot[1]))
-        self.__dict__["matrix"] = a
-        return a
+    @property
+    def matrix(self) -> np.ndarray:
+        slot = self._frame
+        if slot[0] is None:
+            slot[0] = _unit_columns(_kerdock_entries(slot[1]))
+        return slot[0]
 
     @cached_property
     def _walsh_plan(self):
         """(gather, F, F / sqrt(n), places) when the matrix is exactly the frame of a u x n table
-        tau (entries: from_traces) with distinct residues w = tau(t) mod 2, else None; gather[w,
-        alpha] = k n + t for the row t of residue w and i^k = i^(-alpha . tau(t)). Any frame not
-        from from_traces reads tau off its unit columns 4^(u-1-j) on first use and compares each
-        entry exactly with the fill's (_kerdock_entries), slab by slab in one reused buffer.
+        tau with distinct residues w = tau(t) mod 2, else None; gather[w, alpha] = k n + t for
+        the row t of residue w and i^k = i^(-alpha . tau(t)). A slot that holds tau gives its
+        plan at once (from_traces: None if residues repeat). Otherwise tau is read off the unit
+        columns 4^(u-1-j) and each entry compared exactly with the fill's (_kerdock_entries),
+        slab by slab in one reused buffer.
         """
-        a, n, u = self.matrix, self.n, self.n.bit_length() - 1
+        a, tau = self._frame
+        if tau is not None:
+            return _z4_plan(tau)
+        n, u = self.n, self.n.bit_length() - 1
         if n != 1 << u or u % 2 or self.p != n * n:
             return None
         units = a.T[4 ** np.arange(u - 1, -1, -1), :, np.newaxis]  # row j: i^tau[j] / sqrt(n)
@@ -232,14 +230,6 @@ class MeasurementMatrix:
             if not (slab.view(np.float64) == v[t : t + step]).all():  # -0.0 == 0.0
                 return None
         return plan
-
-    @property
-    def n(self) -> int:
-        return self._shape[0]
-
-    @property
-    def p(self) -> int:
-        return self._shape[1]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .core import (
 )
 from .detectors import RULES, check_theta, scores_of, select_mask
 from .errors import BadK, BadValue, DimensionMismatch, IncompleteReport, NoGroups
-from .matrices import build_frame, check_rows_cols, load_matrix
+from .matrices import build_frame, check_frame_args, load_matrix
 from .theory import noise_component_variance
 
 # detector -> (its rule in detectors.RULES, target mask); the full-support
@@ -204,13 +204,14 @@ class ExperimentConfig:
 
 def build_matrix(config: ExperimentConfig) -> MeasurementMatrix:
     """Construct (or load, grouped as load_matrix does) the configured matrix, groups attached."""
-    if config.matrix_family == "file":
-        if config.matrix_file is None:
-            raise BadValue("file family needs matrix_file")
-        check_rows_cols("file", config.rows, config.cols)
+    family = config.matrix_family
+    # kerdock_m has a default, so it cannot tell a given degree from none: only kerdock reads it
+    kerdock_m = config.kerdock_m if family == "kerdock" else None
+    check_frame_args(family, kerdock_m, config.rows, config.cols, config.matrix_file)
+    if family == "file":
         return load_matrix(config.matrix_file, config.group_size)
-    return build_frame(config.matrix_family, config.kerdock_m, config.rows, config.cols,
-                       config.matrix_seed, config.group_size)[0]
+    return build_frame(family, kerdock_m, config.rows, config.cols, config.matrix_seed,
+                       config.group_size)[0]
 
 
 class TrialMetrics(NamedTuple):

@@ -9,9 +9,9 @@ Tr(xi^j t), whose row j is one Z4 sequence s_e = Tr(xi^e) from e = j (galois.tra
 The table is uint8 in the frame's own (M, M^2) layout, grown from those rows
 by one broadcast add per coefficient of lambda; uint8 arithmetic wraps mod
 256, so every value stays exact mod 4. The frame is made from the trace table
-alone (MeasurementMatrix.from_traces): it correlates through the Walsh plan of
-that table, and takes i^word / sqrt(M) by np.take in row slabs, locked, on the
-first read of .matrix only.
+alone (MeasurementMatrix.from_traces); the MeasurementMatrix docstring says
+where the entries and the Walsh plan come from, and when i^word / sqrt(M) fills
+the dense array.
 
 Distinct columns are either orthogonal or have inner-product modulus exactly
 1/sqrt(M), the worst-case coherence of the frame. The word table is the Z4
@@ -90,8 +90,8 @@ def build_kerdock(spec: KerdockSpec) -> MeasurementMatrix:
 
     All entries have modulus 1/sqrt(M) and the worst-case coherence is exactly
     1/sqrt(M); the coherence is checked here, the entries when first read.
-    The frame carries the Walsh plan of its trace table and fills its dense
-    array on first read of .matrix (MeasurementMatrix.from_traces).
+    The check correlates, so the frame holds the Walsh plan of its trace table
+    before any copy (attach_groups) is made; its dense array waits for .matrix.
     """
     m = MeasurementMatrix.from_traces(kerdock_traces(spec))
     # under linearity a_lambda^H a_lambda' depends only on lambda' - lambda, so the
@@ -135,9 +135,8 @@ def build_bernoulli(n: int, p: int, rng: RngSpec) -> MeasurementMatrix:
 
 def attach_groups(m: MeasurementMatrix, r: int) -> MeasurementMatrix:
     """Partition the columns into contiguous blocks of size r: a shallow copy of
-    the validated m, so no second norm scan, the same locked array (or, for a
-    built Kerdock frame, the same slot it is filled into) and any Walsh plan m
-    has already found.
+    the validated m, so no second norm scan, the same entries slot
+    (MeasurementMatrix) and any Walsh plan m has already found.
     """
     r = as_int(r, "group size", IndivisibleGroupSize)
     if r < 1 or m.p % r != 0:
@@ -147,13 +146,21 @@ def attach_groups(m: MeasurementMatrix, r: int) -> MeasurementMatrix:
     return grouped
 
 
-def check_rows_cols(family: str, rows: int | None, cols: int | None) -> None:
-    """The rows/cols rule of every frame source: bernoulli needs both, any other neither."""
+def check_frame_args(family: str, m: int | None = None, rows: int | None = None,
+                     cols: int | None = None, matrix_file: str | None = None) -> None:
+    """The argument rule of every frame source: m goes only with kerdock, rows and cols
+    only with bernoulli, which needs both, and a matrix file only with file, which needs one."""
     if family == "bernoulli":
         if rows is None or cols is None:
             raise BadValue("the bernoulli family needs rows and cols")
     elif rows is not None or cols is not None:
         raise BadValue("rows and cols apply only to the bernoulli family")
+    if m is not None and family != "kerdock":
+        raise BadValue("m applies only to the kerdock family")
+    if family == "file" and matrix_file is None:
+        raise BadValue("file family needs matrix_file")
+    if family != "file" and matrix_file is not None:
+        raise BadValue("a matrix file applies only to the file family")
 
 
 def build_frame(family: str, m: int | None = None, rows: int | None = None,
@@ -162,7 +169,7 @@ def build_frame(family: str, m: int | None = None, rows: int | None = None,
     of RngSpec(seed), in groups of group_size if given, with its CMAT header meta."""
     if family not in ("kerdock", "bernoulli"):
         raise InvalidSpec(f"unknown frame family {family!r}")
-    check_rows_cols(family, rows, cols)
+    check_frame_args(family, m, rows, cols)
     if family == "kerdock":
         spec = KerdockSpec(m)
         frame, meta = build_kerdock(spec), kerdock_meta(spec)

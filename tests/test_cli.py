@@ -106,6 +106,19 @@ def test_gen_matrix_validation(tmp_path, capsys):
     assert "ERROR BadValue" in capsys.readouterr().err
 
 
+def test_frame_arguments_the_family_never_reads_are_rejected(tmp_path, capsys):
+    # a Bernoulli frame has no degree, and a built Kerdock frame reads no file
+    out = str(tmp_path / "x.cmat")
+    assert run("gen-matrix", "--family", "bernoulli", "--rows", "4", "--cols", "8", "--m", "3",
+               "--out", out) == 1
+    assert "ERROR BadValue" in capsys.readouterr().err
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text(f"matrix_family = kerdock\nmatrix_file = {tmp_path / 'absent.cmat'}\n"
+                   "k_grid = 1\ntheta_grid = 1\ntrials = 2\n")
+    assert run("simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")) == 1
+    assert "ERROR BadValue" in capsys.readouterr().err
+
+
 def test_gen_matrix_bernoulli_seed_determinism(tmp_path):
     a, b, c = (tmp_path / n for n in ("a.cmat", "b.cmat", "c.cmat"))
     for path, seed in ((a, "9"), (b, "9"), (c, "10")):

@@ -414,10 +414,9 @@ def test_attach_groups_adopts_the_checked_frame_without_a_second_scan():
     m = build_kerdock(KerdockSpec(3))
     plan = m._walsh_plan
     assert plan is not None
-    with mock.patch.object(MeasurementMatrix, "__post_init__", autospec=True,
-                           side_effect=MeasurementMatrix.__post_init__) as post_init:
+    with mock.patch.object(core, "_unit_columns", wraps=core._unit_columns) as check:
         grouped = attach_groups(m, 8)
-    assert post_init.call_count == 0
+    assert check.call_count == 0
     assert grouped.matrix is m.matrix
     assert grouped._walsh_plan is plan
     assert grouped.groups == GroupPartition(32, 8) and m.groups is None

@@ -1,6 +1,7 @@
 """Kerdock and Bernoulli constructions, and group attachment."""
 
 import hashlib
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -136,16 +137,51 @@ def test_kerdock_detection_never_fills_the_dense_frame():
     assert _sha256(built.matrix) == KERDOCK_DIGESTS[5][1]
 
 
+def test_a_pickled_built_frame_carries_its_trace_table_and_plan_not_its_array():
+    grouped = attach_groups(build_kerdock(KerdockSpec(5)), 64)
+    copy = pickle.loads(pickle.dumps(grouped))
+    assert copy._frame[0] is None and "_walsh_plan" in copy.__dict__
+    ys = np.random.default_rng(34).standard_normal((3, grouped.n, 2)) @ [1, 1j]
+    for y in (ys, *ys):
+        assert np.array_equal(core.hermitian_apply(copy, y).view(np.uint64),
+                              core.hermitian_apply(grouped, y).view(np.uint64))
+    assert copy._frame[0] is None
+    assert copy.groups == grouped.groups
+    assert copy.matrix.tobytes() == grouped.matrix.tobytes()
+
+
+def test_a_frame_grouped_before_its_first_correlation_has_the_plan_of_its_base():
+    base = core.MeasurementMatrix.from_traces(matrices.kerdock_traces(KerdockSpec(3)))
+    grouped = attach_groups(base, 8)
+    plan = grouped._walsh_plan
+    assert plan is not None
+    assert all(a.dtype == b.dtype and np.array_equal(a, b)
+               for a, b in zip(plan, base._walsh_plan, strict=True))
+
+
 def test_kerdock_repr_does_not_fill_the_dense_frame():
     built = build_kerdock(KerdockSpec(3))
-    assert repr(built) == "MeasurementMatrix(groups=None)"
-    assert "matrix" not in built.__dict__
+    assert repr(built) == "MeasurementMatrix(groups=None, n=16, p=256)"
+    assert built._frame[0] is None
 
 
 @pytest.mark.parametrize("shape", [(3, 8), (2, 8), (4, 4), (16,), (0, 1)])
 def test_from_traces_rejects_a_table_of_the_wrong_shape(shape):
     with pytest.raises(BadValue, match="u x 2\\^u trace table with u even"):
         core.MeasurementMatrix.from_traces(np.zeros(shape, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("tau", [np.full((2, 4), 1.5), np.ones((2, 4)), np.ones((2, 4), bool)],
+                         ids=["float", "integral-float", "bool"])
+def test_from_traces_rejects_a_table_of_non_integers(tau):
+    with pytest.raises(BadValue, match="a trace table holds integers"):
+        core.MeasurementMatrix.from_traces(tau)
+
+
+def test_from_traces_takes_integer_entries_mod_4():
+    got = core.MeasurementMatrix.from_traces([[0, -1, 2, 3], [0, 3, 1, 1]])
+    want = core.MeasurementMatrix.from_traces(np.array([[0, 3, 2, 3], [0, 3, 1, 1]], np.uint8))
+    assert np.array_equal(got.matrix.view(np.uint64), want.matrix.view(np.uint64))
 
 
 def test_kerdock_codewords_are_uint8_in_frame_layout():

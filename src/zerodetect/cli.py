@@ -29,13 +29,9 @@ from .matrices import build_frame, load_matrix
 from . import coherence, theory
 
 
-class _UsageError(BadValue):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route through our codes
-        raise _UsageError(message)
+        raise BadValue(message)
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 1
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             parser.print_usage(sys.stderr)
             return 1
         return args.func(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except _UsageError as exc:
-        print(f"ERROR BadValue: {exc}", file=sys.stderr)
-        return 1
     except (CmatFormatError, OSError, UnicodeDecodeError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

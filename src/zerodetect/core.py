@@ -161,12 +161,14 @@ class MeasurementMatrix:
     """Complex n x p matrix with unit-norm columns, optionally block-partitioned.
 
     The entries live in one slot, _frame = [array or None, tau or None], which shallow
-    copies (matrices.attach_groups) share. The constructor writes [checked array, None]: a
-    locked, C-contiguous complex128 ndarray that owns its memory is adopted as it is, any
-    other input is copied (core.adopted). from_traces writes [None, tau], and the first read
-    of .matrix fills slot 0 from tau, checked as the constructor checks; two threads may both
-    fill it, with equal arrays. The Walsh plan (_walsh_plan) comes from tau when the slot
-    holds it, and is otherwise recognised from the array on the first correlation.
+    copies (matrices.attach_groups) share. The constructor writes [checked array, None]: it
+    checks every column norm of the array it is given; a locked, C-contiguous complex128
+    ndarray that owns its memory is adopted as it is, any other input is copied
+    (core.adopted). from_traces writes [None, tau], and the first read of .matrix fills slot
+    0 from tau, unscanned: every entry is a power of i over sqrt(n), so every column norm is
+    exactly 1.0. Two threads may both fill it, with equal arrays. The Walsh plan
+    (_walsh_plan) comes from tau when the slot holds it, and is otherwise recognised from
+    the array on the first correlation.
     """
 
     groups: GroupPartition | None
@@ -201,7 +203,7 @@ class MeasurementMatrix:
     def matrix(self) -> np.ndarray:
         slot = self._frame
         if slot[0] is None:
-            slot[0] = _unit_columns(_kerdock_entries(slot[1]))
+            slot[0] = _kerdock_entries(slot[1])
         return slot[0]
 
     @cached_property
@@ -430,7 +432,7 @@ def _matrix_of(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise BadValue(f"expected a 2-D matrix with n, p >= 1, got shape {a.shape}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():
         raise BadValue("matrix entries must be finite")
     return np.ascontiguousarray(a)
 
@@ -448,7 +450,7 @@ def normalize_columns(m) -> MeasurementMatrix:
     """
     groups = m.groups if isinstance(m, MeasurementMatrix) else None
     a = _matrix_of(m)
-    norms = column_norms(a)
+    norms = np.linalg.norm(a, axis=0)
     small = np.nonzero(norms < ZERO_COLUMN_TOL)[0]
     if small.size:
         raise ZeroColumn(int(small[0]) + 1)

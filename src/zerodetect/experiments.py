@@ -33,7 +33,7 @@ from .core import (
 )
 from .detectors import RULES, check_theta, scores_of, select_mask
 from .errors import BadK, BadValue, DimensionMismatch, IncompleteReport, NoGroups
-from .matrices import build_frame, check_frame_args, load_matrix
+from .matrices import FAMILIES, build_frame
 from .theory import noise_component_variance
 
 # detector -> (its rule in detectors.RULES, target mask); the full-support
@@ -42,7 +42,6 @@ _DETECTORS = {"zd_ost": ("zd_ost", "zeros"), "zd_groth": ("zd_groth", "group_zer
               "ost_topk": ("ost_topk", "support"),
               "ost_topk_full_support": ("ost_topk", "support")}
 DETECTOR_NAMES = tuple(_DETECTORS)
-MATRIX_FAMILIES = ("kerdock", "bernoulli", "file")
 SIGNAL_MODELS = ("tone", "group")
 # figure id -> the metric its curves plot, as the manifest names it
 _FIGURE_METRICS = {"1": "fdp_or_zero_fraction", "2": "pe", "3": "pe", "4a": "fdp", "4b": "fdp"}
@@ -173,7 +172,7 @@ class ExperimentConfig:
     noise_convention: str = "total"
 
     def __post_init__(self):
-        if self.matrix_family not in MATRIX_FAMILIES:
+        if self.matrix_family not in FAMILIES:
             raise BadValue(f"unknown matrix family {self.matrix_family!r}")
         if self.signal_model not in SIGNAL_MODELS:
             raise BadValue(f"unknown signal model {self.signal_model!r}")
@@ -203,15 +202,12 @@ class ExperimentConfig:
 
 
 def build_matrix(config: ExperimentConfig) -> MeasurementMatrix:
-    """Construct (or load, grouped as load_matrix does) the configured matrix, groups attached."""
+    """The configured frame, built or read by build_frame, groups attached."""
     family = config.matrix_family
     # kerdock_m has a default, so it cannot tell a given degree from none: only kerdock reads it
     kerdock_m = config.kerdock_m if family == "kerdock" else None
-    check_frame_args(family, kerdock_m, config.rows, config.cols, config.matrix_file)
-    if family == "file":
-        return load_matrix(config.matrix_file, config.group_size)
     return build_frame(family, kerdock_m, config.rows, config.cols, config.matrix_seed,
-                       config.group_size)[0]
+                       config.group_size, config.matrix_file)[0]
 
 
 class TrialMetrics(NamedTuple):

@@ -1,4 +1,5 @@
-"""Measurement-matrix families: deterministic Kerdock frames and random Bernoulli.
+"""Measurement-matrix families: deterministic Kerdock frames, random Bernoulli and CMAT
+files, all made by build_frame.
 
 The Kerdock frame with degree parameter m (odd) is the M x M^2 matrix,
 M = 2^(m+1), built from the Galois ring GR(4, u), u = m + 1. Its rows are
@@ -146,10 +147,19 @@ def attach_groups(m: MeasurementMatrix, r: int) -> MeasurementMatrix:
     return grouped
 
 
-def check_frame_args(family: str, m: int | None = None, rows: int | None = None,
-                     cols: int | None = None, matrix_file: str | None = None) -> None:
-    """The argument rule of every frame source: m goes only with kerdock, rows and cols
-    only with bernoulli, which needs both, and a matrix file only with file, which needs one."""
+FAMILIES = ("kerdock", "bernoulli", "file")
+
+
+def build_frame(family: str, m: int | None = None, rows: int | None = None,
+                cols: int | None = None, seed: int = 0, group_size: int | None = None,
+                matrix_file=None):
+    """(frame, meta): the Kerdock frame of degree m, the rows x cols Bernoulli frame of
+    RngSpec(seed), or the matrix of the CMAT file matrix_file, with its CMAT header meta; in
+    groups of group_size if given, else of a file's group_size meta value if any, which meta
+    then records. m goes only with kerdock, rows and cols only with bernoulli, which needs
+    both, and a matrix file only with file, which needs one."""
+    if family not in FAMILIES:
+        raise InvalidSpec(f"unknown frame family {family!r}")
     if family == "bernoulli":
         if rows is None or cols is None:
             raise BadValue("the bernoulli family needs rows and cols")
@@ -161,21 +171,20 @@ def check_frame_args(family: str, m: int | None = None, rows: int | None = None,
         raise BadValue("file family needs matrix_file")
     if family != "file" and matrix_file is not None:
         raise BadValue("a matrix file applies only to the file family")
-
-
-def build_frame(family: str, m: int | None = None, rows: int | None = None,
-                cols: int | None = None, seed: int = 0, group_size: int | None = None):
-    """(frame, meta): the Kerdock frame of degree m, or the rows x cols Bernoulli frame
-    of RngSpec(seed), in groups of group_size if given, with its CMAT header meta."""
-    if family not in ("kerdock", "bernoulli"):
-        raise InvalidSpec(f"unknown frame family {family!r}")
-    check_frame_args(family, m, rows, cols)
     if family == "kerdock":
         spec = KerdockSpec(m)
         frame, meta = build_kerdock(spec), kerdock_meta(spec)
-    else:
+    elif family == "bernoulli":
         frame = build_bernoulli(rows, cols, RngSpec(seed))
         meta = {"family": "bernoulli", "rows": str(rows), "cols": str(cols), "seed": str(seed)}
+    else:
+        entries, meta = read_cmat(matrix_file)
+        frame = MeasurementMatrix(locked(entries))
+        if group_size is None and "group_size" in meta:
+            try:
+                group_size = int(meta["group_size"])
+            except ValueError as exc:
+                raise CmatFormatError(f"bad group_size meta value {meta['group_size']!r}") from exc
     if group_size is not None:
         frame = attach_groups(frame, group_size)
         meta["group_size"] = str(group_size)
@@ -184,11 +193,4 @@ def build_frame(family: str, m: int | None = None, rows: int | None = None,
 
 def load_matrix(path, group_size: int | None = None) -> MeasurementMatrix:
     """A CMAT file's matrix in groups of group_size, else of its group_size meta value if any."""
-    entries, meta = read_cmat(path)
-    m = MeasurementMatrix(locked(entries))
-    if group_size is None and "group_size" in meta:
-        try:
-            group_size = int(meta["group_size"])
-        except ValueError as exc:
-            raise CmatFormatError(f"bad group_size meta value {meta['group_size']!r}") from exc
-    return m if group_size is None else attach_groups(m, group_size)
+    return build_frame("file", group_size=group_size, matrix_file=path)[0]

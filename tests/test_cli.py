@@ -198,6 +198,12 @@ def test_detect_y_from_file_and_length_check(tmp_path, capsys):
     yfile.write_text("1+0j 2+0j\n")
     assert run("detect", "--matrix", str(mat), "--y", str(yfile),
                "--theta", "1", "--out", str(out)) == 1
+    capsys.readouterr()
+    # exactly one of --y and --yinline
+    for ys in (["--y", str(yfile), "--yinline", "1,2,0"], []):
+        assert run("detect", "--matrix", str(mat), *ys, "--theta", "1", "--out", str(out)) == 1
+        assert capsys.readouterr().err == (
+            "ERROR BadValue: provide exactly one of --y FILE or --yinline CSV\n")
 
 
 def test_missing_matrix_file_is_io_error(tmp_path, capsys):
@@ -294,7 +300,7 @@ def test_coherence_report_matches_library(kerdock_file, tmp_path):
     assert abs(float(rows["mu_group"]) - 1.5455756847831934) < 1e-9
 
 
-def test_coherence_with_inline_stoc(kerdock_file, tmp_path):
+def test_coherence_with_inline_stoc(kerdock_file, tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert run("coherence", "--matrix", str(kerdock_file),
                "--stoc", "1,0.5,200,e1", "--seed", "3", "--out", str(out)) == 0
@@ -303,6 +309,11 @@ def test_coherence_with_inline_stoc(kerdock_file, tmp_path):
     )
     assert float(rows["stoc_delta_hat"]) == 0.0
     assert rows["stoc_z_strategy"] == "e1"
+    for stoc, message in (("1,0.5,200", "--stoc expects k,eps,trials,zstrategy"),
+                          ("1,half,200,e1", "bad --stoc values: '1,half,200,e1'")):
+        assert run("coherence", "--matrix", str(kerdock_file), "--stoc", stoc,
+                   "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"ERROR BadValue: {message}\n"
 
 
 def test_stoc_subcommand_strategies(kerdock_file, tmp_path):

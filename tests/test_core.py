@@ -46,6 +46,15 @@ def test_column_norms_identity():
     assert np.allclose(column_norms(np.eye(2)), [1.0, 1.0])
 
 
+@pytest.mark.parametrize("build", [MeasurementMatrix, column_norms, normalize_columns],
+                         ids=["MeasurementMatrix", "column_norms", "normalize_columns"])
+@pytest.mark.parametrize("a", [np.ones(3), np.ones((0, 3)), np.ones((3, 0))],
+                         ids=["1-D", "no-rows", "no-columns"])
+def test_dense_inputs_must_be_matrices_with_rows_and_columns(build, a):
+    with pytest.raises(BadValue, match="expected a 2-D matrix with n, p >= 1"):
+        build(a)
+
+
 def test_column_norms_zero_column():
     m = np.array([[1.0, 0.0], [0.0, 0.0]])
     norms = column_norms(m)
@@ -142,6 +151,11 @@ def test_hermitian_apply_rejects_non_finite(bad):
         hermitian_apply(np.eye(3), y)
     with pytest.raises(BadValue):
         hermitian_apply(np.eye(3), np.stack([np.ones(3), y]))
+    # a dense matrix with a non-finite entry, and a lone one
+    with pytest.raises(BadValue, match="matrix entries must be finite"):
+        hermitian_apply(np.diag(y), np.ones(3))
+    with pytest.raises(BadValue, match="matrix entries must be finite"):
+        hermitian_apply(np.array([[bad]]), [1.0])
 
 
 def test_hermitian_apply_stack_rows_equal_single_vectors():

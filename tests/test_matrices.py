@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from zerodetect import core, matrices
-from zerodetect.core import RngSpec, write_cmat
+from zerodetect.core import RngSpec, read_cmat, write_cmat
 from zerodetect.detectors import ost_topk, zd_groth, zd_ost
-from zerodetect.errors import BadValue, ConstructionError, IndivisibleGroupSize, InvalidSpec
+from zerodetect.errors import (
+    BadValue, CmatFormatError, ConstructionError, IndivisibleGroupSize, InvalidSpec,
+)
 from zerodetect.experiments import ExperimentConfig, build_matrix
 from zerodetect.matrices import (
     KerdockSpec,
@@ -19,6 +21,7 @@ from zerodetect.matrices import (
     build_frame,
     build_kerdock,
     kerdock_meta,
+    load_matrix,
 )
 
 
@@ -133,7 +136,7 @@ def test_kerdock_detection_never_fills_the_dense_frame():
         ost_topk(y, built, 16)
         assert fill.call_count == 0 and scan.call_count == 0
         assert grouped.matrix is built.matrix
-        assert fill.call_count == 1 and scan.call_count == 1
+        assert fill.call_count == 1 and scan.call_count == 0
     assert _sha256(built.matrix) == KERDOCK_DIGESTS[5][1]
 
 
@@ -258,7 +261,7 @@ def test_bernoulli_rejects_bad_shape():
         build_bernoulli(8, "32", RngSpec(0))
 
 
-def test_build_frame_rules():
+def test_build_frame_rules(tmp_path):
     frame, meta = build_frame("bernoulli", rows=8, cols=32, seed=7, group_size=4)
     assert np.array_equal(frame.matrix, build_bernoulli(8, 32, RngSpec(7)).matrix)
     assert (frame.groups.q, frame.groups.r) == (8, 4)
@@ -274,6 +277,32 @@ def test_build_frame_rules():
         build_frame("gaussian", rows=8, cols=32)
     with pytest.raises(IndivisibleGroupSize):
         build_frame("bernoulli", rows=8, cols=32, group_size=5)
+    # a file: the bytes and groups load_matrix gives, and the meta read_cmat gives
+    path = tmp_path / "b.cmat"
+    built, meta = build_frame("bernoulli", rows=8, cols=32, seed=7, group_size=4)
+    write_cmat(path, built, meta)
+    frame, read = build_frame("file", matrix_file=path)
+    loaded = load_matrix(path)
+    assert frame.matrix.tobytes() == loaded.matrix.tobytes() == built.matrix.tobytes()
+    assert frame.groups == loaded.groups == built.groups
+    assert read == read_cmat(path)[1] == meta
+    # a group size given wins over the file's meta, and the meta records it
+    frame, read = build_frame("file", group_size=8, matrix_file=path)
+    assert (frame.groups.q, frame.groups.r) == (4, 8) and read["group_size"] == "8"
+    assert load_matrix(path, 8).groups == frame.groups
+    bad = tmp_path / "bad.cmat"
+    bad.write_text("2 2\n# meta: group_size=two\n1+0j 0+0j\n0+0j 1+0j\n")
+    with pytest.raises(CmatFormatError, match="bad group_size meta value 'two'"):
+        build_frame("file", matrix_file=bad)
+    with pytest.raises(BadValue, match="file family needs matrix_file"):
+        build_frame("file")
+    with pytest.raises(BadValue, match="file family needs matrix_file"):
+        build_matrix(ExperimentConfig(matrix_family="file"))
+    with pytest.raises(BadValue, match="m applies only to the kerdock family"):
+        build_frame("file", 3, matrix_file=path)
+    for rows, cols in ((8, None), (None, 32), (8, 32)):
+        with pytest.raises(BadValue, match="rows and cols apply only to the bernoulli family"):
+            build_frame("file", rows=rows, cols=cols, matrix_file=path)
 
 
 def test_kerdock_frames_take_no_rows_or_cols():

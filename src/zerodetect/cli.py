@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .coherence import STAT_HEADER, coherence_report, read_coherence_csv, stoc_estimate, stoc_probe
-from .core import RngSpec, parse_cmat_entry, write_cmat, write_csv
+from .core import RngSpec, as_int, parse_cmat_entry, write_cmat, write_csv
 from .detectors import zd_groth, zd_ost
 from .errors import BadValue, CmatFormatError, ZeroDetectError
 from .experiments import (
@@ -90,8 +90,7 @@ def _read_y(args, n: int) -> np.ndarray:
 
 
 def _cmd_detect(args) -> int:
-    if args.theta < 1:
-        raise BadValue("--theta must be >= 1")
+    as_int(args.theta, "--theta", lo=1)
     m = load_matrix(args.matrix, args.group_size)
     y = _read_y(args, m.n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported as BadValue

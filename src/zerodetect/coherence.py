@@ -129,9 +129,7 @@ Z_STRATEGIES = ("e1", "flat", "gaussian-seeded")
 def stoc_probe(strategy: str, k: int, seed: int) -> np.ndarray:
     """The length-k (k >= 1) probe z named in Z_STRATEGIES: e1, the flat unit
     vector, or a complex Gaussian drawn from stream 1 of RngSpec(seed)."""
-    k = as_int(k, "k", BadK)
-    if k < 1:
-        raise BadK(f"need k >= 1, got k={k}")
+    k = as_int(k, "k", BadK, lo=1)
     if strategy == "e1":
         return np.eye(1, k, dtype=np.complex128)[0]
     if strategy == "flat":
@@ -244,12 +242,8 @@ def stoc_estimate(
     A^H u comes from hermitian_apply, which makes no copy of A^H. Needs
     1 <= k < p, a finite epsilon >= 0 and a finite nonzero z (see stoc_probe).
     """
-    p, k = m.p, as_int(k, "k", BadK)
-    if not 1 <= k < p:
-        raise BadK(f"need 1 <= k < p, got k={k}, p={p}")
-    trials = as_int(trials, "trials")
-    if trials < 1:
-        raise BadValue("trials must be >= 1")
+    p, k = m.p, as_int(k, "k", BadK, lo=1, hi=m.p - 1)
+    trials = as_int(trials, "trials", lo=1)
     if not (np.isfinite(epsilon) and epsilon >= 0):
         raise BadValue(f"epsilon must be finite and >= 0, got {epsilon!r}")
     z = np.asarray(z, dtype=np.complex128)

@@ -46,12 +46,19 @@ def adopted(a, dtype) -> np.ndarray:
     return a
 
 
-def as_int(value, what: str, error: type[ValueError] = BadValue) -> int:
-    """Any integer (numpy's too) as an int; anything else raises error."""
+def as_int(value, what: str, error: type[ValueError] = BadValue, lo: int | None = None,
+           hi: int | None = None) -> int:
+    """Any integer (numpy's too) in lo..hi as an int, where None leaves that end open. Anything
+    else raises error: "<what> must be an integer, got <type> <value>", or "<what> must be
+    >= lo" (or "<= hi", or "in lo..hi") followed by ", got <value>"."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise error(f"{what} must be an integer, got {type(value).__name__} {value!r}") from None
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        rule = f"<= {hi}" if lo is None else f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise error(f"{what} must be {rule}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -62,10 +69,8 @@ class GroupPartition:
     r: int
 
     def __post_init__(self):
-        object.__setattr__(self, "q", as_int(self.q, "group count"))
-        object.__setattr__(self, "r", as_int(self.r, "group size"))
-        if self.q < 1 or self.r < 1:
-            raise BadValue(f"group partition needs q, r >= 1, got q={self.q}, r={self.r}")
+        object.__setattr__(self, "q", as_int(self.q, "group count", lo=1))
+        object.__setattr__(self, "r", as_int(self.r, "group size", lo=1))
 
     @property
     def p(self) -> int:
@@ -73,15 +78,12 @@ class GroupPartition:
 
     def block(self, group_index: int) -> slice:
         """Column slice (0-based) of the given 1-based group index."""
-        if not 1 <= group_index <= self.q:
-            raise BadValue(f"group index {group_index} outside 1..{self.q}")
-        return slice((group_index - 1) * self.r, group_index * self.r)
+        i = as_int(group_index, "group index", lo=1, hi=self.q)
+        return slice((i - 1) * self.r, i * self.r)
 
     def group_of_column(self, column: int) -> int:
         """1-based group index of a 1-based column index."""
-        if not 1 <= column <= self.p:
-            raise BadValue(f"column {column} outside 1..{self.p}")
-        return (column - 1) // self.r + 1
+        return (as_int(column, "column", lo=1, hi=self.p) - 1) // self.r + 1
 
 
 def _squared_column_norms(a: np.ndarray) -> np.ndarray:
@@ -242,15 +244,11 @@ class SupportSet:
     domain_size: int
 
     def __post_init__(self):
-        object.__setattr__(self, "domain_size", as_int(self.domain_size, "domain size"))
-        if self.domain_size < 1:
-            raise BadValue("domain size must be >= 1")
-        indices = tuple(as_int(i, "index") for i in self.indices)
-        for prev, i in zip((0, *indices), indices):
-            if not 1 <= i <= self.domain_size:
-                raise BadValue(f"index {i} outside 1..{self.domain_size}")
-            if i <= prev:
-                raise BadValue("indices must be strictly increasing (sorted, no duplicates)")
+        d = as_int(self.domain_size, "domain size", lo=1)
+        object.__setattr__(self, "domain_size", d)
+        indices = tuple(as_int(i, "index", lo=1, hi=d) for i in self.indices)
+        if any(i <= prev for prev, i in zip(indices, indices[1:])):
+            raise BadValue("indices must be strictly increasing (sorted, no duplicates)")
         object.__setattr__(self, "indices", indices)
 
     @classmethod
@@ -322,9 +320,7 @@ class SignalInstance:
 
 def _seed_words(value: int) -> tuple[int, int]:
     # split a 64-bit value into uint32 words for SeedSequence spawn keys
-    value = as_int(value, "substream path entries")
-    if not 0 <= value < 2**64:
-        raise BadValue(f"substream path entries must be 64-bit unsigned, got {value!r}")
+    value = as_int(value, "substream path entries", lo=0, hi=2**64 - 1)
     return (value & 0xFFFFFFFF, value >> 32)
 
 
@@ -371,10 +367,7 @@ class RngSpec:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_id"):
-            v = as_int(getattr(self, name), name)
-            if not 0 <= v < 2**64:
-                raise BadValue(f"{name} must be a 64-bit unsigned integer, got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, as_int(getattr(self, name), name, lo=0, hi=2**64 - 1))
 
     def _sequence(self, path: tuple[int, ...]) -> np.random.SeedSequence:
         key = _seed_words(self.stream_id)
@@ -398,9 +391,8 @@ class RngSpec:
         trial (counter 0, empty buffer, no cached 32-bit half), so finish with each
         generator before taking the next.
         """
-        ends = (trials[0], trials[-1]) if trials else (0,)
-        if not 0 <= min(ends) <= max(ends) < 2**64:
-            raise BadValue(f"trials must be 64-bit unsigned, got {trials!r}")
+        for end in (trials[0], trials[-1]) if trials else ():
+            as_int(end, "trial", lo=0, hi=2**64 - 1)
         t = np.fromiter(trials, dtype=np.uint64, count=len(trials))
         seq = self._sequence(prefix)
         # mix_entropy hashed the seed padded to the pool and the spawn key, 4 calls a word
@@ -514,7 +506,7 @@ def parse_cmat_entry(token: str) -> complex:
     t = token.strip()
     if not t or not _ENTRY_RE.match(t):
         raise CmatFormatError(f"malformed complex entry {token!r}")
-    if t[-1] in "iI":
+    if t[-1] == "i":
         t = t[:-1] + "j"
     try:
         return complex(t)

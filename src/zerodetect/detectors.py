@@ -62,11 +62,7 @@ def check_theta(rule: str, theta: int, m: MeasurementMatrix) -> int:
     grouped, _ = RULES[rule]
     if grouped and m.groups is None:
         raise NoGroups("group thresholding needs a group partition")
-    limit, what = (m.groups.q, "groups") if grouped else (m.p, "columns")
-    theta = as_int(theta, "theta", ThetaOutOfRange)
-    if not 1 <= theta <= limit:
-        raise ThetaOutOfRange(f"theta must be in 1..{limit} ({what}), got {theta}")
-    return theta
+    return as_int(theta, "theta", ThetaOutOfRange, lo=1, hi=m.groups.q if grouped else m.p)
 
 
 def select_mask(keys: np.ndarray, theta: int) -> np.ndarray:

@@ -68,14 +68,6 @@ class UniformAmplitude:
         return rng.uniform(self.lo, self.hi, size)
 
 
-def _check_k(domain: int, k: int) -> int:
-    """k as an int in 0..domain."""
-    k = as_int(k, "k", BadK)
-    if not 0 <= k <= domain:
-        raise BadK(f"need 0 <= k <= {domain}, got k={k}")
-    return k
-
-
 def _signal_draws(rng: np.random.Generator, domain: int, width: int, k: int):
     """One trial's raw signal draws, in stream order: k of `domain` blocks, then
     2 k width doubles in [0, 1) for _uniform_split."""
@@ -115,7 +107,7 @@ def _draw_signal(domain: int, width: int, k: int, law: UniformAmplitude,
                  rng: np.random.Generator) -> np.ndarray:
     """Coefficient vector with k of its `domain` blocks of `width` entries
     active: uniform block choice, law-distributed magnitudes, uniform phases."""
-    k = _check_k(domain, k)
+    k = as_int(k, "k", BadK, lo=0, hi=domain)
     if k == 0:
         return np.zeros(domain * width, dtype=np.complex128)
     draws = _signal_draws(rng, domain, width, k)
@@ -177,19 +169,17 @@ class ExperimentConfig:
         if self.signal_model not in SIGNAL_MODELS:
             raise BadValue(f"unknown signal model {self.signal_model!r}")
         _noise_scale(self.sigma2, self.noise_convention)
-        object.__setattr__(self, "trials", as_int(self.trials, "trials"))
-        if self.trials < 1:
-            raise BadValue("trials must be >= 1")
+        object.__setattr__(self, "trials", as_int(self.trials, "trials", lo=1))
         if not 0 < self.amplitude_lo <= self.amplitude_hi < math.inf:
             raise BadValue("need 0 < amplitude_lo <= amplitude_hi < inf, got "
                            f"[{self.amplitude_lo}, {self.amplitude_hi}]")
-        if not self.detectors:
-            raise BadValue("at least one detector is required")
         for d in self.detectors:
             if d not in DETECTOR_NAMES:
                 raise BadValue(f"unknown detector {d!r}")
         for name in ("k_grid", "theta_grid", "detectors"):
             values = getattr(self, name)
+            if not values:
+                raise BadValue(f"{name} must not be empty")
             if len(set(values)) != len(values):
                 raise BadValue(f"duplicate {name} entries")
         # a file's group size may come from its group_size meta value instead
@@ -283,7 +273,7 @@ def _measure_block(config: ExperimentConfig, m: MeasurementMatrix, k: int,
     """
     law = config.amplitude_law
     domain, width = (m.groups.q, m.groups.r) if config.signal_model == "group" else (m.p, 1)
-    k = _check_k(domain, k)
+    k = as_int(k, "k", BadK, lo=0, hi=domain)
     blocks = np.empty((len(trials), k), dtype=np.intp)
     u = np.empty((len(trials), 2 * k * width))
     parts = np.zeros((len(trials), 2, m.n))
@@ -320,8 +310,7 @@ def run_trial(config: ExperimentConfig, k: int, theta: int, detector: str,
 
 def wilson_interval(successes: float, n: int, z: float = _Z95) -> tuple[float, float]:
     """Wilson score interval for a proportion (successes may be a pseudo-count)."""
-    if n < 1:
-        raise BadValue("n must be >= 1")
+    n = as_int(n, "n", lo=1)
     if not 0 <= successes <= n:
         raise BadValue("successes must lie in [0, n]")
     phat = successes / n
@@ -397,7 +386,7 @@ def _validate_grids(config: ExperimentConfig, m: MeasurementMatrix) -> tuple[int
     if config.signal_model == "group" and m.groups is None:
         raise NoGroups("group signals need a partitioned matrix")
     domain = m.groups.q if config.signal_model == "group" else m.p
-    k_grid = tuple(_check_k(domain, k) for k in config.k_grid)
+    k_grid = tuple(as_int(k, "k", BadK, lo=0, hi=domain) for k in config.k_grid)
     for det in config.detectors:
         for theta in config.theta_grid:
             _check_detection(det, effective_theta(config, det, theta), m)

@@ -126,9 +126,7 @@ def build_bernoulli(n: int, p: int, rng: RngSpec) -> MeasurementMatrix:
     Entries come from a single counter-based stream keyed by the RngSpec, so
     the matrix is a pure function of (masterSeed, streamId).
     """
-    n, p = as_int(n, "rows", InvalidSpec), as_int(p, "cols", InvalidSpec)
-    if n < 1 or p < 1:
-        raise InvalidSpec(f"need n, p >= 1, got n={n}, p={p}")
+    n, p = as_int(n, "rows", InvalidSpec, lo=1), as_int(p, "cols", InvalidSpec, lo=1)
     gen = rng.generator()
     signs = 2.0 * gen.integers(0, 2, size=(n, p)) - 1.0
     return MeasurementMatrix(locked(signs.astype(np.complex128) / np.sqrt(n)))

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SignalInstance, adopted
+from .core import SignalInstance, adopted, as_int
 from .errors import BadValue, EmptySupport
 
 
@@ -79,9 +79,7 @@ class CoherenceProperty(NamedTuple):
 
 def coherence_property(mu: float, p: int, mu0: float | None = None) -> CoherenceProperty:
     """Whether mu <= mu0 / sqrt(log p), as mu0_star <= mu0; mu0 defaults to mu0_star."""
-    if p < 2:
-        raise BadValue(f"need p >= 2 (log p degenerates below), got {p}")
-    mu0_star = mu * math.sqrt(math.log(p))
+    mu0_star = mu * math.sqrt(math.log(as_int(p, "p", lo=2)))  # log p degenerates below 2
     mu0 = mu0_star if mu0 is None else mu0
     if not (0 <= mu < math.inf and 0 <= mu0 < math.inf):
         raise BadValue(f"mu and mu0 must be finite and >= 0, got {mu!r}, {mu0!r}")
@@ -98,8 +96,7 @@ class GroupCoherenceProperty(NamedTuple):
 def group_coherence_property(params: BoundParams, mu_g: float, nu_g: float,
                              q: int, r: int, n: int) -> GroupCoherenceProperty:
     """Whether mu_g <= c_mu / sqrt(log q) and nu_g <= c_nu mu_g sqrt(r log q / n)."""
-    if q < 2 or r < 1 or n < 1:
-        raise BadValue(f"need q >= 2, r >= 1 and n >= 1, got q={q}, r={r}, n={n}")
+    q, r, n = as_int(q, "q", lo=2), as_int(r, "r", lo=1), as_int(n, "n", lo=1)
     if not (0 <= mu_g < math.inf and 0 <= nu_g < math.inf):
         raise BadValue(f"mu_g and nu_g must be finite and >= 0, got {mu_g!r}, {nu_g!r}")
     log_q = math.log(q)
@@ -153,8 +150,7 @@ def stats_from_magnitudes(magnitudes, sigma: float, n: int,
     """Signal statistics from the nonzero magnitudes alone (order irrelevant)."""
     if sigma <= 0:
         raise BadValue("sigma must be > 0")
-    if n < 1:
-        raise BadValue("n must be >= 1")
+    n = as_int(n, "n", lo=1)
     mags = np.sort(np.abs(np.asarray(magnitudes, dtype=float)))[::-1]
     # E||w||^2 = n E|w_t|^2, and E|w_t|^2 is twice each real component's variance
     snr = float(np.sum(mags**2)) / (n * 2 * noise_component_variance(sigma**2, convention))
@@ -187,9 +183,7 @@ def epsilon0(snr_min: float, snr: float, p: int) -> Epsilon0:
         raise BadValue("snr must be > 0")
     if snr_min < 0:
         raise BadValue("snr_min must be >= 0")
-    if p < 2:
-        raise BadValue("p must be >= 2")
-    log_p = math.log(p)
+    log_p = math.log(as_int(p, "p", lo=2))
     value = (math.sqrt(snr_min) - 4 * math.sqrt(log_p)) / (2 * math.sqrt(snr))
     return Epsilon0(value, snr_min > 16 * log_p)
 
@@ -207,8 +201,7 @@ def sparsity_bound(params: BoundParams, eps0: float, nu: float, p: int) -> Spars
     """
     if nu <= 0:
         raise BadValue("nu must be > 0")
-    if p < 1:
-        raise BadValue("p must be >= 1")
+    p = as_int(p, "p", lo=1)
     gap = eps0 - 4 * (2 + 1 / params.a) * params.mu0
     if gap <= 0:
         return SparsityBound(0.0, True)
@@ -233,12 +226,9 @@ def pe_bound(params: BoundParams, eps0: float, k: int, nu: float, p: int) -> PeB
     alpha > 1. Both the plain form and the form retaining the (log p)^(-1/2)
     factor on the first term are reported.
     """
-    if k < 0:
-        raise BadValue("k must be >= 0")
+    k, p = as_int(k, "k", lo=0), as_int(p, "p", lo=2)
     if nu < 0:
         raise BadValue("nu must be >= 0")
-    if p < 2:
-        raise BadValue("p must be >= 2")
     c = 16 * (2 + 1 / params.a) ** 2
     alpha = (eps0 - math.sqrt(k) * nu) ** 2 / (c * params.mu0**2)
     valid = eps0 > math.sqrt(k) * nu and alpha > 1
@@ -263,12 +253,9 @@ def fdp_bound_elementwise(stats: SignalStats, params: BoundParams, mu: float,
     m is the largest index whose largest-to-average ratio meets the
     threshold, with c1 = 32/t and c2 = 800/(1-t); the bound is (k - m)/theta.
     """
-    if k != stats.k:
+    if as_int(k, "k") != stats.k:
         raise BadValue(f"k={k} does not match the statistics (k={stats.k})")
-    if theta < 1:
-        raise BadValue("theta must be >= 1")
-    if n < 1 or p < 2:
-        raise BadValue("need n >= 1 and p >= 2")
+    theta, n, p = as_int(theta, "theta", lo=1), as_int(n, "n", lo=1), as_int(p, "p", lo=2)
     if mu < 0:
         raise BadValue("mu must be >= 0")
     c1 = 32 / params.t
@@ -293,8 +280,7 @@ def group_guarantee_constants(params: BoundParams, r: int | None = None,
     c3 = 32 * math.sqrt(2 * math.e) * (2 * c1 - 1) / ((1 - c2) * (c1 - 1))
     size_gate = None
     if r is not None and k is not None and n is not None:
-        if r < 1 or k < 0 or n < 1:
-            raise BadValue("need r >= 1, k >= 0, n >= 1")
+        r, k, n = as_int(r, "r", lo=1), as_int(k, "k", lo=0), as_int(n, "n", lo=1)
         size_gate = c1 * r * k <= n
     return GroupConstants(
         c3,
@@ -334,8 +320,7 @@ def fdp_bound_groupwise(group_norms: np.ndarray, sigma: float, mu_g: float,
         raise BadValue("group norms must be sorted nonincreasing")
     if not (0 <= sigma < math.inf and 0 <= mu_g < math.inf):
         raise BadValue(f"sigma and mu_g must be finite and >= 0, got {sigma!r}, {mu_g!r}")
-    if q < 2 or r < 1 or theta < 1:
-        raise BadValue("need q >= 2, r >= 1, theta >= 1")
+    q, r, theta = as_int(q, "q", lo=2), as_int(r, "r", lo=1), as_int(theta, "theta", lo=1)
     k = norms.shape[0]
     x_norm = float(np.sqrt(np.sum(norms**2)))
     threshold = c3 * mu_g * x_norm * math.sqrt(math.log(q)) + _group_noise_threshold(sigma, q, r)
@@ -360,13 +345,10 @@ def noise_thresholds(sigma: float, p: int, q: int | None = None,
     """High-probability noise-correlation thresholds for elements and groups."""
     if sigma <= 0:
         raise BadValue("sigma must be > 0")
-    if p < 1:
-        raise BadValue("p must be >= 1")
-    element = 2 * sigma * math.sqrt(math.log(p))
+    element = 2 * sigma * math.sqrt(math.log(as_int(p, "p", lo=1)))
     group = None
     if q is not None and r is not None:
-        if q < 1 or r < 1:
-            raise BadValue("need q >= 1 and r >= 1")
+        q, r = as_int(q, "q", lo=1), as_int(r, "r", lo=1)
         group = _group_noise_threshold(sigma, q, r)
     return NoiseThresholds(element, group)
 
@@ -385,7 +367,6 @@ def chi2_tail_bound(tau: float, sigma: float, r: int, q: int = 1) -> Chi2TailBou
     """
     if tau <= 0 or sigma <= 0:
         raise BadValue("tau and sigma must be > 0")
-    if r < 1 or q < 1:
-        raise BadValue("need r >= 1 and q >= 1")
+    r, q = as_int(r, "r", lo=1), as_int(q, "q", lo=1)
     raw = q * math.exp(-(tau**2) / (4 * sigma**2)) * 2 ** (r / 2)
     return Chi2TailBound(min(raw, 1.0), raw > 1.0)

@@ -154,6 +154,12 @@ def test_detect_theta_zero_is_bad_value(tmp_path, capsys):
                "--theta", "0", "--out", str(tmp_path / "r.csv"))
     assert code == 1
     assert "ERROR BadValue" in capsys.readouterr().err
+    # an integer outside its range names the argument, the range and the value given
+    for theta, line in (("0", "ERROR BadValue: --theta must be >= 1, got 0"),
+                        ("5", "ERROR ThetaOutOfRange: theta must be in 1..4, got 5")):
+        assert run("detect", "--matrix", str(mat), "--yinline", "0,0,3,0",
+                   "--theta", theta, "--out", str(tmp_path / "r.csv")) == 1
+        assert capsys.readouterr().err == line + "\n"
 
 
 def test_detect_rejects_non_finite_measurement(tmp_path, capsys):

@@ -10,16 +10,20 @@ from hypothesis import strategies as st
 from zerodetect import coherence
 from zerodetect.coherence import (
     CoherenceReport,
+    StocEstimate,
     average_coherence,
     coherence_argmax_pair,
     coherence_report,
     group_coherences,
+    read_coherence_csv,
     stoc_estimate,
     stoc_probe,
     worst_case_coherence,
 )
 from zerodetect.core import MeasurementMatrix, RngSpec, normalize_columns
-from zerodetect.errors import BadK, BadValue, DimensionMismatch, NoGroups, SingleColumn, ZeroZ
+from zerodetect.errors import (
+    BadK, BadValue, CmatFormatError, DimensionMismatch, NoGroups, SingleColumn, ZeroZ,
+)
 from zerodetect.matrices import KerdockSpec, attach_groups, build_bernoulli, build_kerdock
 
 # golden numbers for the 16 x 256 Kerdock frame, frozen from exact-sum and
@@ -279,10 +283,14 @@ def test_stoc_reproducible(kerdock16):
 
 def test_stoc_validation(kerdock16):
     z = np.ones(4, dtype=np.complex128)
-    with pytest.raises(BadK):
+    with pytest.raises(BadK, match=r"k must be in 1\.\.255, got 0"):
         stoc_estimate(kerdock16, 0, 0.5, z[:0], 10, RngSpec(0))
-    with pytest.raises(BadK):
+    with pytest.raises(BadK, match=r"k must be in 1\.\.255, got 256"):
         stoc_estimate(kerdock16, 256, 0.5, z, 10, RngSpec(0))
+    with pytest.raises(BadValue, match="trials must be >= 1, got 0"):
+        stoc_estimate(kerdock16, 4, 0.5, z, 0, RngSpec(0))
+    with pytest.raises(BadValue, match="need trials >= 1"):
+        StocEstimate(4, 0.5, 0, 0, "flat")
     with pytest.raises(ZeroZ):
         stoc_estimate(kerdock16, 4, 0.5, np.zeros(4), 10, RngSpec(0))
     with pytest.raises(DimensionMismatch):
@@ -304,6 +312,8 @@ def test_stoc_rejects_non_integer_k(kerdock16):
         stoc_estimate(kerdock16, 2.0, 0.5, z, 10, RngSpec(0))
     with pytest.raises(BadK, match="k must be an integer, got float"):
         stoc_probe("flat", 2.5, 0)
+    with pytest.raises(BadK, match="k must be >= 1, got 0"):
+        stoc_probe("flat", 0, 0)
     assert stoc_probe("flat", np.int64(4), 0).shape == (4,)
 
 
@@ -401,6 +411,16 @@ def test_coherence_report_has_both_group_statistics_or_neither():
     with pytest.raises(BadValue, match="mu_group and nu_group"):
         CoherenceReport(mu=0.5, nu=0.1, mu_group=1.0, nu_group=None, argmax_pair=(1, 2),
                         argmax_group_pair=(1, 2))
+
+
+def test_read_coherence_csv_rejects_a_file_it_did_not_write(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("mu,0.25,1,2\nnu,0.1,,\n")  # no stat,value header
+    with pytest.raises(CmatFormatError, match="stat,value header"):
+        read_coherence_csv(path)
+    path.write_text("stat,value,arg_i,arg_j\nmu,0.25,1,2\n")
+    with pytest.raises(BadValue, match="lacks the 'nu' statistic"):
+        read_coherence_csv(path)
 
 
 def test_coherence_report_rejects_inverted_order():

@@ -469,6 +469,14 @@ def test_group_partition_mapping():
     assert g.group_of_column(12) == 4
     with pytest.raises(BadValue):
         g.block(5)
+    for call, match in ((lambda: g.block(0), r"group index must be in 1\.\.4, got 0"),
+                        (lambda: g.block(1.5), "group index must be an integer, got float 1.5"),
+                        (lambda: g.group_of_column(13), r"column must be in 1\.\.12, got 13"),
+                        (lambda: g.group_of_column(2.0), "column must be an integer, got float"),
+                        (lambda: GroupPartition(0, 3), "group count must be >= 1, got 0"),
+                        (lambda: GroupPartition(4, -1), "group size must be >= 1, got -1")):
+        with pytest.raises(BadValue, match=match):
+            call()
 
 
 def test_support_set_validation_and_complement():
@@ -478,8 +486,12 @@ def test_support_set_validation_and_complement():
     assert 3 in s and 2 not in s
     with pytest.raises(BadValue):
         SupportSet.from_indices([1, 1], 4)
-    with pytest.raises(BadValue):
+    with pytest.raises(BadValue, match=r"index must be in 1\.\.4, got 0"):
         SupportSet.from_indices([0], 4)
+    with pytest.raises(BadValue, match=r"index must be in 1\.\.4, got 5"):
+        SupportSet((1, 5), 4)
+    with pytest.raises(BadValue, match="domain size must be >= 1, got 0"):
+        SupportSet((), 0)
     with pytest.raises(BadValue):
         SupportSet((2, 1), 4)  # must be sorted
 
@@ -593,7 +605,7 @@ def test_substream_keys_validation():
     for prefix, trials in [((), range(-1, 2)), ((), range(1, -2, -1)),
                            ((), range(2**64, 2**64 + 1)), ((-1,), range(1)), ((2**64,), range(1))]:
         streams = spec.substreams(*prefix, trials=trials)
-        with pytest.raises(BadValue):
+        with pytest.raises(BadValue, match=r"(trial|entries) must be in 0\.\.18446744073709551615"):
             next(streams)  # raised before the first generator is yielded
 
 
@@ -611,6 +623,8 @@ def test_cmat_entry_round_trip_and_suffixes():
         parse_cmat_entry("abc")
     with pytest.raises(CmatFormatError):
         parse_cmat_entry("1+2k")
+    with pytest.raises(CmatFormatError):
+        parse_cmat_entry("1+2I")
 
 
 def test_cmat_round_trip_exact(tmp_path):
@@ -642,6 +656,10 @@ def test_cmat_reader_skips_comments_and_blanks(tmp_path):
         "3 2\n1+0j 0+0j\n0+0j 1+0j\n",          # missing row
         "2 2\n1+0j nope\n0+0j 1+0j\n",          # bad entry
         "0 2\n",                                 # degenerate header
+        "# only a remark\n",                     # no header at all
+        "a b\n1+0j\n",                           # header not integers
+        "1 1\n# meta: x\n1+0j\n",                # meta token without '='
+        "1 1\n1e\n",                             # passes the entry pattern, not complex()
     ],
 )
 def test_cmat_reader_rejects_malformed(tmp_path, body):
@@ -690,7 +708,7 @@ def test_rng_spec_takes_numpy_integers():
     with pytest.raises(BadValue, match="must be an integer, got float"):
         RngSpec(1).substream(3.0, 0)
     for bad in (-1, 2**64, np.int64(-1)):
-        with pytest.raises(BadValue, match="64-bit unsigned"):
+        with pytest.raises(BadValue, match=r"master_seed must be in 0\.\.18446744073709551615, got"):
             RngSpec(bad)
-        with pytest.raises(BadValue, match="64-bit unsigned"):
+        with pytest.raises(BadValue, match=r"entries must be in 0\.\.18446744073709551615, got"):
             RngSpec(1).substream(bad)

@@ -138,6 +138,10 @@ def test_theta_validation():
     m = attach_groups(I4, 2)
     with pytest.raises(ThetaOutOfRange):
         zd_groth(Y4, m, 3)
+    with pytest.raises(ThetaOutOfRange, match=r"^theta must be in 1\.\.4, got 7$"):
+        ost_topk(Y4, I4, 7)
+    with pytest.raises(ThetaOutOfRange, match=r"^theta must be in 1\.\.2, got 0$"):
+        zd_groth(Y4, m, 0)
 
 
 def test_theta_accepts_any_integer():
@@ -168,6 +172,8 @@ def test_result_invariants():
     assert tuple(sorted(res.ranking)) == res.estimate.indices
     with pytest.raises(ValueError):
         res.scores[0] = 9.0  # score vector is read-only
+    with pytest.raises(BadValue, match="unknown detection mode 'x'"):
+        DetectionResult((1,), np.zeros(2), "x")
 
 
 def test_result_leaves_the_callers_scores_writable():

@@ -1,5 +1,6 @@
 """Monte-Carlo harness: generation, trials, batches, emission, configs."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -218,6 +219,8 @@ def test_evaluate_detection_rejects_a_signal_of_the_wrong_length():
     m = _unitary(4, 72)
     with pytest.raises(DimensionMismatch):
         evaluate_detection("zd_ost", 1, m, np.ones(4), SignalInstance.from_vector(np.ones(1)))
+    with pytest.raises(BadValue, match="unknown detector 'nope'"):
+        evaluate_detection("nope", 1, m, np.ones(4), SignalInstance.from_vector(np.ones(4)))
 
 
 @pytest.mark.parametrize("detector", ["zd_ost", "zd_groth", "ost_topk"])
@@ -327,6 +330,8 @@ def test_run_batch_deterministic_bytes(tmp_path):
 def test_run_batch_validates_grids(kerdock16):
     with pytest.raises(BadK):
         run_batch(_small_config(k_grid=(40,)))
+    with pytest.raises(BadK, match=r"^k must be in 0\.\.32, got -1$"):
+        run_batch(_small_config(k_grid=(-1,)))
     with pytest.raises(BadValue):
         run_batch(_small_config(theta_grid=(33,)))
     with pytest.raises(NoGroups):
@@ -373,6 +378,10 @@ def test_wilson_interval_against_direct_formula():
     assert lo0 == 0.0 and 0.0 < hi0 < 0.05
     with pytest.raises(BadValue):
         wilson_interval(5, 4)
+    with pytest.raises(BadValue, match="n must be >= 1, got 0"):
+        wilson_interval(0, 0)
+    with pytest.raises(BadValue, match="n must be an integer, got float 4.5"):
+        wilson_interval(2, 4.5)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +406,6 @@ def test_emit_plotdata_round_trip_exact(tmp_path):
         assert int(k) == cell.k
         assert float(value) == cell.pe  # 17 significant digits round-trip
         assert float(lo) == cell.pe_lo and float(hi) == cell.pe_hi
-
-
-def test_emit_plotdata_empty_grid(tmp_path):
-    report = run_batch(_small_config(k_grid=()))
-    files = emit_plotdata(report, "1", tmp_path)
-    assert [f.name for f in files] == ["fig1_manifest.csv"]
-    assert files[0].read_text().splitlines() == ["file,detector,theta,metric"]
 
 
 def test_emit_plotdata_fig1_substitutes_zero_fraction(tmp_path):
@@ -434,6 +436,9 @@ def test_emit_plotdata_unknown_figure(tmp_path):
     report = run_batch(_small_config(trials=2))
     with pytest.raises(BadValue):
         emit_plotdata(report, "5", tmp_path)
+    lacking = dataclasses.replace(report, cells=report.cells[1:])  # the first curve lacks k = 2
+    with pytest.raises(IncompleteReport, match="does not cover the k grid"):
+        emit_plotdata(lacking, "2", tmp_path)
 
 
 # Small Kerdock m = 3 batches that reach figure 1's zero-fraction substitution
@@ -500,6 +505,8 @@ def test_report_cell_lookup_raises_when_missing():
     report = run_batch(_small_config(trials=2))
     with pytest.raises(IncompleteReport):
         report.cell(99, 1, "zd_ost")
+    with pytest.raises(BadValue, match=r"fdp_mean = 1.5 outside \[0, 1\]"):
+        dataclasses.replace(report.cells[0], fdp_mean=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +550,24 @@ def test_parse_experiment_config_rejects_duplicates_and_garbage(tmp_path):
     path.write_text("trials = soon\n")
     with pytest.raises(BadValue):
         parse_experiment_config(path)
+    for key in ("k_grid", "theta_grid"):  # an empty list would run no cell and exit 0
+        path.write_text(f"{key} =\n")
+        with pytest.raises(BadValue, match=f"{key} must not be empty"):
+            parse_experiment_config(path)
 
 
 def test_config_validation():
     with pytest.raises(BadValue):
         ExperimentConfig(trials=0)
+    with pytest.raises(BadValue, match="trials must be >= 1, got -2"):
+        ExperimentConfig(trials=-2)
+    for key in ("k_grid", "theta_grid", "detectors"):
+        with pytest.raises(BadValue, match=f"{key} must not be empty"):
+            ExperimentConfig(**{key: ()})
+    with pytest.raises(BadValue, match="unknown matrix family 'nope'"):
+        ExperimentConfig(matrix_family="nope")
+    with pytest.raises(BadValue, match="unknown signal model 'nope'"):
+        ExperimentConfig(signal_model="nope")
     with pytest.raises(BadValue):
         ExperimentConfig(detectors=("nope",))
     with pytest.raises(BadValue):

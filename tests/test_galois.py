@@ -52,6 +52,8 @@ def test_hensel_lift_reduces_to_input_mod_2():
 def test_hensel_lift_rejects_non_monic():
     with pytest.raises(BadValue):
         hensel_lift((1, 0))
+    with pytest.raises(BadValue, match="no primitive polynomial on file for degree 9"):
+        modulus_poly(9)
 
 
 def test_teichmuller_unit_order():

@@ -255,6 +255,8 @@ def test_bernoulli_reproducible_and_stream_dependent():
 def test_bernoulli_rejects_bad_shape():
     with pytest.raises(InvalidSpec):
         build_bernoulli(0, 4, RngSpec(0))
+    with pytest.raises(InvalidSpec, match="^cols must be >= 1, got -4$"):
+        build_bernoulli(8, -4, RngSpec(0))
     with pytest.raises(InvalidSpec, match="rows must be an integer, got float"):
         build_bernoulli(8.0, 32, RngSpec(0))
     with pytest.raises(InvalidSpec, match="cols must be an integer, got str"):

@@ -488,3 +488,71 @@ def test_chi2_bound_validation():
         chi2_tail_bound(0.0, 1.0, 8, 32)
     with pytest.raises(BadValue):
         chi2_tail_bound(1.0, 1.0, 0, 32)
+    with pytest.raises(BadValue, match="tau and sigma must be > 0"):
+        chi2_tail_bound(1.0, 0.0, 8)
+
+
+# ---------------------------------------------------------------------------
+# argument checks shared by the calculators
+
+_PARAMS = BoundParams(mu0=0.1, sigma=1.0)
+_STATS = stats_from_magnitudes([3.0, 2.0], sigma=1.0, n=4)
+
+
+# name of a count, the largest value below its range, and the call that takes it
+@pytest.mark.parametrize("name, below, call", [
+    ("p", 1, lambda v: coherence_property(0.25, v)),
+    ("q", 1, lambda v: group_coherence_property(_PARAMS, 0.5, 0.1, q=v, r=8, n=16)),
+    ("r", 0, lambda v: group_coherence_property(_PARAMS, 0.5, 0.1, q=32, r=v, n=16)),
+    ("n", 0, lambda v: group_coherence_property(_PARAMS, 0.5, 0.1, q=32, r=8, n=v)),
+    ("n", 0, lambda v: stats_from_magnitudes([1.0], 1.0, v)),
+    ("p", 1, lambda v: epsilon0(100.0, 10.0, v)),
+    ("p", 0, lambda v: sparsity_bound(_PARAMS, 0.5, 0.1, v)),
+    ("k", -1, lambda v: pe_bound(_PARAMS, 0.5, v, 0.1, 256)),
+    ("p", 1, lambda v: pe_bound(_PARAMS, 0.5, 4, 0.1, v)),
+    ("n", 0, lambda v: fdp_bound_elementwise(_STATS, _PARAMS, 0.1, 2, v, 256, 1)),
+    ("p", 1, lambda v: fdp_bound_elementwise(_STATS, _PARAMS, 0.1, 2, 4, v, 1)),
+    ("theta", 0, lambda v: fdp_bound_elementwise(_STATS, _PARAMS, 0.1, 2, 4, 256, v)),
+    ("r", 0, lambda v: group_guarantee_constants(_PARAMS, r=v, k=2, n=16)),
+    ("k", -1, lambda v: group_guarantee_constants(_PARAMS, r=4, k=v, n=16)),
+    ("n", 0, lambda v: group_guarantee_constants(_PARAMS, r=4, k=2, n=v)),
+    ("q", 1, lambda v: fdp_bound_groupwise([2.0, 1.0], 1.0, 0.1, v, 2, 10.0, 1)),
+    ("r", 0, lambda v: fdp_bound_groupwise([2.0, 1.0], 1.0, 0.1, 4, v, 10.0, 1)),
+    ("theta", 0, lambda v: fdp_bound_groupwise([2.0, 1.0], 1.0, 0.1, 4, 2, 10.0, v)),
+    ("p", 0, lambda v: noise_thresholds(1.0, v)),
+    ("q", 0, lambda v: noise_thresholds(1.0, 256, v, 8)),
+    ("r", 0, lambda v: noise_thresholds(1.0, 256, 32, v)),
+    ("r", 0, lambda v: chi2_tail_bound(1.0, 1.0, v)),
+    ("q", 0, lambda v: chi2_tail_bound(1.0, 1.0, 8, v)),
+], ids=("coherence_property-p group_coherence_property-q group_coherence_property-r "
+        "group_coherence_property-n stats_from_magnitudes-n epsilon0-p sparsity_bound-p "
+        "pe_bound-k pe_bound-p fdp_bound_elementwise-n fdp_bound_elementwise-p "
+        "fdp_bound_elementwise-theta group_guarantee_constants-r group_guarantee_constants-k "
+        "group_guarantee_constants-n fdp_bound_groupwise-q fdp_bound_groupwise-r "
+        "fdp_bound_groupwise-theta noise_thresholds-p noise_thresholds-q noise_thresholds-r "
+        "chi2_tail_bound-r chi2_tail_bound-q").split())
+def test_calculators_take_counts_as_integers_in_range(name, below, call):
+    call(below + 1)
+    with pytest.raises(BadValue, match=f"^{name} must be >= {below + 1}, got {below}$"):
+        call(below)
+    with pytest.raises(BadValue, match=f"^{name} must be an integer, got float {below + 1.5}$"):
+        call(below + 1.5)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: stats_from_magnitudes([1.0], 0.0, 16), "sigma must be > 0"),
+    (lambda: noise_thresholds(0.0, 256), "sigma must be > 0"),
+    (lambda: epsilon0(100.0, 0.0, 256), "snr must be > 0"),
+    (lambda: epsilon0(-1.0, 1.0, 256), "snr_min must be >= 0"),
+    (lambda: sparsity_bound(_PARAMS, 0.5, 0.0, 256), "nu must be > 0"),
+    (lambda: pe_bound(_PARAMS, 0.5, 4, -0.1, 256), "nu must be >= 0"),
+    (lambda: fdp_bound_elementwise(_STATS, _PARAMS, -0.1, 2, 4, 256, 1), "mu must be >= 0"),
+    (lambda: fdp_bound_elementwise(_STATS, _PARAMS, 0.1, 3, 4, 256, 1),
+     r"k=3 does not match the statistics \(k=2\)"),
+    (lambda: fdp_bound_elementwise(_STATS, _PARAMS, 0.1, 2.0, 4, 256, 1),
+     "k must be an integer, got float 2.0"),
+    (lambda: fdp_bound_groupwise([], 1.0, 0.1, 4, 2, 10.0, 1), "nonempty"),
+])
+def test_calculators_reject_values_outside_their_hypotheses(call, match):
+    with pytest.raises(BadValue, match=match):
+        call()

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .coherence import STAT_HEADER, coherence_report, read_coherence_csv, stoc_estimate, stoc_probe
-from .core import RngSpec, as_int, parse_cmat_entry, write_cmat, write_csv
+from .core import RngSpec, as_int, as_real, parse_cmat_entry, write_cmat, write_csv
 from .detectors import zd_groth, zd_ost
 from .errors import BadValue, CmatFormatError, ZeroDetectError
 from .experiments import (
@@ -118,8 +118,7 @@ def _parse_bounds_config(path: str) -> dict:
     for required in ("sigma2", "n", "p", "k"):
         if required not in cfg:
             raise BadValue(f"bounds config is missing required key {required!r}")
-    if not (math.isfinite(cfg["sigma2"]) and cfg["sigma2"] > 0):
-        raise BadValue(f"sigma2 must be finite and > 0, got {cfg['sigma2']!r}")
+    as_real(cfg["sigma2"], "sigma2", lo=0, open=True)
     return cfg
 
 

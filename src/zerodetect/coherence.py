@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MeasurementMatrix, RngSpec, _squared_column_norms, as_int, hermitian_apply
+from .core import (MeasurementMatrix, RngSpec, _squared_column_norms, as_int, as_real,
+                   hermitian_apply)
 from .errors import (
     BadK, BadValue, CmatFormatError, DimensionMismatch, NoGroups, SingleColumn, ZeroZ,
 )
@@ -110,8 +111,9 @@ class StocEstimate:
     z_strategy: str
 
     def __post_init__(self):
-        if self.trials < 1 or not 0 <= self.violations <= self.trials:
-            raise BadValue("need trials >= 1 and 0 <= violations <= trials")
+        as_int(self.k, "k", lo=1)
+        as_real(self.epsilon, "epsilon", lo=0)
+        as_int(self.violations, "violations", lo=0, hi=as_int(self.trials, "trials", lo=1))
 
     @property
     def delta_hat(self) -> float:
@@ -243,9 +245,7 @@ def stoc_estimate(
     1 <= k < p, a finite epsilon >= 0 and a finite nonzero z (see stoc_probe).
     """
     p, k = m.p, as_int(k, "k", BadK, lo=1, hi=m.p - 1)
-    trials = as_int(trials, "trials", lo=1)
-    if not (np.isfinite(epsilon) and epsilon >= 0):
-        raise BadValue(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    trials, epsilon = as_int(trials, "trials", lo=1), as_real(epsilon, "epsilon", lo=0)
     z = np.asarray(z, dtype=np.complex128)
     if z.shape != (k,):
         raise DimensionMismatch(f"z must have length k={k}, got shape {z.shape}")
@@ -267,7 +267,7 @@ def stoc_estimate(
         off_support = np.abs(s[perm[k:]]).max()
         if on_support > budget or off_support > budget:
             violations += 1
-    return StocEstimate(k, float(epsilon), trials, violations, z_strategy)
+    return StocEstimate(k, epsilon, trials, violations, z_strategy)
 
 
 def coherence_report(m: MeasurementMatrix) -> CoherenceReport:

@@ -61,6 +61,27 @@ def as_int(value, what: str, error: type[ValueError] = BadValue, lo: int | None 
     return value
 
 
+def as_real(value, what: str, error: type[ValueError] = BadValue, lo: float | None = None,
+            hi: float | None = None, open: bool = False) -> float:
+    """Any finite real number (numpy's too) in [lo, hi] as a float, or in (lo, hi) when open,
+    where None leaves that end unbounded. Anything else raises error: "<what> must be finite,
+    got <value>" for NaN, +-inf or a non-number, or "<what> must be >= lo" (or "> lo", "<= hi",
+    "< hi", "in [lo, hi]", "in (lo, hi)") followed by ", got <value>"."""
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        finite = False
+    if not finite:
+        raise error(f"{what} must be finite, got {value!r}")
+    if (lo is not None and (value <= lo if open else value < lo)) or (
+            hi is not None and (value >= hi if open else value > hi)):
+        eq, (a, b) = ("", "()") if open else ("=", "[]")
+        rule = (f"<{eq} {hi}" if lo is None else f">{eq} {lo}" if hi is None
+                else f"in {a}{lo}, {hi}{b}")
+        raise error(f"{what} must be {rule}, got {float(value)!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class GroupPartition:
     """Contiguous equal-size blocks: group i (1-based) covers columns (i-1)r+1 .. ir."""

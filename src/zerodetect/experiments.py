@@ -28,6 +28,7 @@ from .core import (
     RngSpec,
     SignalInstance,
     as_int,
+    as_real,
     hermitian_apply,
     write_csv,
 )
@@ -61,8 +62,7 @@ class UniformAmplitude:
     hi: float = 1000.0
 
     def __post_init__(self):
-        if not 0 < self.lo <= self.hi < math.inf:
-            raise BadValue(f"need 0 < lo <= hi < inf, got [{self.lo}, {self.hi}]")
+        as_real(self.hi, "hi", lo=as_real(self.lo, "lo", lo=0, open=True))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size)
@@ -98,9 +98,7 @@ def _assemble_signals(domain: int, width: int, blocks: np.ndarray, u: np.ndarray
 def _noise_scale(sigma2: float, convention: str) -> float:
     """Standard deviation of each real component of the noise (see gen_noise), once
     sigma2 and the convention are checked."""
-    if not 0 <= sigma2 < math.inf:
-        raise BadValue(f"sigma2 must be finite and >= 0, got {sigma2!r}")
-    return math.sqrt(noise_component_variance(sigma2, convention))
+    return math.sqrt(noise_component_variance(as_real(sigma2, "sigma2", lo=0), convention))
 
 
 def _draw_signal(domain: int, width: int, k: int, law: UniformAmplitude,
@@ -170,9 +168,8 @@ class ExperimentConfig:
             raise BadValue(f"unknown signal model {self.signal_model!r}")
         _noise_scale(self.sigma2, self.noise_convention)
         object.__setattr__(self, "trials", as_int(self.trials, "trials", lo=1))
-        if not 0 < self.amplitude_lo <= self.amplitude_hi < math.inf:
-            raise BadValue("need 0 < amplitude_lo <= amplitude_hi < inf, got "
-                           f"[{self.amplitude_lo}, {self.amplitude_hi}]")
+        as_real(self.amplitude_hi, "amplitude_hi",
+                lo=as_real(self.amplitude_lo, "amplitude_lo", lo=0, open=True))
         for d in self.detectors:
             if d not in DETECTOR_NAMES:
                 raise BadValue(f"unknown detector {d!r}")
@@ -308,15 +305,14 @@ def run_trial(config: ExperimentConfig, k: int, theta: int, detector: str,
     return _one_trial(detector, theta, m, x[0], y[0])
 
 
-def wilson_interval(successes: float, n: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a proportion (successes may be a pseudo-count)."""
+def wilson_interval(successes: float, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a proportion (successes may be a pseudo-count)."""
     n = as_int(n, "n", lo=1)
-    if not 0 <= successes <= n:
-        raise BadValue("successes must lie in [0, n]")
+    successes = as_real(successes, "successes", lo=0, hi=n)
     phat = successes / n
-    denom = 1 + z**2 / n
-    center = (phat + z**2 / (2 * n)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / n + z**2 / (4 * n**2)) / denom
+    denom = 1 + _Z95**2 / n
+    center = (phat + _Z95**2 / (2 * n)) / denom
+    half = _Z95 * math.sqrt(phat * (1 - phat) / n + _Z95**2 / (4 * n**2)) / denom
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == n else min(1.0, center + half)
     return (lo, hi)
@@ -343,13 +339,10 @@ class BatchCell:
     pe_hi: float
 
     def __post_init__(self):
-        for name in ("fdp_mean", "pe"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise BadValue(f"{name} = {v!r} outside [0, 1]")
-        zf = self.zero_fraction_mean
-        if not (math.isnan(zf) or 0.0 <= zf <= 1.0):
-            raise BadValue(f"zero_fraction_mean = {zf!r} outside [0, 1]")
+        as_real(self.fdp_mean, "fdp_mean", lo=0, hi=1)
+        as_real(self.pe, "pe", lo=0, hi=1)
+        if not math.isnan(self.zero_fraction_mean):  # NaN when never defined
+            as_real(self.zero_fraction_mean, "zero_fraction_mean", lo=0, hi=1)
 
 
 class TrialRecord(NamedTuple):
@@ -500,16 +493,18 @@ def emit_plotdata(report: TrialBatchReport, figure_id, out_dir) -> list[Path]:
     fid = str(figure_id)
     if fid not in FIGURE_IDS:
         raise BadValue(f"unknown figure id {figure_id!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     curves: dict[tuple[str, int], list[BatchCell]] = {}
     for cell in report.cells:
         curves.setdefault((cell.detector, cell.theta_grid), []).append(cell)
-    expected_k = tuple(report.config.k_grid)
-    for key, cells in curves.items():
-        if tuple(c.k for c in cells) != expected_k:
+    # the curves are exactly the config's (detector, theta) grid, each over its k grid
+    cfg = report.config
+    grid = {(det, theta): tuple(cfg.k_grid) for det in cfg.detectors for theta in cfg.theta_grid}
+    for key in sorted(grid.keys() | curves.keys()):
+        if tuple(c.k for c in curves.get(key, ())) != grid.get(key):
             raise IncompleteReport(f"curve {key} does not cover the k grid")
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     manifest = []
     for (det, _), cells in sorted(curves.items()):  # curve keys are distinct

@@ -14,13 +14,13 @@ two readings.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import SignalInstance, adopted, as_int
+from .core import SignalInstance, adopted, as_int, as_real
 from .errors import BadValue, EmptySupport
 
 
@@ -54,22 +54,11 @@ class BoundParams:
     c_nu: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise BadValue(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
-        checks = [
-            (self.mu0 > 0, "mu0 must be > 0"),
-            (self.sigma > 0, "sigma must be > 0"),
-            (self.a > 1, "a must be > 1"),
-            (0 < self.t < 1, "t must be in (0, 1)"),
-            (self.c1 >= 2, "c1 must be >= 2"),
-            (0 < self.c2 < 1, "c2 must be in (0, 1)"),
-            (self.c_mu > 0, "c_mu must be > 0"),
-            (self.c_nu > 0, "c_nu must be > 0"),
-        ]
-        for ok, msg in checks:
-            if not ok:
-                raise BadValue(msg)
+        for name, lo, hi, open_ in (
+                ("mu0", 0, None, True), ("sigma", 0, None, True), ("a", 1, None, True),
+                ("t", 0, 1, True), ("c1", 2, None, False), ("c2", 0, 1, True),
+                ("c_mu", 0, None, True), ("c_nu", 0, None, True)):
+            as_real(getattr(self, name), name, lo=lo, hi=hi, open=open_)
 
 
 class CoherenceProperty(NamedTuple):
@@ -79,10 +68,9 @@ class CoherenceProperty(NamedTuple):
 
 def coherence_property(mu: float, p: int, mu0: float | None = None) -> CoherenceProperty:
     """Whether mu <= mu0 / sqrt(log p), as mu0_star <= mu0; mu0 defaults to mu0_star."""
-    mu0_star = mu * math.sqrt(math.log(as_int(p, "p", lo=2)))  # log p degenerates below 2
-    mu0 = mu0_star if mu0 is None else mu0
-    if not (0 <= mu < math.inf and 0 <= mu0 < math.inf):
-        raise BadValue(f"mu and mu0 must be finite and >= 0, got {mu!r}, {mu0!r}")
+    log_p = math.log(as_int(p, "p", lo=2))  # log p degenerates below 2
+    mu0_star = as_real(mu, "mu", lo=0) * math.sqrt(log_p)
+    mu0 = mu0_star if mu0 is None else as_real(mu0, "mu0", lo=0)
     return CoherenceProperty(bool(mu0_star <= mu0), mu0_star)
 
 
@@ -97,8 +85,7 @@ def group_coherence_property(params: BoundParams, mu_g: float, nu_g: float,
                              q: int, r: int, n: int) -> GroupCoherenceProperty:
     """Whether mu_g <= c_mu / sqrt(log q) and nu_g <= c_nu mu_g sqrt(r log q / n)."""
     q, r, n = as_int(q, "q", lo=2), as_int(r, "r", lo=1), as_int(n, "n", lo=1)
-    if not (0 <= mu_g < math.inf and 0 <= nu_g < math.inf):
-        raise BadValue(f"mu_g and nu_g must be finite and >= 0, got {mu_g!r}, {nu_g!r}")
+    mu_g, nu_g = as_real(mu_g, "mu_g", lo=0), as_real(nu_g, "nu_g", lo=0)
     log_q = math.log(q)
     mu_bound = params.c_mu / math.sqrt(log_q)
     nu_bound = params.c_nu * mu_g * math.sqrt(r * log_q / n)
@@ -148,9 +135,7 @@ class SignalStats:
 def stats_from_magnitudes(magnitudes, sigma: float, n: int,
                           convention: str = "total") -> SignalStats:
     """Signal statistics from the nonzero magnitudes alone (order irrelevant)."""
-    if sigma <= 0:
-        raise BadValue("sigma must be > 0")
-    n = as_int(n, "n", lo=1)
+    sigma, n = as_real(sigma, "sigma", lo=0, open=True), as_int(n, "n", lo=1)
     mags = np.sort(np.abs(np.asarray(magnitudes, dtype=float)))[::-1]
     # E||w||^2 = n E|w_t|^2, and E|w_t|^2 is twice each real component's variance
     snr = float(np.sum(mags**2)) / (n * 2 * noise_component_variance(sigma**2, convention))
@@ -179,10 +164,7 @@ def epsilon0(snr_min: float, snr: float, p: int) -> Epsilon0:
     May be <= 0; the flag records whether the hypothesis SNR_min > 16 log p
     holds (the value is positive exactly when it does).
     """
-    if snr <= 0:
-        raise BadValue("snr must be > 0")
-    if snr_min < 0:
-        raise BadValue("snr_min must be >= 0")
+    snr, snr_min = as_real(snr, "snr", lo=0, open=True), as_real(snr_min, "snr_min", lo=0)
     log_p = math.log(as_int(p, "p", lo=2))
     value = (math.sqrt(snr_min) - 4 * math.sqrt(log_p)) / (2 * math.sqrt(snr))
     return Epsilon0(value, snr_min > 16 * log_p)
@@ -199,9 +181,7 @@ def sparsity_bound(params: BoundParams, eps0: float, nu: float, p: int) -> Spars
     min{ ((eps0 - 4 (2 + 1/a) mu0) / nu)^2 , p / (1 + a) }; returns 0 with a
     flag when the first term's numerator is not positive.
     """
-    if nu <= 0:
-        raise BadValue("nu must be > 0")
-    p = as_int(p, "p", lo=1)
+    eps0, nu, p = as_real(eps0, "eps0"), as_real(nu, "nu", lo=0, open=True), as_int(p, "p", lo=1)
     gap = eps0 - 4 * (2 + 1 / params.a) * params.mu0
     if gap <= 0:
         return SparsityBound(0.0, True)
@@ -227,8 +207,7 @@ def pe_bound(params: BoundParams, eps0: float, k: int, nu: float, p: int) -> PeB
     factor on the first term are reported.
     """
     k, p = as_int(k, "k", lo=0), as_int(p, "p", lo=2)
-    if nu < 0:
-        raise BadValue("nu must be >= 0")
+    eps0, nu = as_real(eps0, "eps0"), as_real(nu, "nu", lo=0)
     c = 16 * (2 + 1 / params.a) ** 2
     alpha = (eps0 - math.sqrt(k) * nu) ** 2 / (c * params.mu0**2)
     valid = eps0 > math.sqrt(k) * nu and alpha > 1
@@ -256,8 +235,7 @@ def fdp_bound_elementwise(stats: SignalStats, params: BoundParams, mu: float,
     if as_int(k, "k") != stats.k:
         raise BadValue(f"k={k} does not match the statistics (k={stats.k})")
     theta, n, p = as_int(theta, "theta", lo=1), as_int(n, "n", lo=1), as_int(p, "p", lo=2)
-    if mu < 0:
-        raise BadValue("mu must be >= 0")
+    mu = as_real(mu, "mu", lo=0)
     c1 = 32 / params.t
     c2 = 800 / (1 - params.t)
     log_p = math.log(p)
@@ -318,8 +296,8 @@ def fdp_bound_groupwise(group_norms: np.ndarray, sigma: float, mu_g: float,
         raise BadValue("group norms must be finite")
     if np.any(np.diff(norms) > 1e-12):
         raise BadValue("group norms must be sorted nonincreasing")
-    if not (0 <= sigma < math.inf and 0 <= mu_g < math.inf):
-        raise BadValue(f"sigma and mu_g must be finite and >= 0, got {sigma!r}, {mu_g!r}")
+    sigma, mu_g = as_real(sigma, "sigma", lo=0), as_real(mu_g, "mu_g", lo=0)
+    c3 = as_real(c3, "c3", lo=0, open=True)
     q, r, theta = as_int(q, "q", lo=2), as_int(r, "r", lo=1), as_int(theta, "theta", lo=1)
     k = norms.shape[0]
     x_norm = float(np.sqrt(np.sum(norms**2)))
@@ -343,8 +321,7 @@ class NoiseThresholds(NamedTuple):
 def noise_thresholds(sigma: float, p: int, q: int | None = None,
                      r: int | None = None) -> NoiseThresholds:
     """High-probability noise-correlation thresholds for elements and groups."""
-    if sigma <= 0:
-        raise BadValue("sigma must be > 0")
+    sigma = as_real(sigma, "sigma", lo=0, open=True)
     element = 2 * sigma * math.sqrt(math.log(as_int(p, "p", lo=1)))
     group = None
     if q is not None and r is not None:
@@ -365,8 +342,7 @@ def chi2_tail_bound(tau: float, sigma: float, r: int, q: int = 1) -> Chi2TailBou
     over q blocks multiplies by q. At tau = 2 sigma sqrt(2 log q + (r/2) log 2)
     the union bound equals exactly 1/q. Clamped to [0, 1] with a flag.
     """
-    if tau <= 0 or sigma <= 0:
-        raise BadValue("tau and sigma must be > 0")
+    tau, sigma = as_real(tau, "tau", lo=0, open=True), as_real(sigma, "sigma", lo=0, open=True)
     r, q = as_int(r, "r", lo=1), as_int(q, "q", lo=1)
     raw = q * math.exp(-(tau**2) / (4 * sigma**2)) * 2 ** (r / 2)
     return Chi2TailBound(min(raw, 1.0), raw > 1.0)

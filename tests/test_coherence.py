@@ -1,5 +1,6 @@
 """Coherence statistics and the orthogonality estimator."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -289,8 +290,13 @@ def test_stoc_validation(kerdock16):
         stoc_estimate(kerdock16, 256, 0.5, z, 10, RngSpec(0))
     with pytest.raises(BadValue, match="trials must be >= 1, got 0"):
         stoc_estimate(kerdock16, 4, 0.5, z, 0, RngSpec(0))
-    with pytest.raises(BadValue, match="need trials >= 1"):
+    with pytest.raises(BadValue, match="trials must be >= 1, got 0"):
         StocEstimate(4, 0.5, 0, 0, "flat")
+    for args, match in (((4, 0.5, 2.5, 1), "^trials must be an integer, got float 2.5$"),
+                        ((4, math.nan, 2, 1), "^epsilon must be finite, got nan$"),
+                        ((0, 0.5, 2, 1), "^k must be >= 1, got 0$")):
+        with pytest.raises(BadValue, match=match):
+            StocEstimate(*args, "flat")
     with pytest.raises(ZeroZ):
         stoc_estimate(kerdock16, 4, 0.5, np.zeros(4), 10, RngSpec(0))
     with pytest.raises(DimensionMismatch):

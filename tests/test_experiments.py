@@ -36,6 +36,7 @@ from zerodetect.experiments import (
     write_report_csv,
 )
 from zerodetect.matrices import KerdockSpec, attach_groups, build_kerdock
+from zerodetect.theory import noise_thresholds, stats_from_magnitudes
 
 LAW = UniformAmplitude(1.0, 1000.0)
 
@@ -439,6 +440,13 @@ def test_emit_plotdata_unknown_figure(tmp_path):
     lacking = dataclasses.replace(report, cells=report.cells[1:])  # the first curve lacks k = 2
     with pytest.raises(IncompleteReport, match="does not cover the k grid"):
         emit_plotdata(lacking, "2", tmp_path)
+    # a whole curve missing: the zd_ost curves alone of a zd_ost, ost_topk batch
+    both = run_batch(_small_config(trials=2, detectors=("zd_ost", "ost_topk")))
+    zd_only = dataclasses.replace(
+        both, cells=tuple(c for c in both.cells if c.detector == "zd_ost"))
+    with pytest.raises(IncompleteReport, match=r"^curve \('ost_topk', 1\) does not cover"):
+        emit_plotdata(zd_only, "2", tmp_path / "zd_only")
+    assert not (tmp_path / "zd_only").exists()
 
 
 # Small Kerdock m = 3 batches that reach figure 1's zero-fraction substitution
@@ -505,7 +513,7 @@ def test_report_cell_lookup_raises_when_missing():
     report = run_batch(_small_config(trials=2))
     with pytest.raises(IncompleteReport):
         report.cell(99, 1, "zd_ost")
-    with pytest.raises(BadValue, match=r"fdp_mean = 1.5 outside \[0, 1\]"):
+    with pytest.raises(BadValue, match=r"fdp_mean must be in \[0, 1\], got 1.5"):
         dataclasses.replace(report.cells[0], fdp_mean=1.5)
 
 
@@ -578,7 +586,7 @@ def test_config_validation():
 
 def test_gen_noise_and_config_check_sigma2_and_convention_alike():
     rng = RngSpec(69).generator()
-    for sigma2, convention, match in ((-1.0, "total", r"sigma2 must be finite and >= 0, got -1.0"),
+    for sigma2, convention, match in ((-1.0, "total", r"sigma2 must be >= 0, got -1.0"),
                                       (1.0, "weird", "unknown noise convention 'weird'")):
         with pytest.raises(BadValue, match=match):
             gen_noise(4, sigma2, convention, rng)
@@ -619,3 +627,7 @@ def test_noise_and_amplitude_laws_reject_non_finite(bad):
         gen_noise(4, bad, "total", RngSpec(68).generator())
     with pytest.raises(BadValue):
         UniformAmplitude(1.0, bad)
+    with pytest.raises(BadValue, match=f"^sigma must be finite, got {bad}$"):
+        stats_from_magnitudes([1.0], bad, 16)
+    with pytest.raises(BadValue, match=f"^sigma must be finite, got {bad}$"):
+        noise_thresholds(bad, 256)

@@ -488,7 +488,7 @@ def test_chi2_bound_validation():
         chi2_tail_bound(0.0, 1.0, 8, 32)
     with pytest.raises(BadValue):
         chi2_tail_bound(1.0, 1.0, 0, 32)
-    with pytest.raises(BadValue, match="tau and sigma must be > 0"):
+    with pytest.raises(BadValue, match="sigma must be > 0, got 0.0"):
         chi2_tail_bound(1.0, 0.0, 8)
 
 
@@ -552,6 +552,16 @@ def test_calculators_take_counts_as_integers_in_range(name, below, call):
     (lambda: fdp_bound_elementwise(_STATS, _PARAMS, 0.1, 2.0, 4, 256, 1),
      "k must be an integer, got float 2.0"),
     (lambda: fdp_bound_groupwise([], 1.0, 0.1, 4, 2, 10.0, 1), "nonempty"),
+    (lambda: epsilon0(math.nan, 1.0, 256), "^snr_min must be finite, got nan$"),
+    (lambda: sparsity_bound(_PARAMS, math.nan, 0.1, 256), "^eps0 must be finite, got nan$"),
+    (lambda: sparsity_bound(_PARAMS, 1.0, math.nan, 256), "^nu must be finite, got nan$"),
+    (lambda: pe_bound(_PARAMS, math.nan, 4, 0.1, 256), "^eps0 must be finite, got nan$"),
+    (lambda: pe_bound(_PARAMS, 0.5, 4, math.nan, 256), "^nu must be finite, got nan$"),
+    (lambda: chi2_tail_bound(math.nan, 1.0, 8), "^tau must be finite, got nan$"),
+    (lambda: fdp_bound_elementwise(_STATS, _PARAMS, math.nan, 2, 4, 256, 1),
+     "^mu must be finite, got nan$"),
+    (lambda: fdp_bound_groupwise([2.0, 1.0], 1.0, 0.1, 4, 2, math.nan, 1),
+     "^c3 must be finite, got nan$"),
 ])
 def test_calculators_reject_values_outside_their_hypotheses(call, match):
     with pytest.raises(BadValue, match=match):

@@ -48,10 +48,12 @@ def adopted(a, dtype) -> np.ndarray:
 
 def as_int(value, what: str, error: type[ValueError] = BadValue, lo: int | None = None,
            hi: int | None = None) -> int:
-    """Any integer (numpy's too) in lo..hi as an int, where None leaves that end open. Anything
-    else raises error: "<what> must be an integer, got <type> <value>", or "<what> must be
+    """Any integer (numpy's too) but a bool in lo..hi as an int, where None leaves that end open.
+    Anything else raises error: "<what> must be an integer, got <type> <value>", or "<what> must be
     >= lo" (or "<= hi", or "in lo..hi") followed by ", got <value>"."""
     try:
+        if isinstance(value, bool):  # an int to index(), though numpy's bools are not
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise error(f"{what} must be an integer, got {type(value).__name__} {value!r}") from None

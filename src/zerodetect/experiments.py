@@ -213,11 +213,12 @@ def _check_detection(detector: str, theta: int, m: MeasurementMatrix) -> int:
 
 def _detect_block(combos, m: MeasurementMatrix, y: np.ndarray, support: np.ndarray):
     """(fdp, zero fraction, hit) arrays over a block of trials, one triple per
-    (detector, estimate size) in combos, from the block's measurements y (T, n)
-    and its signals' nonzero masks (T, p); the metrics need sets, not rankings.
-    The combos must have passed _check_detection."""
+    (detector, grid theta, theta used) combo, from the block's measurements y
+    (T, n) and its signals' nonzero masks (T, p); the metrics need sets, not
+    rankings. Each theta used must have passed _check_detection; the grid theta
+    is not read."""
     s = hermitian_apply(m, y)
-    rules = {RULES[_DETECTORS[det][0]] for det, _ in combos}
+    rules = {RULES[_DETECTORS[det][0]] for det, _, _ in combos}
     scores = {grouped: scores_of(s, m, grouped) for grouped in {grouped for grouped, _ in rules}}
     # keys per rule, built once per block; smaller is better
     keys = {(grouped, largest): -scores[grouped] if largest else scores[grouped]
@@ -226,7 +227,7 @@ def _detect_block(combos, m: MeasurementMatrix, y: np.ndarray, support: np.ndarr
     if True in scores:  # a group rule is in the block
         targets["group_zeros"] = ~support.reshape(len(y), m.groups.q, m.groups.r).any(axis=-1)
     out = []
-    for det, theta in combos:
+    for det, _, theta in combos:
         rule, target = _DETECTORS[det]
         full = det == "ost_topk_full_support"
         used = int(support[0].sum()) if full else theta  # the k of every trial in the block
@@ -238,16 +239,6 @@ def _detect_block(combos, m: MeasurementMatrix, y: np.ndarray, support: np.ndarr
     return out
 
 
-def _one_trial(detector: str, theta: int, m: MeasurementMatrix, x: np.ndarray,
-               y: np.ndarray) -> TrialMetrics:
-    """Metrics of one detection, from the signal x (p,) and its measurements y."""
-    theta = _check_detection(detector, theta, m)
-    if x.shape != (m.p,):
-        raise DimensionMismatch(f"signal has shape {x.shape}, not ({m.p},)")
-    (fdp, zf, hit), = _detect_block([(detector, theta)], m, y[np.newaxis], (x != 0)[np.newaxis])
-    return TrialMetrics(float(fdp[0]), float(zf[0]), bool(hit[0]))
-
-
 def evaluate_detection(detector: str, theta: int, m: MeasurementMatrix,
                        y: np.ndarray, signal: SignalInstance) -> TrialMetrics:
     """One detection and its metrics against the detector's target set.
@@ -256,7 +247,12 @@ def evaluate_detection(detector: str, theta: int, m: MeasurementMatrix,
     group-level); the top-k baselines are scored against the support, with
     the full-support baseline's hit meaning exact recovery.
     """
-    return _one_trial(detector, theta, m, signal.x, np.asarray(y))
+    theta, x = _check_detection(detector, theta, m), signal.x
+    if x.shape != (m.p,):
+        raise DimensionMismatch(f"signal has shape {x.shape}, not ({m.p},)")
+    (fdp, zf, hit), = _detect_block([(detector, None, theta)], m, np.asarray(y)[np.newaxis],
+                                    (x != 0)[np.newaxis])
+    return TrialMetrics(float(fdp[0]), float(zf[0]), bool(hit[0]))
 
 
 def _measure_block(config: ExperimentConfig, m: MeasurementMatrix, k: int,
@@ -302,7 +298,7 @@ def run_trial(config: ExperimentConfig, k: int, theta: int, detector: str,
     """
     m = build_matrix(config) if matrix is None else matrix
     x, y = _measure_block(config, m, k, range(trial_index, trial_index + 1))
-    return _one_trial(detector, theta, m, x[0], y[0])
+    return evaluate_detection(detector, theta, m, y[0], SignalInstance(x[0]))
 
 
 def wilson_interval(successes: float, n: int) -> tuple[float, float]:
@@ -323,7 +319,8 @@ class BatchCell:
     """Aggregates for one (k, theta, detector) grid point."""
 
     k: int
-    theta: int        # estimate size actually used
+    theta: int        # estimate size used; ost_topk_full_support records its grid value,
+                      # though it keeps each trial's nonzero entries (k, or k r on groups)
     theta_grid: int   # grid value it came from (differs under matched budget)
     detector: str
     trials: int
@@ -374,16 +371,15 @@ class TrialBatchReport:
         )
 
 
-def _validate_grids(config: ExperimentConfig, m: MeasurementMatrix) -> tuple[int, ...]:
-    """The k grid as ints, once every grid point is checked against m."""
+def _validate_grids(config: ExperimentConfig, m: MeasurementMatrix):
+    """The k grid as ints and the (detector, grid theta, theta used) combos, detector
+    by detector, once every k and every theta used is checked against m."""
     if config.signal_model == "group" and m.groups is None:
         raise NoGroups("group signals need a partitioned matrix")
     domain = m.groups.q if config.signal_model == "group" else m.p
     k_grid = tuple(as_int(k, "k", BadK, lo=0, hi=domain) for k in config.k_grid)
-    for det in config.detectors:
-        for theta in config.theta_grid:
-            _check_detection(det, effective_theta(config, det, theta), m)
-    return k_grid
+    return k_grid, [(det, tg, _check_detection(det, effective_theta(config, det, tg), m))
+                    for det in config.detectors for tg in config.theta_grid]
 
 
 def _running_sum(values: np.ndarray) -> float:
@@ -419,10 +415,7 @@ def run_batch(config: ExperimentConfig, keep_trials: bool = False) -> TrialBatch
     m = build_matrix(config)
     if config.group_size is None and m.groups is not None:  # a file's group_size meta
         config = replace(config, group_size=m.groups.r)
-    k_grid = _validate_grids(config, m)
-    combos = [(det, tg, effective_theta(config, det, tg))
-              for det in config.detectors for tg in config.theta_grid]
-    plan = [(det, eff) for det, _, eff in combos]
+    k_grid, combos = _validate_grids(config, m)
     block = max(1, _BLOCK_ENTRIES // m.p)
     n = config.trials
     cells: list[BatchCell] = []
@@ -431,7 +424,7 @@ def run_batch(config: ExperimentConfig, keep_trials: bool = False) -> TrialBatch
         blocks = []
         for start in range(0, n, block):
             x, y = _measure_block(config, m, k, range(start, min(start + block, n)))
-            blocks.append(_detect_block(plan, m, y, x != 0))
+            blocks.append(_detect_block(combos, m, y, x != 0))
         # per combo, its (fdp, zero fraction, hit) arrays over all n trials
         table = blocks[0] if len(blocks) == 1 else [
             tuple(map(np.concatenate, zip(*parts))) for parts in zip(*blocks)]

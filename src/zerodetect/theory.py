@@ -98,7 +98,7 @@ class SignalStats:
     """SNR, per-entry largest-to-average ratios, and the minimum SNR.
 
     Stores sorted_magnitudes |x_(1)| >= ... >= |x_(k)| (positive and finite,
-    locked read-only), snr and snr_min. k, x_min = |x_(k)| and lar are
+    locked read-only), snr > 0 and snr_min >= 0. k, x_min = |x_(k)| and lar are
     derived: lar[m-1] is |x_(m)|^2 / (||x||^2 / k), so the lar entries are
     nonincreasing and sum to k.
     """
@@ -115,6 +115,7 @@ class SignalStats:
         if mags.ndim != 1 or not (np.all(np.isfinite(mags)) and np.all(mags > 0)
                                   and np.all(np.diff(mags) <= 0)):
             raise BadValue("magnitudes must be positive, finite and nonincreasing")
+        as_real(self.snr, "snr", lo=0, open=True), as_real(self.snr_min, "snr_min", lo=0)
 
     @property
     def k(self) -> int:
@@ -136,7 +137,7 @@ def stats_from_magnitudes(magnitudes, sigma: float, n: int,
                           convention: str = "total") -> SignalStats:
     """Signal statistics from the nonzero magnitudes alone (order irrelevant)."""
     sigma, n = as_real(sigma, "sigma", lo=0, open=True), as_int(n, "n", lo=1)
-    mags = np.sort(np.abs(np.asarray(magnitudes, dtype=float)))[::-1]
+    mags = np.sort(np.abs(np.asarray(magnitudes, dtype=np.complex128)))[::-1]
     # E||w||^2 = n E|w_t|^2, and E|w_t|^2 is twice each real component's variance
     snr = float(np.sum(mags**2)) / (n * 2 * noise_component_variance(sigma**2, convention))
     # the min is mags[-1]; initial=inf lets an empty mags reach SignalStats, which rejects it
@@ -292,8 +293,8 @@ def fdp_bound_groupwise(group_norms: np.ndarray, sigma: float, mu_g: float,
     norms = np.asarray(group_norms, dtype=float)
     if norms.ndim != 1 or norms.shape[0] < 1:
         raise BadValue("group_norms must be a nonempty vector")
-    if not np.all(np.isfinite(norms)):
-        raise BadValue("group norms must be finite")
+    if not (np.all(np.isfinite(norms)) and np.all(norms >= 0)):
+        raise BadValue("group norms must be finite and >= 0")
     if np.any(np.diff(norms) > 1e-12):
         raise BadValue("group norms must be sorted nonincreasing")
     sigma, mu_g = as_real(sigma, "sigma", lo=0), as_real(mu_g, "mu_g", lo=0)

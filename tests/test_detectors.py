@@ -150,7 +150,7 @@ def test_theta_accepts_any_integer():
         assert zd_ost(Y4, I4, t).ranking == zd_ost(Y4, I4, 2).ranking
         assert ost_topk(Y4, I4, t).ranking == ost_topk(Y4, I4, 2).ranking
         assert zd_groth(Y4, m, t).ranking == zd_groth(Y4, m, 2).ranking
-    for bad, kind in ((2.0, "float"), ("2", "str")):
+    for bad, kind in ((2.0, "float"), ("2", "str"), (True, "bool"), (np.True_, "bool")):
         with pytest.raises(ThetaOutOfRange, match=f"theta must be an integer, got {kind}"):
             zd_ost(Y4, I4, bad)
 

@@ -47,6 +47,8 @@ def test_kerdock_spec_takes_numpy_integers():
     assert (spec.rows, spec.cols) == (16, 256)
     with pytest.raises(InvalidSpec, match="must be an integer, got float 3.0"):
         KerdockSpec(3.0)
+    with pytest.raises(InvalidSpec, match="must be an integer, got bool True"):
+        KerdockSpec(True)  # an int to Python, which would build the m = 1 frame
     with pytest.raises(InvalidSpec, match="odd positive"):
         KerdockSpec(np.int64(4))
 

@@ -145,6 +145,9 @@ def test_signal_stats_hand_example():
     stats2 = signal_stats(sig, sigma=1.0, n=2, convention="per_component")
     assert stats2.snr == 6.25
     assert stats2.snr_min == 9.0
+    # magnitudes given as complex numbers count by their modulus, |3 + 4i| = 5
+    for mags in ([3.0, 3 + 4j], np.array([3.0, 3 + 4j])):
+        assert stats_from_magnitudes(mags, 1.0, 2).sorted_magnitudes.tolist() == [5.0, 3.0]
 
 
 def test_lar_sums_to_k_on_random_signals():
@@ -413,7 +416,8 @@ def test_group_fdp_seeded_matches_oracle_and_floors():
 
 @pytest.mark.parametrize("norms, sigma, mu_g", [
     ([math.nan, 1.0], 1.0, 0.1), ([math.inf, 1.0], 1.0, 0.1), ([2.0, 1.0], math.inf, 0.1),
-    ([2.0, 1.0], math.nan, 0.1), ([2.0, 1.0], 1.0, math.inf), ([2.0, 1.0], 1.0, math.nan)])
+    ([2.0, 1.0], math.nan, 0.1), ([2.0, 1.0], 1.0, math.inf), ([2.0, 1.0], 1.0, math.nan),
+    ([-1.0, -2.0], 1.0, 0.1)])
 def test_group_fdp_rejects_non_finite(norms, sigma, mu_g):
     with pytest.raises(BadValue, match="finite"):
         fdp_bound_groupwise(norms, sigma, mu_g, 4, 2, 10.0, 1)
@@ -562,6 +566,10 @@ def test_calculators_take_counts_as_integers_in_range(name, below, call):
      "^mu must be finite, got nan$"),
     (lambda: fdp_bound_groupwise([2.0, 1.0], 1.0, 0.1, 4, 2, math.nan, 1),
      "^c3 must be finite, got nan$"),
+    (lambda: SignalStats(np.array([3.0, 2.0]), math.nan, -1.0), "^snr must be finite, got nan$"),
+    (lambda: SignalStats(np.array([3.0, 2.0]), 1.0, -1.0), r"^snr_min must be >= 0, got -1\.0$"),
+    (lambda: fdp_bound_elementwise(SignalStats(np.array([3.0, 2.0]), 0.0, 1.0), _PARAMS, 0.1,
+                                   2, 4, 256, 1), r"^snr must be > 0, got 0\.0$"),
 ])
 def test_calculators_reject_values_outside_their_hypotheses(call, match):
     with pytest.raises(BadValue, match=match):

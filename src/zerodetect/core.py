@@ -191,9 +191,10 @@ class MeasurementMatrix:
     ndarray that owns its memory is adopted as it is, any other input is copied
     (core.adopted). from_traces writes [None, tau], and the first read of .matrix fills slot
     0 from tau, unscanned: every entry is a power of i over sqrt(n), so every column norm is
-    exactly 1.0. Two threads may both fill it, with equal arrays. The Walsh plan
-    (_walsh_plan) comes from tau when the slot holds it, and is otherwise recognised from
-    the array on the first correlation.
+    exactly 1.0. Two threads may both fill it, with equal arrays. tau is locked: the frames
+    of matrices.build_kerdock share one tau and one plan per degree, each frame in a slot of
+    its own. The Walsh plan (_walsh_plan) comes from tau when the slot holds it, and is
+    otherwise recognised from the array on the first correlation.
     """
 
     groups: GroupPartition | None
@@ -220,8 +221,14 @@ class MeasurementMatrix:
         u, n = tau.shape if tau.ndim == 2 else (0, 0)
         if not u or u % 2 or n != 1 << u:
             raise BadValue(f"expected a u x 2^u trace table with u even, got shape {tau.shape}")
+        return cls._over_traces(tau)
+
+    @classmethod
+    def _over_traces(cls, tau, **cached) -> "MeasurementMatrix":
+        # a new frame on a locked uint8 tau of from_traces' form, unchecked; cached: its _walsh_plan
         m = cls.__new__(cls)
-        m.__dict__.update(groups=None, n=n, p=n * n, _frame=[None, tau])
+        n = tau.shape[1]
+        m.__dict__.update(groups=None, n=n, p=n * n, _frame=[None, tau], **cached)
         return m
 
     @property
@@ -472,6 +479,17 @@ def normalize_columns(m) -> MeasurementMatrix:
     return MeasurementMatrix(locked(a / norms[np.newaxis, :]), groups=groups)
 
 
+def _walsh(plan, ys, out=None) -> np.ndarray:
+    # A^H ys (T, p) by a Z4 frame's plan, into out if given: s[beta, alpha] = sum_w (F (x) F)[beta,
+    # w] i^(-alpha . tau_w) y_w / sqrt(n), from y i^k, F and F / sqrt(n) over w's halves, places
+    gather, had, had_scaled, places = plan
+    p, r, n = len(places), len(had), ys.shape[-1]
+    z = (ys[..., np.newaxis, :] * _I_POWERS[:, np.newaxis]).reshape(-1, 4 * n)
+    z = z.take(gather, axis=1, mode="clip").view(np.float64)  # in range: never clips
+    z = had_scaled @ (had @ z.reshape(-1, r, 2 * n * r)).reshape(-1, r, 2 * n)
+    return z.reshape(-1, 2 * p).view(complex).take(places, axis=1, mode="clip", out=out)
+
+
 def hermitian_apply(m, y) -> np.ndarray:
     """Correlate measurements with every column: s_j = <a_j, y> = a_j^H y.
 
@@ -479,7 +497,7 @@ def hermitian_apply(m, y) -> np.ndarray:
     would alone. Non-finite measurements are rejected, not ranked. A Z4 character frame
     (Kerdock) takes a Walsh-Hadamard transform, equal to dense to rounding where neither
     overflows (its stages overflow first); all else is dense. A lone vector, or a stack
-    whose temporaries fit in 128 KB, takes one Walsh pass; larger stacks go in such chunks.
+    whose temporaries stay below 128 KB, takes one Walsh pass; larger stacks go in such chunks.
     The Walsh path reads only the plan, so a frame from MeasurementMatrix.from_traces
     correlates without filling its dense array.
     """
@@ -491,21 +509,14 @@ def hermitian_apply(m, y) -> np.ndarray:
     if not np.isfinite(y).all():
         raise BadValue("measurements must be finite")
     if a is None and (plan := m._walsh_plan) is not None:
-        # s[beta, alpha] = sum_w (F (x) F)[beta, w] i^(-alpha . tau_w) y_w / sqrt(n): a gather from
-        # y i^k, F and F / sqrt(n) over w's halves, column places; 128 KB chunks avoid page faults
-        gather, had, had_scaled, places = plan
-        p, r = len(places), len(had)
-
-        def walsh(ys):
-            z = (ys[..., np.newaxis, :] * _I_POWERS[:, np.newaxis]).reshape(-1, 4 * n)
-            z = z.take(gather, axis=1, mode="clip").view(np.float64)  # in range: never clips
-            z = had_scaled @ (had @ z.reshape(-1, r, 2 * n * r)).reshape(-1, r, 2 * n)
-            return z.reshape(-1, 2 * p).view(complex).take(places, axis=1, mode="clip")
-
-        step = max(1, 2**13 // p)
+        # chunks below glibc's 128 KB mmap threshold, written into one output, map no fresh pages
+        step = max(1, (2**13 - 1) // m.p)
         if y.ndim == 1 or len(y) <= step:
-            return walsh(y).reshape(*y.shape[:-1], p)
-        return np.concatenate([walsh(y[t : t + step]) for t in range(0, len(y), step)])
+            return _walsh(plan, y).reshape(*y.shape[:-1], m.p)
+        s = np.empty((len(y), m.p), dtype=np.complex128)
+        for t in range(0, len(y), step):
+            _walsh(plan, y[t : t + step], s[t : t + step])
+        return s
     # (y^H a)^H row by row: no copy of a^H, one matrix-vector product per row
     return (y.conj()[..., np.newaxis, :] @ (m.matrix if a is None else a))[..., 0, :].conj()
 

@@ -9,22 +9,23 @@ Z4-linear, so the whole Z4 word table follows from the u x M trace table
 Tr(xi^j t), whose row j is one Z4 sequence s_e = Tr(xi^e) from e = j (galois.trace_sequence).
 The table is uint8 in the frame's own (M, M^2) layout, grown from those rows
 by one broadcast add per coefficient of lambda; uint8 arithmetic wraps mod
-256, so every value stays exact mod 4. The frame is made from the trace table
-alone (MeasurementMatrix.from_traces); the MeasurementMatrix docstring says
-where the entries and the Walsh plan come from, and when i^word / sqrt(M) fills
-the dense array.
+256, so every value stays exact mod 4. Every frame of a degree is made from its
+one read-only trace table and Walsh plan, made once per process; the
+MeasurementMatrix docstring says where the entries and the Walsh plan come from,
+and when i^word / sqrt(M) fills the dense array.
 
 Distinct columns are either orthogonal or have inner-product modulus exactly
 1/sqrt(M), the worst-case coherence of the frame. The word table is the Z4
 span of the trace rows, so it is Z4-linear in lambda by construction; then
 every inner product depends only on the difference of its two columns'
 lambdas, so the correlations of the column lambda = 0 give the exact
-worst-case coherence, which build_kerdock checks against 1/sqrt(M). A
-duplicated or overlapping column fails that check.
+worst-case coherence, which build_kerdock checks against 1/sqrt(M) with the
+table. A duplicated or overlapping column fails that check.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -86,15 +87,11 @@ def kerdock_codewords(spec: KerdockSpec) -> np.ndarray:
     return _z4_span(kerdock_traces(spec))
 
 
-def build_kerdock(spec: KerdockSpec) -> MeasurementMatrix:
-    """Deterministic M x M^2 Kerdock frame with unit-modulus-scaled entries.
-
-    All entries have modulus 1/sqrt(M) and the worst-case coherence is exactly
-    1/sqrt(M); the coherence is checked here, the entries when first read.
-    The check correlates, so the frame holds the Walsh plan of its trace table
-    before any copy (attach_groups) is made; its dense array waits for .matrix.
-    """
-    m = MeasurementMatrix.from_traces(kerdock_traces(spec))
+@cache
+def _kerdock_tables(spec: KerdockSpec):
+    # the locked trace table and its Walsh plan, made and checked once; a failure is not stored
+    tau = locked(kerdock_traces(spec))
+    m = MeasurementMatrix._over_traces(tau)
     # under linearity a_lambda^H a_lambda' depends only on lambda' - lambda, so the
     # correlations of column lambda = 0, every entry 1/sqrt(M), hold every off-diagonal modulus
     row = hermitian_apply(m, np.full(spec.rows, spec.coherence, dtype=np.complex128))
@@ -104,7 +101,19 @@ def build_kerdock(spec: KerdockSpec) -> MeasurementMatrix:
             f"column enumeration produced overlapping columns: "
             f"max off-diagonal coherence {worst!r} exceeds {spec.coherence!r}"
         )
-    return m
+    return tau, m._walsh_plan
+
+
+def build_kerdock(spec: KerdockSpec) -> MeasurementMatrix:
+    """Deterministic M x M^2 Kerdock frame with unit-modulus-scaled entries.
+
+    All entries have modulus 1/sqrt(M) and the worst-case coherence is exactly
+    1/sqrt(M); the coherence is checked once per degree and process, the entries when
+    first read. Each frame is new, with slots of its own (its dense array waits for
+    .matrix), over the degree's one read-only trace table and Walsh plan.
+    """
+    tau, plan = _kerdock_tables(spec)
+    return MeasurementMatrix._over_traces(tau, _walsh_plan=plan)
 
 
 def kerdock_meta(spec: KerdockSpec) -> dict[str, str]:

@@ -303,9 +303,9 @@ def test_hermitian_apply_stack_rows_equal_single_vectors_kerdock():
         assert np.array_equal(stacked[t], hermitian_apply(m, ys[t]))
 
 
-# a chunk holds 32 rows at m = 3 and 2 at m = 5: stacks on both sides of its boundaries
-@pytest.mark.parametrize("degree, rows", [(3, 31), (3, 32), (3, 33), (3, 65),
-                                          (5, 1), (5, 2), (5, 3), (5, 5)])
+# a chunk holds 31 rows at m = 3 and 1 at m = 5: stacks on both sides of its boundaries
+@pytest.mark.parametrize("degree, rows", [(3, 30), (3, 31), (3, 32), (3, 33), (3, 62), (3, 63),
+                                          (3, 65), (5, 1), (5, 2), (5, 3), (5, 5)])
 def test_hermitian_apply_rows_equal_lone_calls_across_chunk_boundaries(degree, rows):
     m = _kerdock(degree)
     ys = _random_complex(np.random.default_rng(rows), (rows, m.n))
@@ -313,6 +313,23 @@ def test_hermitian_apply_rows_equal_lone_calls_across_chunk_boundaries(degree, r
     assert stacked.shape == (rows, m.p)
     for t in range(rows):
         assert np.array_equal(stacked[t], hermitian_apply(m, ys[t]))
+
+
+@pytest.mark.parametrize("degree, rows", [(1, 1024), (3, 256), (5, 16)])
+def test_hermitian_apply_chunks_stay_below_the_mmap_threshold(degree, rows):
+    # each chunk's temporaries, (chunk rows) x p complex entries, stay below glibc's 128 KB, and
+    # the chunks are written into the one output; a stack of one chunk's rows takes one pass
+    m = _kerdock(degree)
+    ys = _random_complex(np.random.default_rng(rows), (rows, m.n))
+    with mock.patch.object(core, "_walsh", wraps=core._walsh) as walsh:
+        hermitian_apply(m, ys[: max(1, (2**13 - 1) // m.p)])
+        assert walsh.call_count == 1
+        stacked = hermitian_apply(m, ys)
+    chunks = [call.args for call in walsh.call_args_list[1:]]
+    assert sum(len(ys) for _, ys, _ in chunks) == rows
+    assert max(len(ys) for _, ys, _ in chunks) * m.p * 16 < 2**17
+    assert all(out.base is stacked for _, _, out in chunks)
+    assert np.array_equal(stacked, np.stack([hermitian_apply(m, y) for y in ys]))
 
 
 def _same_plan(got, want):

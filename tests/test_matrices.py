@@ -75,12 +75,20 @@ def test_kerdock_worst_case_coherence_exhaustive(kerdock16):
 def test_kerdock_linear_duplicate_is_rejected():
     # a word table built from traces with a repeated row is still Z4-linear,
     # but lambda = xi^0 - xi^1 gives the zero word, a copy of column 0; its
-    # residues repeat, so it has no Walsh plan: the check fills the frame and reads its dense row
+    # residues repeat, so it has no Walsh plan: the check fills the frame and reads its dense row;
+    # the tables are cached per degree: the cache is cleared so that the bad table is built
     tau = matrices.kerdock_traces(KerdockSpec(3))
     tau[1] = tau[0]
-    with mock.patch.object(matrices, "kerdock_traces", return_value=tau):
-        with pytest.raises(ConstructionError, match=r"overlapping columns: max off-diagonal coherence 1\.0 exceeds 0\.25$"):
-            build_kerdock(KerdockSpec(3))
+    matrices._kerdock_tables.cache_clear()
+    try:
+        with mock.patch.object(matrices, "kerdock_traces", return_value=tau):
+            with pytest.raises(ConstructionError, match=r"overlapping columns: max off-diagonal coherence 1\.0 exceeds 0\.25$"):
+                build_kerdock(KerdockSpec(3))
+        # the failed table was never stored: a clean build makes and checks the true one
+        built = build_kerdock(KerdockSpec(3))
+        assert np.array_equal(built._frame[1], matrices.kerdock_traces(KerdockSpec(3)))
+    finally:
+        matrices._kerdock_tables.cache_clear()
 
 
 # SHA-256 of the Z4 word tables (as C-ordered int64) and of the frame entries
@@ -162,6 +170,23 @@ def test_a_frame_grouped_before_its_first_correlation_has_the_plan_of_its_base()
     assert plan is not None
     assert all(a.dtype == b.dtype and np.array_equal(a, b)
                for a, b in zip(plan, base._walsh_plan, strict=True))
+
+
+def test_kerdock_builds_of_one_degree_share_a_locked_table_and_plan_not_a_slot():
+    first, second = build_kerdock(KerdockSpec(3)), build_kerdock(KerdockSpec(3))
+    assert first is not second and first._frame is not second._frame
+    assert first._frame[1] is second._frame[1]
+    assert all(a is b for a, b in zip(first._walsh_plan, second._walsh_plan, strict=True))
+    with pytest.raises(ValueError, match="read-only"):
+        first._frame[1][0, 0] = 1
+    first.matrix
+    zd_ost(np.ones(first.n), first, 4)
+    assert second._frame[0] is None and "_last_correlation" not in second.__dict__
+    # the cache holds the table and the plan, no dense array or kept correlation
+    tau, plan = matrices._kerdock_tables(KerdockSpec(3))
+    assert tau is first._frame[1] and plan is first._walsh_plan
+    assert max(a.size for a in (tau, *plan)) < first.n * first.p
+    assert _sha256(second.matrix) == KERDOCK_DIGESTS[3][1]
 
 
 def test_kerdock_repr_does_not_fill_the_dense_frame():

@@ -14,9 +14,7 @@ from .core import (
     RngSpec,
     SignalInstance,
     SupportSet,
-    column_norms,
     hermitian_apply,
-    normalize_columns,
     read_cmat,
     write_cmat,
 )
@@ -64,7 +62,6 @@ from .theory import (
     group_guarantee_constants,
     noise_thresholds,
     pe_bound,
-    signal_stats,
     sparsity_bound,
     stats_from_magnitudes,
 )

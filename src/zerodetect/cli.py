@@ -119,6 +119,9 @@ def _parse_bounds_config(path: str) -> dict:
         if required not in cfg:
             raise BadValue(f"bounds config is missing required key {required!r}")
     as_real(cfg["sigma2"], "sigma2", lo=0, open=True)
+    q, r = cfg.get("q"), cfg.get("r")
+    if (q is None) != (r is None) or (q is not None and q * r != cfg["p"]):
+        raise BadValue(f"q and r go together, with q * r = p; got q = {q}, r = {r}, p = {cfg['p']}")
     return cfg
 
 
@@ -285,12 +288,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except (CmatFormatError, OSError, UnicodeDecodeError) as exc:
+    except (ZeroDetectError, OSError, UnicodeDecodeError) as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except ZeroDetectError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (CmatFormatError, OSError, UnicodeDecodeError)) else 1
 
 
 def main_entry() -> None:

@@ -71,11 +71,15 @@ STAT_HEADER = ("stat", "value", "arg_i", "arg_j")
 
 def read_coherence_csv(path) -> CoherenceReport:
     """The report in a CSV that `zerodetect coherence` wrote (the inverse of
-    CoherenceReport.csv_rows); the rows it does not own, stoc_*, are skipped."""
+    CoherenceReport.csv_rows, which never repeats a row); stoc_* rows are skipped."""
     lines = Path(path).read_text(encoding="ascii").splitlines()
     if not lines or lines[0].split(",")[0] != STAT_HEADER[0]:
         raise CmatFormatError("coherence report must start with a stat,value header")
-    cells = {row[0]: row[1:] for row in (line.split(",") for line in lines[1:])}
+    cells: dict[str, list[str]] = {}
+    for name, *row in (line.split(",") for line in lines[1:]):
+        if name in cells:
+            raise CmatFormatError(f"coherence report repeats the {name!r} row")
+        cells[name] = row
 
     def stat(name: str, paired: bool):
         # (value, argmax pair or None) of a row; (None, None) if a group row is absent

@@ -6,6 +6,13 @@ dense row-major complex128, and all randomness flows through RngSpec
 All types here are immutable after construction and safe to share across
 concurrent tasks; the operations are pure functions. The MeasurementMatrix
 docstring says where a frame's entries and its Walsh plan come from.
+
+Walsh path of hermitian_apply: in a Z4 character frame (from_traces; every Kerdock frame, its trace
+being Z4-linear), conj(A[t, lambda]) = i^(-alpha . tau(t)) (-1)^(beta . w(t)) / sqrt(n) for
+lambda_j = alpha_j + 2 beta_j and w = tau mod 2. With rows sorted by w, A^H y is a gather of y i^k
+(exact), the Sylvester-Hadamard F (x) F over w as two real matmuls, the second by F / sqrt(n)
+(exact: sqrt(n) = 2^(u/2)), and one np.take: 4 n^2.5 real multiply-adds against 4 n^3. Its stages
+sum sqrt(n) entries of y before any scaling, so they overflow before the dense product does.
 """
 
 import math
@@ -17,15 +24,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BadValue,
-    CmatFormatError,
-    DimensionMismatch,
-    ZeroColumn,
-)
+from .errors import BadValue, CmatFormatError, DimensionMismatch
 
 UNIT_NORM_TOL = 1e-10
-ZERO_COLUMN_TOL = 1e-14
 _I_POWERS = np.array([1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j])
 _Z4 = np.arange(4, dtype=np.uint8)
 _SLAB_ENTRIES = 2**15  # per np.take: an intp copy of 256 KB (one row if rows are longer)
@@ -103,10 +104,6 @@ class GroupPartition:
         """Column slice (0-based) of the given 1-based group index."""
         i = as_int(group_index, "group index", lo=1, hi=self.q)
         return slice((i - 1) * self.r, i * self.r)
-
-    def group_of_column(self, column: int) -> int:
-        """1-based group index of a 1-based column index."""
-        return (as_int(column, "column", lo=1, hi=self.p) - 1) // self.r + 1
 
 
 def _squared_column_norms(a: np.ndarray) -> np.ndarray:
@@ -289,16 +286,6 @@ class SupportSet:
     def from_zero_based(cls, indices, domain_size: int) -> "SupportSet":
         return cls.from_indices((as_int(i, "index") + 1 for i in indices), domain_size)
 
-    def complement(self) -> "SupportSet":
-        inside = set(self.indices)
-        return SupportSet(
-            tuple(i for i in range(1, self.domain_size + 1) if i not in inside),
-            self.domain_size,
-        )
-
-    def to_zero_based(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=np.intp) - 1
-
     def to_set(self) -> set[int]:
         return set(self.indices)
 
@@ -326,10 +313,6 @@ class SignalInstance:
         if not np.all(np.isfinite(x)):
             raise BadValue("signal entries must be finite")
         object.__setattr__(self, "x", x)
-
-    @classmethod
-    def from_vector(cls, x) -> "SignalInstance":
-        return cls(x)
 
     @cached_property
     def support(self) -> SupportSet:
@@ -459,29 +442,8 @@ def _matrix_of(m) -> np.ndarray:
     return np.ascontiguousarray(a)
 
 
-def column_norms(m) -> np.ndarray:
-    """Euclidean norm of every column."""
-    return np.linalg.norm(_matrix_of(m), axis=0)
-
-
-def normalize_columns(m) -> MeasurementMatrix:
-    """Scale each column to unit norm, preserving direction.
-
-    Raises ZeroColumn for any column with norm below 1e-14. Group metadata is
-    preserved when the input is already a MeasurementMatrix.
-    """
-    groups = m.groups if isinstance(m, MeasurementMatrix) else None
-    a = _matrix_of(m)
-    norms = np.linalg.norm(a, axis=0)
-    small = np.nonzero(norms < ZERO_COLUMN_TOL)[0]
-    if small.size:
-        raise ZeroColumn(int(small[0]) + 1)
-    return MeasurementMatrix(locked(a / norms[np.newaxis, :]), groups=groups)
-
-
 def _walsh(plan, ys, out=None) -> np.ndarray:
-    # A^H ys (T, p) by a Z4 frame's plan, into out if given: s[beta, alpha] = sum_w (F (x) F)[beta,
-    # w] i^(-alpha . tau_w) y_w / sqrt(n), from y i^k, F and F / sqrt(n) over w's halves, places
+    # A^H ys (T, p) by a Z4 frame's plan (the module docstring), into out if given
     gather, had, had_scaled, places = plan
     p, r, n = len(places), len(had), ys.shape[-1]
     z = (ys[..., np.newaxis, :] * _I_POWERS[:, np.newaxis]).reshape(-1, 4 * n)
@@ -585,6 +547,8 @@ def read_cmat(path) -> tuple[np.ndarray, dict[str, str]]:
                         if "=" not in token:
                             raise CmatFormatError(f"line {lineno}: bad meta token {token!r}")
                         k, v = token.split("=", 1)
+                        if k in meta:  # write_cmat never repeats a key
+                            raise CmatFormatError(f"line {lineno}: repeated meta key {k!r}")
                         meta[k] = v
                 continue
             if header is None:

@@ -13,14 +13,6 @@ class DimensionMismatch(ZeroDetectError, ValueError):
     """Operands have incompatible shapes."""
 
 
-class ZeroColumn(ZeroDetectError, ValueError):
-    """A column that must be normalizable has (numerically) zero norm."""
-
-    def __init__(self, column: int):
-        self.column = column  # 1-based
-        super().__init__(f"column {column} has zero norm")
-
-
 class SingleColumn(ZeroDetectError, ValueError):
     """The statistic needs at least two columns (denominator p - 1)."""
 

@@ -116,13 +116,13 @@ def gen_tone_signal(p: int, k: int, law: UniformAmplitude,
                     rng: np.random.Generator) -> SignalInstance:
     """k-sparse coefficient vector: uniform support, law-distributed magnitudes,
     uniform phases."""
-    return SignalInstance.from_vector(_draw_signal(p, 1, k, law, rng))
+    return SignalInstance(_draw_signal(p, 1, k, law, rng))
 
 
 def gen_group_signal(q: int, r: int, k: int, law: UniformAmplitude,
                      rng: np.random.Generator) -> SignalInstance:
     """Signal active on k whole groups: every entry of a chosen group is nonzero."""
-    return SignalInstance.from_vector(_draw_signal(q, r, k, law, rng))
+    return SignalInstance(_draw_signal(q, r, k, law, rng))
 
 
 def gen_noise(n: int, sigma2: float, convention: str,

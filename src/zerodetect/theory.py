@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import SignalInstance, adopted, as_int, as_real
+from .core import adopted, as_int, as_real
 from .errors import BadValue, EmptySupport
 
 
@@ -135,23 +135,15 @@ class SignalStats:
 
 def stats_from_magnitudes(magnitudes, sigma: float, n: int,
                           convention: str = "total") -> SignalStats:
-    """Signal statistics from the nonzero magnitudes alone (order irrelevant)."""
+    """Signal statistics of a signal's nonzero magnitudes (order irrelevant) relative to n
+    noisy measurements at noise level sigma: SNR = ||x||^2 / E||w||^2 with E||w||^2 = n *
+    (per-entry noise energy), and SNR_min = x_min^2 / sigma^2 regardless of convention."""
     sigma, n = as_real(sigma, "sigma", lo=0, open=True), as_int(n, "n", lo=1)
     mags = np.sort(np.abs(np.asarray(magnitudes, dtype=np.complex128)))[::-1]
     # E||w||^2 = n E|w_t|^2, and E|w_t|^2 is twice each real component's variance
     snr = float(np.sum(mags**2)) / (n * 2 * noise_component_variance(sigma**2, convention))
     # the min is mags[-1]; initial=inf lets an empty mags reach SignalStats, which rejects it
     return SignalStats(mags, snr, float(np.min(mags, initial=np.inf)) ** 2 / sigma**2)
-
-
-def signal_stats(signal: SignalInstance, sigma: float, n: int,
-                 convention: str = "total") -> SignalStats:
-    """Signal statistics relative to n noisy measurements at noise level sigma.
-
-    SNR = ||x||^2 / E||w||^2 with E||w||^2 = n * (per-entry noise energy);
-    SNR_min = x_min^2 / sigma^2 regardless of convention.
-    """
-    return stats_from_magnitudes(np.abs(signal.x[signal.x != 0]), sigma, n, convention)
 
 
 class Epsilon0(NamedTuple):

@@ -441,6 +441,23 @@ def test_bounds_rejects_sigma2_not_finite_and_positive(kerdock_file, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines, got", [
+    ("q = 32", "q = 32, r = None"), ("r = 8", "q = None, r = 8"), ("q = 3\nr = 8", "q = 3, r = 8"),
+])
+def test_bounds_takes_q_and_r_together_with_q_r_equal_to_p(kerdock_file, tmp_path, capsys,
+                                                           lines, got):
+    # q alone would drop every group row, and a wrong product would write them
+    report = tmp_path / "coh.csv"
+    assert run("coherence", "--matrix", str(kerdock_file), "--group-size", "8",
+               "--out", str(report)) == 0
+    cfg, out = tmp_path / "bounds.cfg", tmp_path / "b.csv"
+    cfg.write_text(f"sigma2 = 500\nn = 16\np = 256\nk = 8\n{lines}\n")
+    assert run("bounds", "--config", str(cfg), "--report", str(report), "--out", str(out)) == 1
+    message = f"q and r go together, with q * r = p; got {got}, p = 256"
+    assert capsys.readouterr().err == f"ERROR BadValue: {message}\n"
+    assert not out.exists()
+
+
 # the config and report of the CI smoke step's bounds call
 _BOUNDS_CFG = (
     "sigma2 = 500\nn = 16\np = 256\nk = 8\ntheta = 4\nq = 32\nr = 8\n"
@@ -527,6 +544,8 @@ def _edited_report(kerdock_file, tmp_path, stat, row):
 @pytest.mark.parametrize("stat, row", [
     ("mu", "mu,0.25,,"), ("mu", "mu,0.25,1"), ("mu", "mu,0.25"), ("mu", "mu,x,1,2"),
     ("mu_group", "mu_group,1.5,2,"), ("mu_group", "mu_group,1.5,1.0,2"),
+    # a repeated row: the last one would win silently, and bounds would use the wrong mu
+    ("mu", "mu,0.25,1,2\nmu,0.9,3,4"),
 ])
 def test_bounds_rejects_a_malformed_coherence_row(kerdock_file, tmp_path, capsys, stat, row):
     report = _edited_report(kerdock_file, tmp_path, stat, row)

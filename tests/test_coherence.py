@@ -21,7 +21,7 @@ from zerodetect.coherence import (
     stoc_probe,
     worst_case_coherence,
 )
-from zerodetect.core import MeasurementMatrix, RngSpec, normalize_columns
+from zerodetect.core import MeasurementMatrix, RngSpec
 from zerodetect.errors import (
     BadK, BadValue, CmatFormatError, DimensionMismatch, NoGroups, SingleColumn, ZeroZ,
 )
@@ -46,7 +46,7 @@ def kerdock16_r8(kerdock16):
 
 def _random_unit_matrix(rng, n, p):
     a = rng.standard_normal((n, p)) + 1j * rng.standard_normal((n, p))
-    return normalize_columns(a)
+    return MeasurementMatrix(a / np.linalg.norm(a, axis=0))
 
 
 def _naive_worst_case(a):

@@ -1,5 +1,6 @@
 """Core types, operations, and the CMAT v1 text format."""
 
+import os
 from functools import cache
 from unittest import mock
 
@@ -15,21 +16,15 @@ from zerodetect.core import (
     RngSpec,
     SignalInstance,
     SupportSet,
+    _squared_column_norms,
     _walsh_tables,
-    column_norms,
     format_cmat_entry,
     hermitian_apply,
-    normalize_columns,
     parse_cmat_entry,
     read_cmat,
     write_cmat,
 )
-from zerodetect.errors import (
-    BadValue,
-    CmatFormatError,
-    DimensionMismatch,
-    ZeroColumn,
-)
+from zerodetect.errors import BadValue, CmatFormatError, DimensionMismatch
 from zerodetect.detectors import zd_groth, zd_ost
 from zerodetect.matrices import KerdockSpec, attach_groups, build_bernoulli, build_kerdock
 
@@ -39,15 +34,19 @@ def _random_complex(rng, shape):
 
 
 # ---------------------------------------------------------------------------
-# column_norms / normalize_columns
+# column norms, as the MeasurementMatrix constructor checks them
 
 
 def test_column_norms_identity():
-    assert np.allclose(column_norms(np.eye(2)), [1.0, 1.0])
+    # squared norms from the (re, im) pairs of the float view
+    assert _squared_column_norms(np.eye(2, dtype=np.complex128)).tolist() == [1.0, 1.0]
+    a = _random_complex(np.random.default_rng(21), (6, 9))
+    assert np.allclose(_squared_column_norms(a), np.linalg.norm(a, axis=0) ** 2)
 
 
-@pytest.mark.parametrize("build", [MeasurementMatrix, column_norms, normalize_columns],
-                         ids=["MeasurementMatrix", "column_norms", "normalize_columns"])
+@pytest.mark.parametrize("build", [MeasurementMatrix, lambda a: hermitian_apply(a, np.ones(3)),
+                                   lambda a: write_cmat(os.devnull, a)],
+                         ids=["MeasurementMatrix", "hermitian_apply", "write_cmat"])
 @pytest.mark.parametrize("a", [np.ones(3), np.ones((0, 3)), np.ones((3, 0))],
                          ids=["1-D", "no-rows", "no-columns"])
 def test_dense_inputs_must_be_matrices_with_rows_and_columns(build, a):
@@ -56,42 +55,8 @@ def test_dense_inputs_must_be_matrices_with_rows_and_columns(build, a):
 
 
 def test_column_norms_zero_column():
-    m = np.array([[1.0, 0.0], [0.0, 0.0]])
-    norms = column_norms(m)
-    assert norms[1] == 0.0
-
-
-def test_normalize_diag_to_identity():
-    out = normalize_columns(np.diag([2.0, 3.0]))
-    assert np.allclose(out.matrix, np.eye(2))
-
-
-def test_normalize_345_column():
-    out = normalize_columns(np.array([[3.0], [4.0]]))
-    assert np.allclose(out.matrix[:, 0], [0.6, 0.8])
-
-
-def test_normalize_zero_column_raises():
-    with pytest.raises(ZeroColumn) as err:
-        normalize_columns(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    assert err.value.column == 2
-
-
-def test_normalize_is_idempotent():
-    rng = np.random.default_rng(21)
-    a = _random_complex(rng, (6, 9))
-    once = normalize_columns(a)
-    twice = normalize_columns(once)
-    # idempotent up to re-division by norms that are already 1 +- 1 ulp
-    assert np.abs(once.matrix - twice.matrix).max() < 1e-15
-
-
-def test_normalize_preserves_direction():
-    rng = np.random.default_rng(22)
-    a = _random_complex(rng, (5, 5))
-    out = normalize_columns(a)
-    scales = column_norms(a)
-    assert np.allclose(out.matrix * scales[np.newaxis, :], a)
+    with pytest.raises(BadValue, match=r"^column 2 has norm 0\.0, not unit within 1e-10$"):
+        MeasurementMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +226,13 @@ def _not_kronecker():
     flipped[-1, 5] *= -1  # only the last row slab breaks the identity
     rotated = _kerdock(3).matrix.copy()
     rotated[7] *= np.exp(0.25j * np.pi)  # unit columns and Kronecker rows, but not Z4
-    rng = np.random.default_rng(27)
+    wide = _random_complex(np.random.default_rng(27), (6, 8))
     return {
         "bernoulli 64 x 4096": build_bernoulli(64, 4096, RngSpec(5)),
         "kerdock m = 3, two columns swapped": MeasurementMatrix(swapped),
         "kerdock m = 5, one sign flipped in the last row": MeasurementMatrix(flipped),
         "kerdock m = 3, one row times e^(i pi / 4)": MeasurementMatrix(rotated),
-        "p not a square": normalize_columns(_random_complex(rng, (6, 8))),
+        "p not a square": MeasurementMatrix(wide / np.linalg.norm(wide, axis=0)),
         "zero in column 0": MeasurementMatrix(np.eye(4)),
     }
 
@@ -482,24 +447,19 @@ def test_group_partition_mapping():
     assert g.p == 12
     assert g.block(1) == slice(0, 3)
     assert g.block(4) == slice(9, 12)
-    assert g.group_of_column(1) == 1
-    assert g.group_of_column(12) == 4
     with pytest.raises(BadValue):
         g.block(5)
     for call, match in ((lambda: g.block(0), r"group index must be in 1\.\.4, got 0"),
                         (lambda: g.block(1.5), "group index must be an integer, got float 1.5"),
-                        (lambda: g.group_of_column(13), r"column must be in 1\.\.12, got 13"),
-                        (lambda: g.group_of_column(2.0), "column must be an integer, got float"),
                         (lambda: GroupPartition(0, 3), "group count must be >= 1, got 0"),
                         (lambda: GroupPartition(4, -1), "group size must be >= 1, got -1")):
         with pytest.raises(BadValue, match=match):
             call()
 
 
-def test_support_set_validation_and_complement():
+def test_support_set_validation():
     s = SupportSet.from_indices([3, 1], 4)
     assert s.indices == (1, 3)
-    assert s.complement().indices == (2, 4)
     assert 3 in s and 2 not in s
     with pytest.raises(BadValue):
         SupportSet.from_indices([1, 1], 4)
@@ -536,7 +496,7 @@ def test_support_set_builders_reject_non_integers():
 
 def test_signal_instance_invariants():
     x = np.array([0.0, 2.0, 0.0, 1.0j])
-    sig = SignalInstance.from_vector(x)
+    sig = SignalInstance(x)
     assert sig.k == 2
     assert sig.support.indices == (2, 4)
     assert sig.zero_support.indices == (1, 3)
@@ -547,7 +507,7 @@ def test_signal_instance_invariants():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0)])
 def test_signal_instance_rejects_non_finite(bad):
     with pytest.raises(BadValue, match="finite"):
-        SignalInstance.from_vector([bad, 1.0, 0.0])
+        SignalInstance([bad, 1.0, 0.0])
 
 
 def test_rng_spec_determinism_and_streams():
@@ -709,6 +669,17 @@ def test_cmat_meta_round_trips_what_it_accepts(tmp_path):
     path = tmp_path / "m.cmat"
     write_cmat(path, np.eye(2), meta=meta)
     assert read_cmat(path)[1] == {key: str(value) for key, value in meta.items()}
+
+
+@pytest.mark.parametrize("meta", ["# meta: group_size=2 group_size=1",
+                                  "# meta: group_size=2\n# meta: family=x group_size=1"],
+                         ids=["one-line", "two-lines"])
+def test_cmat_meta_rejects_a_repeated_key(tmp_path, meta):
+    # write_cmat never repeats a key, so a repeat is malformed, not a silent override
+    path = tmp_path / "m.cmat"
+    path.write_text(f"1 2\n{meta}\n1+0j 1+0j\n")
+    with pytest.raises(CmatFormatError, match=r"^line \d: repeated meta key 'group_size'$"):
+        read_cmat(path)
 
 
 def test_rng_spec_takes_numpy_integers():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zerodetect.coherence import coherence_report
-from zerodetect.core import MeasurementMatrix, RngSpec, SignalInstance
+from zerodetect.core import MeasurementMatrix, RngSpec
 from zerodetect.errors import BadValue, EmptySupport
 from zerodetect.matrices import KerdockSpec, attach_groups, build_kerdock
 from zerodetect.theory import (
@@ -22,7 +22,6 @@ from zerodetect.theory import (
     noise_component_variance,
     noise_thresholds,
     pe_bound,
-    signal_stats,
     sparsity_bound,
     stats_from_magnitudes,
 )
@@ -117,32 +116,32 @@ def test_group_property_rejects_q1_and_non_finite():
 
 
 # ---------------------------------------------------------------------------
-# signal statistics
+# signal statistics: a signal's are those of its nonzero magnitudes
 
 
 def test_signal_stats_flat_signal():
-    sig = SignalInstance.from_vector(np.array([2.0, 2.0, 0.0, 2.0]))
-    stats = signal_stats(sig, sigma=1.0, n=4)
+    x = np.array([2.0, 2.0, 0.0, 2.0])
+    stats = stats_from_magnitudes(np.abs(x[x != 0]), sigma=1.0, n=4)
     assert np.allclose(stats.lar, 1.0)
 
 
 def test_signal_stats_single_nonzero():
-    sig = SignalInstance.from_vector(np.array([0.0, 3.0]))
-    stats = signal_stats(sig, sigma=2.0, n=2)
+    x = np.array([0.0, 3.0])
+    stats = stats_from_magnitudes(np.abs(x[x != 0]), sigma=2.0, n=2)
     assert stats.lar.tolist() == [1.0]
     assert stats.snr_min == 9.0 / 4.0
 
 
 def test_signal_stats_hand_example():
     # x = (4, 3, 0, 0), sigma = 1, n = 2: ||x||^2 = 25, k = 2
-    sig = SignalInstance.from_vector(np.array([4.0, 3.0, 0.0, 0.0]))
-    stats = signal_stats(sig, sigma=1.0, n=2)
+    x = np.array([4.0, 3.0, 0.0, 0.0])
+    stats = stats_from_magnitudes(np.abs(x[x != 0]), sigma=1.0, n=2)
     assert np.allclose(stats.sorted_magnitudes, [4.0, 3.0])
     assert np.allclose(stats.lar, [16 / 12.5, 9 / 12.5])  # (1.28, 0.72)
     assert stats.snr == 12.5
     assert stats.snr_min == 9.0
     # per-component convention doubles the noise energy
-    stats2 = signal_stats(sig, sigma=1.0, n=2, convention="per_component")
+    stats2 = stats_from_magnitudes(np.abs(x[x != 0]), 1.0, 2, convention="per_component")
     assert stats2.snr == 6.25
     assert stats2.snr_min == 9.0
     # magnitudes given as complex numbers count by their modulus, |3 + 4i| = 5
@@ -161,9 +160,9 @@ def test_lar_sums_to_k_on_random_signals():
 
 
 def test_signal_stats_rejects_empty_support():
-    sig = SignalInstance.from_vector(np.zeros(4))
+    x = np.zeros(4)
     with pytest.raises(EmptySupport):
-        signal_stats(sig, sigma=1.0, n=2)
+        stats_from_magnitudes(np.abs(x[x != 0]), sigma=1.0, n=2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -169,14 +169,19 @@ def _gram_scan(m: MeasurementMatrix, r: int | None = None):
     A slab's (b, q, r, r) blocks A_I^H A_J give mu_g off the diagonal and nu_g as each
     row's sum less its diagonal block; without r those are None. Self-pairs are masked
     below zero, so a reported pair is two distinct columns (groups) when p >= 2 (q >= 2).
+    A Z4 frame (one with a Walsh plan) takes its first block row only: G_ij depends only on
+    the digit-wise mod-4 difference of columns i and j, so translating block I to block 0
+    maps block row I onto block row 0 entry for entry (r divides 4^u), and row 0 holds the
+    first maximum in row-major order. Its entries are dyadic, so every sum is exact.
     """
     a, p = m.matrix, m.p
     step = r or 1
+    end = step if m._walsh_plan is not None else p
     rows = max(step, _SLAB_ENTRIES // p // step * step)
     mu, pair = -1.0, (1, 1)
     mu_g, nu_g, group_pair = -1.0, 0.0, (1, 2)
-    for start in range(0, p, rows):
-        g = a[:, start:start + rows].conj().T @ a
+    for start in range(0, end, rows):
+        g = a[:, start:min(start + rows, end)].conj().T @ a
         h = g.shape[0]
         mag = np.abs(g)
         mag[np.arange(h), start + np.arange(h)] = -1.0

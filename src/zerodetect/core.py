@@ -430,18 +430,6 @@ class RngSpec:
 # operations
 
 
-def _matrix_of(m) -> np.ndarray:
-    # a MeasurementMatrix's array, or m as a dense complex matrix (n, p >= 1, all finite)
-    if isinstance(m, MeasurementMatrix):
-        return m.matrix
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise BadValue(f"expected a 2-D matrix with n, p >= 1, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise BadValue("matrix entries must be finite")
-    return np.ascontiguousarray(a)
-
-
 def _walsh(plan, ys, out=None) -> np.ndarray:
     # A^H ys (T, p) by a Z4 frame's plan (the module docstring), into out if given
     gather, had, had_scaled, places = plan
@@ -452,25 +440,23 @@ def _walsh(plan, ys, out=None) -> np.ndarray:
     return z.reshape(-1, 2 * p).view(complex).take(places, axis=1, mode="clip", out=out)
 
 
-def hermitian_apply(m, y) -> np.ndarray:
-    """Correlate measurements with every column: s_j = <a_j, y> = a_j^H y.
+def hermitian_apply(m: MeasurementMatrix, y) -> np.ndarray:
+    """Correlate measurements with every column of the frame m: s_j = <a_j, y> = a_j^H y.
 
-    y is one vector (n,) or a stack (T, n) whose rows come out exactly as they
-    would alone. Non-finite measurements are rejected, not ranked. A Z4 character frame
-    (Kerdock) takes a Walsh-Hadamard transform, equal to dense to rounding where neither
-    overflows (its stages overflow first); all else is dense. A lone vector, or a stack
-    whose temporaries stay below 128 KB, takes one Walsh pass; larger stacks go in such chunks.
-    The Walsh path reads only the plan, so a frame from MeasurementMatrix.from_traces
-    correlates without filling its dense array.
+    An array enters as MeasurementMatrix(a), which checks it once. y is one vector (n,) or a
+    stack (T, n) whose rows come out exactly as they would alone. Non-finite measurements are
+    rejected, not ranked. A Z4 character frame (Kerdock) takes a Walsh-Hadamard transform,
+    equal to dense to rounding where neither overflows (its stages overflow first); all else
+    is dense. A lone vector, or a stack whose temporaries stay below 128 KB, takes one Walsh
+    pass; larger stacks go in such chunks. The Walsh path reads only the plan, so a frame
+    from MeasurementMatrix.from_traces correlates without filling its dense array.
     """
-    a = None if isinstance(m, MeasurementMatrix) else _matrix_of(m)  # a frame's only if dense
-    n = m.n if a is None else a.shape[0]
     y = np.asarray(y, dtype=np.complex128)
-    if y.ndim not in (1, 2) or y.shape[-1] != n:
-        raise DimensionMismatch(f"expected length-{n} vectors, got shape {y.shape}")
+    if y.ndim not in (1, 2) or y.shape[-1] != m.n:
+        raise DimensionMismatch(f"expected length-{m.n} vectors, got shape {y.shape}")
     if not np.isfinite(y).all():
         raise BadValue("measurements must be finite")
-    if a is None and (plan := m._walsh_plan) is not None:
+    if (plan := m._walsh_plan) is not None:
         # chunks below glibc's 128 KB mmap threshold, written into one output, map no fresh pages
         step = max(1, (2**13 - 1) // m.p)
         if y.ndim == 1 or len(y) <= step:
@@ -480,7 +466,7 @@ def hermitian_apply(m, y) -> np.ndarray:
             _walsh(plan, y[t : t + step], s[t : t + step])
         return s
     # (y^H a)^H row by row: no copy of a^H, one matrix-vector product per row
-    return (y.conj()[..., np.newaxis, :] @ (m.matrix if a is None else a))[..., 0, :].conj()
+    return (y.conj()[..., np.newaxis, :] @ m.matrix)[..., 0, :].conj()
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +496,9 @@ def parse_cmat_entry(token: str) -> complex:
         raise CmatFormatError(f"malformed complex entry {token!r}") from exc
 
 
-def write_cmat(path, m, meta: dict | None = None) -> None:
-    """Write a matrix in CMAT v1, with an optional '# meta:' comment line."""
-    a = _matrix_of(m)
+def write_cmat(path, m: MeasurementMatrix, meta: dict | None = None) -> None:
+    """Write a frame's matrix in CMAT v1, with an optional '# meta:' comment line."""
+    a = m.matrix
     n, p = a.shape
     lines = [f"{n} {p}"]
     if meta:

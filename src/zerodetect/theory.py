@@ -98,9 +98,8 @@ class SignalStats:
     """SNR, per-entry largest-to-average ratios, and the minimum SNR.
 
     Stores sorted_magnitudes |x_(1)| >= ... >= |x_(k)| (positive and finite,
-    locked read-only), snr > 0 and snr_min >= 0. k, x_min = |x_(k)| and lar are
-    derived: lar[m-1] is |x_(m)|^2 / (||x||^2 / k), so the lar entries are
-    nonincreasing and sum to k.
+    locked read-only), snr > 0 and snr_min >= 0. k and lar are derived: lar[m-1] is
+    |x_(m)|^2 / (||x||^2 / k), so the lar entries are nonincreasing and sum to k.
     """
 
     sorted_magnitudes: np.ndarray
@@ -121,10 +120,6 @@ class SignalStats:
     def k(self) -> int:
         return int(self.sorted_magnitudes.shape[0])
 
-    @property
-    def x_min(self) -> float:
-        return float(self.sorted_magnitudes[-1])
-
     @cached_property
     def lar(self) -> np.ndarray:
         mags = self.sorted_magnitudes
@@ -137,7 +132,8 @@ def stats_from_magnitudes(magnitudes, sigma: float, n: int,
                           convention: str = "total") -> SignalStats:
     """Signal statistics of a signal's nonzero magnitudes (order irrelevant) relative to n
     noisy measurements at noise level sigma: SNR = ||x||^2 / E||w||^2 with E||w||^2 = n *
-    (per-entry noise energy), and SNR_min = x_min^2 / sigma^2 regardless of convention."""
+    (per-entry noise energy), and SNR_min = |x_(k)|^2 / sigma^2 over the least magnitude
+    |x_(k)|, regardless of convention."""
     sigma, n = as_real(sigma, "sigma", lo=0, open=True), as_int(n, "n", lo=1)
     mags = np.sort(np.abs(np.asarray(magnitudes, dtype=np.complex128)))[::-1]
     # E||w||^2 = n E|w_t|^2, and E|w_t|^2 is twice each real component's variance

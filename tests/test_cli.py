@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from zerodetect.cli import build_parser, main
 from zerodetect.coherence import (
     STAT_HEADER, coherence_report, read_coherence_csv, stoc_estimate, stoc_probe,
 )
-from zerodetect.core import RngSpec, read_cmat, write_cmat, write_csv
+from zerodetect.core import MeasurementMatrix, RngSpec, read_cmat, write_cmat, write_csv
 from zerodetect.experiments import ExperimentConfig, build_matrix
 from zerodetect.matrices import build_frame, load_matrix
 
@@ -130,7 +131,7 @@ def test_gen_matrix_bernoulli_seed_determinism(tmp_path):
 
 def test_detect_identity_inline(tmp_path):
     mat = tmp_path / "eye.cmat"
-    write_cmat(mat, np.eye(4))
+    write_cmat(mat, MeasurementMatrix(np.eye(4)))
     out = tmp_path / "res.csv"
     assert run("detect", "--matrix", str(mat), "--yinline", "0,0,3,0",
                "--theta", "2", "--out", str(out)) == 0
@@ -139,7 +140,7 @@ def test_detect_identity_inline(tmp_path):
 
 def test_detect_group_mode(tmp_path):
     mat = tmp_path / "eye.cmat"
-    write_cmat(mat, np.eye(4), meta={"group_size": "2"})
+    write_cmat(mat, MeasurementMatrix(np.eye(4)), meta={"group_size": "2"})
     out = tmp_path / "res.csv"
     assert run("detect", "--matrix", str(mat), "--yinline", "0,0,1,1",
                "--theta", "1", "--group", "--out", str(out)) == 0
@@ -149,7 +150,7 @@ def test_detect_group_mode(tmp_path):
 
 def test_detect_theta_zero_is_bad_value(tmp_path, capsys):
     mat = tmp_path / "eye.cmat"
-    write_cmat(mat, np.eye(4))
+    write_cmat(mat, MeasurementMatrix(np.eye(4)))
     code = run("detect", "--matrix", str(mat), "--yinline", "0,0,3,0",
                "--theta", "0", "--out", str(tmp_path / "r.csv"))
     assert code == 1
@@ -164,7 +165,7 @@ def test_detect_theta_zero_is_bad_value(tmp_path, capsys):
 
 def test_detect_rejects_non_finite_measurement(tmp_path, capsys):
     mat = tmp_path / "eye.cmat"
-    write_cmat(mat, np.eye(4))
+    write_cmat(mat, MeasurementMatrix(np.eye(4)))
     code = run("detect", "--matrix", str(mat), "--yinline", "0,1e999,3,0",
                "--theta", "1", "--out", str(tmp_path / "r.csv"))
     assert code == 1
@@ -186,7 +187,7 @@ def test_detect_rejects_measurements_whose_correlations_overflow(kerdock_file, t
 
 def test_threads_flag_is_gone(tmp_path, capsys):
     mat = tmp_path / "eye.cmat"
-    write_cmat(mat, np.eye(4))
+    write_cmat(mat, MeasurementMatrix(np.eye(4)))
     code = run("detect", "--matrix", str(mat), "--yinline", "0,0,3,0",
                "--theta", "1", "--threads", "2", "--out", str(tmp_path / "r.csv"))
     assert code == 1
@@ -195,7 +196,7 @@ def test_threads_flag_is_gone(tmp_path, capsys):
 
 def test_detect_y_from_file_and_length_check(tmp_path, capsys):
     mat = tmp_path / "eye.cmat"
-    write_cmat(mat, np.eye(3))
+    write_cmat(mat, MeasurementMatrix(np.eye(3)))
     yfile = tmp_path / "y.txt"
     yfile.write_text("1+0j\n2+0i\n0+0j\n")
     out = tmp_path / "r.csv"
@@ -699,6 +700,34 @@ def test_verbose_prints_summary(tmp_path, capsys):
     assert run("gen-matrix", "--family", "kerdock", "--m", "1",
                "--out", out, "--verbose") == 0
     assert "4 x 16" in capsys.readouterr().out
+
+
+_VERBOSE_ARGS = {
+    "coherence": (["--group-size", "8"], r"mu=0\.25 nu=0\.0588235"),
+    "stoc": (["--k", "4", "--eps", "0.5", "--trials", "5"], r"delta_hat=\S+ \(\d/5\)"),
+    "detect": (_PIPE_ARGS["detect"], "selected 3 columns"),
+    "bounds": ([], r"wrote \d+ quantities"),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_VERBOSE_ARGS))
+def test_verbose_adds_one_summary_line_and_leaves_the_csv_alone(kerdock_file, tmp_path, capsys,
+                                                                cmd):
+    args, summary = _VERBOSE_ARGS[cmd]
+    if cmd == "bounds":
+        report, cfg = tmp_path / "c.csv", tmp_path / "b.cfg"
+        assert run("coherence", "--matrix", str(kerdock_file), "--out", str(report)) == 0
+        cfg.write_text("sigma2 = 500\nn = 16\np = 256\nk = 8\n")
+        args = ["--config", str(cfg), "--report", str(report)]
+    else:
+        args = ["--matrix", str(kerdock_file), *args]
+    quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"
+    assert run(cmd, *args, "--out", str(quiet)) == 0
+    assert capsys.readouterr() == ("", "")
+    assert run(cmd, *args, "--out", str(loud), "--verbose") == 0
+    out, err = capsys.readouterr()
+    assert err == "" and re.fullmatch(f"{summary} -> {re.escape(str(loud))}\n", out)
+    assert loud.read_bytes() == quiet.read_bytes()
 
 
 def test_parser_is_built_once_and_calls_share_no_state(kerdock_file, tmp_path, capsys):

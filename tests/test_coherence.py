@@ -219,6 +219,52 @@ def test_scan_nu_group_is_the_closed_form_bitwise_on_dyadic_frames(request, fram
     assert coherence_report(m).nu_group == _closed_form_nu_group(m)
 
 
+def _without_plan(m):
+    # a shallow copy of m with no Walsh plan, which takes the full Gram scan
+    copy = object.__new__(type(m))
+    copy.__dict__.update(m.__dict__, _walsh_plan=None)
+    return copy
+
+
+@pytest.mark.parametrize("degree, r", [(1, r) for r in (None, 2, 4, 8)]
+                         + [(3, r) for r in (None, 2, 4, 8, 16, 32, 64, 128)]
+                         + [(5, None), (5, 64)])
+def test_z4_frame_scans_its_first_block_row_and_matches_the_full_scan(degree, r):
+    # G_ij depends only on the mod-4 difference of columns i and j, so block row 0 holds
+    # every value and the first maximum; the entries are dyadic, so every sum is exact
+    m = build_kerdock(KerdockSpec(degree))
+    m = m if r is None else attach_groups(m, r)
+    with mock.patch.object(coherence, "_first_max", wraps=coherence._first_max) as spy:
+        got = coherence._gram_scan(m, r)
+    assert spy.call_args_list[0].args[0].shape[0] == (r or 1)  # the rows scanned
+    assert got == coherence._gram_scan(_without_plan(m), r)
+
+
+@pytest.mark.parametrize("r", [None, 8])
+def test_z4_first_block_row_scan_of_a_recognised_row_reversed_frame(kerdock16, r):
+    m = MeasurementMatrix(kerdock16.matrix[::-1])
+    assert m._walsh_plan is not None
+    m = m if r is None else attach_groups(m, r)
+    assert coherence._gram_scan(m, r) == coherence._gram_scan(_without_plan(m), r)
+
+
+def test_a_frame_with_two_columns_swapped_takes_the_full_scan(kerdock16):
+    # swapping columns 1 and 9 moves the first maximal block pair out of block row 1
+    a = kerdock16.matrix.copy()
+    a[:, [0, 8]] = a[:, [8, 0]]
+    m = attach_groups(MeasurementMatrix(a), 8)
+    assert m._walsh_plan is None
+    g = a.conj().T @ a
+    norms = np.linalg.norm(g.reshape(32, 8, 32, 8).swapaxes(1, 2), ord=2, axis=(-2, -1))
+    np.fill_diagonal(norms, -1.0)
+    i, j = np.unravel_index(np.argmax(norms), norms.shape)
+    assert i > 0
+    got = group_coherences(m)
+    assert got.argmax_pair == (i + 1, j + 1)
+    assert abs(got.mu_group - norms[i, j]) <= 1e-12
+    assert abs(got.nu_group - _closed_form_nu_group(m)) <= 1e-12
+
+
 def test_group_coherences_requires_partition(kerdock16):
     with pytest.raises(NoGroups):
         group_coherences(kerdock16)

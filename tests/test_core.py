@@ -33,6 +33,11 @@ def _random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _random_frame(rng, n, p):
+    a = _random_complex(rng, (n, p))
+    return MeasurementMatrix(a / np.linalg.norm(a, axis=0))
+
+
 # ---------------------------------------------------------------------------
 # column norms, as the MeasurementMatrix constructor checks them
 
@@ -44,8 +49,10 @@ def test_column_norms_identity():
     assert np.allclose(_squared_column_norms(a), np.linalg.norm(a, axis=0) ** 2)
 
 
-@pytest.mark.parametrize("build", [MeasurementMatrix, lambda a: hermitian_apply(a, np.ones(3)),
-                                   lambda a: write_cmat(os.devnull, a)],
+# an array reaches hermitian_apply and write_cmat only through the constructor's check
+@pytest.mark.parametrize("build", [MeasurementMatrix,
+                                   lambda a: hermitian_apply(MeasurementMatrix(a), np.ones(3)),
+                                   lambda a: write_cmat(os.devnull, MeasurementMatrix(a))],
                          ids=["MeasurementMatrix", "hermitian_apply", "write_cmat"])
 @pytest.mark.parametrize("a", [np.ones(3), np.ones((0, 3)), np.ones((3, 0))],
                          ids=["1-D", "no-rows", "no-columns"])
@@ -59,41 +66,48 @@ def test_column_norms_zero_column():
         MeasurementMatrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("value", ["x", None], ids=["str", "None"])
+def test_as_real_names_a_non_number_as_not_finite(value):
+    with pytest.raises(BadValue, match=rf"^eps must be finite, got {value!r}$"):
+        core.as_real(value, "eps")
+
+
 # ---------------------------------------------------------------------------
 # hermitian_apply
 
 
 def test_hermitian_apply_identity_conjugation_convention():
     y = np.array([1.0, 2.0j, 0.0])
-    assert np.array_equal(hermitian_apply(np.eye(3), y), y)
+    assert np.array_equal(hermitian_apply(MeasurementMatrix(np.eye(3)), y), y)
 
 
 def test_hermitian_apply_single_column():
-    m = np.array([[0.0], [1.0]])
+    m = MeasurementMatrix(np.array([[0.0], [1.0]]))
     assert hermitian_apply(m, np.array([5.0, 7.0]))[0] == 7.0
 
 
 def test_hermitian_apply_matches_scalar_loop_oracle():
     rng = np.random.default_rng(23)
-    a = _random_complex(rng, (4, 8))
-    y = _random_complex(rng, 4)
-    fast = hermitian_apply(a, y)
+    m = _random_frame(rng, 4, 8)
+    a, y = m.matrix, _random_complex(rng, 4)
+    fast = hermitian_apply(m, y)
     slow = np.array([sum(np.conj(a[t, j]) * y[t] for t in range(4)) for j in range(8)])
     assert np.abs(fast - slow).max() < 1e-12
 
 
 def test_hermitian_apply_additive_and_conjugate_homogeneous():
     rng = np.random.default_rng(24)
-    a = _random_complex(rng, (5, 7))
+    m = _random_frame(rng, 5, 7)
     y1, y2 = _random_complex(rng, 5), _random_complex(rng, 5)
     assert np.allclose(
-        hermitian_apply(a, y1 + y2),
-        hermitian_apply(a, y1) + hermitian_apply(a, y2),
+        hermitian_apply(m, y1 + y2),
+        hermitian_apply(m, y1) + hermitian_apply(m, y2),
     )
-    c = 0.3 - 1.7j
-    scaled = a.copy()
+    c = np.exp(-1.3j)  # unit modulus, so the scaled column stays a unit column
+    scaled = m.matrix.copy()
     scaled[:, 2] *= c
-    assert np.allclose(hermitian_apply(scaled, y1)[2], np.conj(c) * hermitian_apply(a, y1)[2])
+    assert np.allclose(hermitian_apply(MeasurementMatrix(scaled), y1)[2],
+                       np.conj(c) * hermitian_apply(m, y1)[2])
 
 
 def test_hermitian_apply_unitary_preserves_norm():
@@ -106,33 +120,34 @@ def test_hermitian_apply_unitary_preserves_norm():
 
 def test_hermitian_apply_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        hermitian_apply(np.eye(3), np.ones(4))
+        hermitian_apply(MeasurementMatrix(np.eye(3)), np.ones(4))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, np.inf)])
 def test_hermitian_apply_rejects_non_finite(bad):
     y = np.array([1.0, bad, 0.0], dtype=np.complex128)
+    eye = MeasurementMatrix(np.eye(3))
     with pytest.raises(BadValue):
-        hermitian_apply(np.eye(3), y)
+        hermitian_apply(eye, y)
     with pytest.raises(BadValue):
-        hermitian_apply(np.eye(3), np.stack([np.ones(3), y]))
-    # a dense matrix with a non-finite entry, and a lone one
+        hermitian_apply(eye, np.stack([np.ones(3), y]))
+    # a dense matrix with a non-finite entry, and a lone one, fail the constructor's check
     with pytest.raises(BadValue, match="matrix entries must be finite"):
-        hermitian_apply(np.diag(y), np.ones(3))
+        MeasurementMatrix(np.diag(y))
     with pytest.raises(BadValue, match="matrix entries must be finite"):
-        hermitian_apply(np.array([[bad]]), [1.0])
+        MeasurementMatrix(np.array([[bad]]))
 
 
 def test_hermitian_apply_stack_rows_equal_single_vectors():
     rng = np.random.default_rng(26)
-    a = _random_complex(rng, (6, 20))
+    m = _random_frame(rng, 6, 20)
     ys = _random_complex(rng, (5, 6))
-    stacked = hermitian_apply(a, ys)
+    stacked = hermitian_apply(m, ys)
     assert stacked.shape == (5, 20)
     for t in range(5):
-        assert np.array_equal(stacked[t], hermitian_apply(a, ys[t]))
+        assert np.array_equal(stacked[t], hermitian_apply(m, ys[t]))
     # the conjugate-free form computes the same numbers as a^H y
-    assert np.array_equal(hermitian_apply(a, ys[0]), a.conj().T @ ys[0])
+    assert np.array_equal(hermitian_apply(m, ys[0]), m.matrix.conj().T @ ys[0])
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +611,9 @@ def test_cmat_entry_round_trip_and_suffixes():
     assert parse_cmat_entry("0.25-0.25j") == z
     assert parse_cmat_entry("0.25-0.25i") == z
     assert parse_cmat_entry("1.5") == 1.5 + 0j
+    # 17 significant digits round-trip any double, of any magnitude
+    zs = [*_random_complex(np.random.default_rng(26), 35) * 1e3, complex(-1e300, 5e-324)]
+    assert [parse_cmat_entry(format_cmat_entry(z)) for z in zs] == zs
     with pytest.raises(CmatFormatError):
         parse_cmat_entry("abc")
     with pytest.raises(CmatFormatError):
@@ -605,12 +623,11 @@ def test_cmat_entry_round_trip_and_suffixes():
 
 
 def test_cmat_round_trip_exact(tmp_path):
-    rng = np.random.default_rng(26)
-    a = _random_complex(rng, (5, 7)) * 1e3
+    m = _random_frame(np.random.default_rng(26), 5, 7)
     path = tmp_path / "m.cmat"
-    write_cmat(path, a, meta={"family": "test", "seed": "7"})
+    write_cmat(path, m, meta={"family": "test", "seed": "7"})
     back, meta = read_cmat(path)
-    assert np.array_equal(back, a)  # 17 significant digits round-trip doubles
+    assert np.array_equal(back, m.matrix)  # 17 significant digits round-trip doubles
     assert meta == {"family": "test", "seed": "7"}
 
 
@@ -648,7 +665,7 @@ def test_cmat_reader_rejects_malformed(tmp_path, body):
 
 def test_cmat_meta_rejects_spaces(tmp_path):
     with pytest.raises(BadValue):
-        write_cmat(tmp_path / "m.cmat", np.eye(2), meta={"k": "a b"})
+        write_cmat(tmp_path / "m.cmat", MeasurementMatrix(np.eye(2)), meta={"k": "a b"})
 
 
 @pytest.mark.parametrize("meta", [
@@ -659,7 +676,7 @@ def test_cmat_meta_rejects_spaces(tmp_path):
 def test_cmat_meta_rejects_what_does_not_read_back(tmp_path, meta):
     path = tmp_path / "m.cmat"
     with pytest.raises(BadValue):
-        write_cmat(path, np.eye(2), meta=meta)
+        write_cmat(path, MeasurementMatrix(np.eye(2)), meta=meta)
     assert not path.exists()
 
 
@@ -667,7 +684,7 @@ def test_cmat_meta_round_trips_what_it_accepts(tmp_path):
     # a value may hold '=' (read_cmat splits at the first) and may be empty
     meta = {"family": "test", "expr": "a=b=c", "empty": "", "seed": 7, "poly_z4": "1,3,2,0,1"}
     path = tmp_path / "m.cmat"
-    write_cmat(path, np.eye(2), meta=meta)
+    write_cmat(path, MeasurementMatrix(np.eye(2)), meta=meta)
     assert read_cmat(path)[1] == {key: str(value) for key, value in meta.items()}
 
 

@@ -211,9 +211,14 @@ def coherence_argmax_pair(m: MeasurementMatrix) -> tuple[int, int]:
 
 
 def average_coherence(m: MeasurementMatrix) -> float:
-    """Largest off-diagonal Gram row sum modulus, normalized by p - 1."""
+    """Largest off-diagonal Gram row sum modulus, normalized by p - 1. A Z4 frame (one
+    with a Walsh plan) sums one row without its dense array: the flat unit vector is its
+    column lambda = 0 in any row order, and its Gram rows share one sum (see _gram_scan)."""
     if m.p < 2:
         raise SingleColumn("average coherence needs p >= 2")
+    if m._walsh_plan is not None:
+        s = hermitian_apply(m, np.full(m.n, 1 / np.sqrt(m.n)))
+        return float(abs(s.sum() - 1) / (m.p - 1))
     rowsum = hermitian_apply(m, m.matrix.sum(axis=1)) - _squared_column_norms(m.matrix)
     return float(np.abs(rowsum).max() / (m.p - 1))
 

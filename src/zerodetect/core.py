@@ -401,7 +401,8 @@ class RngSpec:
         numpy's SeedSequence mixes the seed, stream id and prefix once, into its pool;
         the two words of every t continue that hash, and generate_state follows, as
         wrapping uint32 arrays over the block. One Philox is re-keyed in place per
-        trial (counter 0, empty buffer, no cached 32-bit half), so finish with each
+        trial (counter 0, empty buffer, no cached 32-bit half) through one reused state
+        dict of Python ints, which numpy reads faster than arrays; so finish with each
         generator before taking the next.
         """
         for end in (trials[0], trials[-1]) if trials else ():
@@ -415,14 +416,14 @@ class RngSpec:
             block = _mix(block, _hashmix(w, cols[:_POOL], cols[1:_POOL + 1]))
             cols = cols[_POOL:]
         state = _hashmix(block, _STATE_COLUMNS[:-1], _STATE_COLUMNS[1:]).astype(np.uint64)
-        keys = (state[0::2] | state[1::2] << np.uint64(32)).T
+        keys = (state[0::2] | state[1::2] << np.uint64(32)).T.tolist()
         rng = np.random.Generator(np.random.Philox(0))
-        zeros = np.zeros(4, dtype=np.uint64)
+        inner = {"counter": (0, 0, 0, 0)}
+        fresh = {"bit_generator": "Philox", "state": inner, "buffer": (0, 0, 0, 0),
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         for key in keys:
-            rng.bit_generator.state = {
-                "bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-                "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-            }
+            inner["key"] = key
+            rng.bit_generator.state = fresh
             yield rng
 
 

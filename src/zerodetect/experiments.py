@@ -68,10 +68,12 @@ class UniformAmplitude:
         return rng.uniform(self.lo, self.hi, size)
 
 
-def _signal_draws(rng: np.random.Generator, domain: int, width: int, k: int):
-    """One trial's raw signal draws, in stream order: k of `domain` blocks, then
-    2 k width doubles in [0, 1) for _uniform_split."""
-    return rng.choice(domain, size=k, replace=False), rng.random(2 * k * width)
+def _draw_signal(rng: np.random.Generator, domain: int, blocks: np.ndarray,
+                 u: np.ndarray) -> None:
+    """One trial's signal draws into its rows, in stream order: k = len(blocks) of
+    `domain` blocks, then u's 2 k width doubles in [0, 1) for _uniform_split."""
+    blocks[:] = rng.choice(domain, size=len(blocks), replace=False)
+    rng.random(out=u)
 
 
 def _uniform_split(u: np.ndarray, law: UniformAmplitude) -> tuple[np.ndarray, np.ndarray]:
@@ -101,28 +103,27 @@ def _noise_scale(sigma2: float, convention: str) -> float:
     return math.sqrt(noise_component_variance(as_real(sigma2, "sigma2", lo=0), convention))
 
 
-def _draw_signal(domain: int, width: int, k: int, law: UniformAmplitude,
-                 rng: np.random.Generator) -> np.ndarray:
+def _gen_signal(domain: int, width: int, k: int, law: UniformAmplitude,
+                rng: np.random.Generator) -> SignalInstance:
     """Coefficient vector with k of its `domain` blocks of `width` entries
     active: uniform block choice, law-distributed magnitudes, uniform phases."""
     k = as_int(k, "k", BadK, lo=0, hi=domain)
-    if k == 0:
-        return np.zeros(domain * width, dtype=np.complex128)
-    draws = _signal_draws(rng, domain, width, k)
-    return _assemble_signals(domain, width, *(d[np.newaxis] for d in draws), law)[0]
+    blocks, u = np.empty((1, k), dtype=np.intp), np.empty((1, 2 * k * width))
+    _draw_signal(rng, domain, blocks[0], u[0])
+    return SignalInstance(_assemble_signals(domain, width, blocks, u, law)[0])
 
 
 def gen_tone_signal(p: int, k: int, law: UniformAmplitude,
                     rng: np.random.Generator) -> SignalInstance:
     """k-sparse coefficient vector: uniform support, law-distributed magnitudes,
     uniform phases."""
-    return SignalInstance(_draw_signal(p, 1, k, law, rng))
+    return _gen_signal(p, 1, k, law, rng)
 
 
 def gen_group_signal(q: int, r: int, k: int, law: UniformAmplitude,
                      rng: np.random.Generator) -> SignalInstance:
     """Signal active on k whole groups: every entry of a chosen group is nonzero."""
-    return SignalInstance(_draw_signal(q, r, k, law, rng))
+    return _gen_signal(q, r, k, law, rng)
 
 
 def gen_noise(n: int, sigma2: float, convention: str,
@@ -226,13 +227,16 @@ def _detect_block(combos, m: MeasurementMatrix, y: np.ndarray, support: np.ndarr
     targets = {"support": support, "zeros": ~support}
     if True in scores:  # a group rule is in the block
         targets["group_zeros"] = ~support.reshape(len(y), m.groups.q, m.groups.r).any(axis=-1)
+    # each target the combos score against, counted once per block
+    sizes = {target: targets[target].sum(axis=-1)
+             for target in {_DETECTORS[det][1] for det, _, _ in combos}}
     out = []
     for det, _, theta in combos:
         rule, target = _DETECTORS[det]
         full = det == "ost_topk_full_support"
-        used = int(support[0].sum()) if full else theta  # the k of every trial in the block
+        size = sizes[target]
+        used = int(size[0]) if full else theta  # the k of every trial in the block
         inter = (targets[target] & select_mask(keys[RULES[rule]], used)).sum(axis=-1)
-        size = targets[target].sum(axis=-1)
         fdp = (used - inter) / used if used else np.zeros(inter.shape)
         zf = np.divide(inter, size, out=np.full(inter.shape, np.nan), where=size > 0)
         out.append((fdp, zf, inter == used if full else inter > 0))
@@ -256,29 +260,35 @@ def evaluate_detection(detector: str, theta: int, m: MeasurementMatrix,
 
 
 def _measure_block(config: ExperimentConfig, m: MeasurementMatrix, k: int,
-                   trials: range) -> tuple[np.ndarray, np.ndarray]:
-    """Signals (T, p) and measurements y = A x + w (T, n) of the given trials.
+                   trials: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signals x (T, p), measurements y = A x + w (T, n) and support masks (T, p) of the
+    given trials.
 
     Trial t draws its signal, then its noise, from substream (master seed, k, t):
     RngSpec.substreams yields its generator, which draws as RngSpec.substream(k, t)
-    would. Each trial only draws; the signals and noise are assembled once per
-    block. k = 0 draws no signal and sigma2 = 0 no noise.
+    would, straight into the block's rows; signals and noise are assembled once per
+    block. k = 0 draws no signal and sigma2 = 0 no noise. The masks mark the drawn
+    blocks and equal x != 0: a drawn entry has modulus >= amplitude_lo > 0 and a phase
+    whose cos or sin is at least sqrt(1/2) in size, so it never rounds to zero, even
+    at amplitude_lo = amplitude_hi = 5e-324.
     """
     law = config.amplitude_law
     domain, width = (m.groups.q, m.groups.r) if config.signal_model == "group" else (m.p, 1)
-    k = as_int(k, "k", BadK, lo=0, hi=domain)
-    blocks = np.empty((len(trials), k), dtype=np.intp)
-    u = np.empty((len(trials), 2 * k * width))
-    parts = np.zeros((len(trials), 2, m.n))
-    for i, rng in enumerate(RngSpec(config.master_seed).substreams(k, trials=trials)):
-        if k:
-            blocks[i], u[i] = _signal_draws(rng, domain, width, k)
+    k, t = as_int(k, "k", BadK, lo=0, hi=domain), len(trials)
+    blocks = np.empty((t, k), dtype=np.intp)
+    u = np.empty((t, 2 * k * width))
+    parts = np.zeros((t, 2, m.n))
+    streams = RngSpec(config.master_seed).substreams(k, trials=trials)
+    for rng, trial_blocks, trial_u, trial_parts in zip(streams, blocks, u, parts):
+        _draw_signal(rng, domain, trial_blocks, trial_u)
         if config.sigma2:
-            rng.standard_normal(out=parts[i])
+            rng.standard_normal(out=trial_parts)
     x = _assemble_signals(domain, width, blocks, u, law)
     w = _noise_scale(config.sigma2, config.noise_convention) * (parts[:, 0] + 1j * parts[:, 1])
+    support = np.zeros((t, domain, width), dtype=bool)
+    support[np.arange(t)[:, np.newaxis], blocks] = True
     # one matrix-vector product per row, the same arithmetic as A @ x
-    return x, (x[:, np.newaxis, :] @ m.matrix.T)[:, 0, :] + w
+    return x, (x[:, np.newaxis, :] @ m.matrix.T)[:, 0, :] + w, support.reshape(t, -1)
 
 
 def effective_theta(config: ExperimentConfig, detector: str, theta: int) -> int:
@@ -297,7 +307,7 @@ def run_trial(config: ExperimentConfig, k: int, theta: int, detector: str,
     (run_batch applies the matched-budget scaling before calling).
     """
     m = build_matrix(config) if matrix is None else matrix
-    x, y = _measure_block(config, m, k, range(trial_index, trial_index + 1))
+    x, y, _ = _measure_block(config, m, k, range(trial_index, trial_index + 1))
     return evaluate_detection(detector, theta, m, y[0], SignalInstance(x[0]))
 
 
@@ -423,8 +433,8 @@ def run_batch(config: ExperimentConfig, keep_trials: bool = False) -> TrialBatch
     for k in k_grid:
         blocks = []
         for start in range(0, n, block):
-            x, y = _measure_block(config, m, k, range(start, min(start + block, n)))
-            blocks.append(_detect_block(combos, m, y, x != 0))
+            _, y, support = _measure_block(config, m, k, range(start, min(start + block, n)))
+            blocks.append(_detect_block(combos, m, y, support))
         # per combo, its (fdp, zero fraction, hit) arrays over all n trials
         table = blocks[0] if len(blocks) == 1 else [
             tuple(map(np.concatenate, zip(*parts))) for parts in zip(*blocks)]

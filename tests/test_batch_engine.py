@@ -218,7 +218,7 @@ def test_noiseless_kerdock_signals_tie_at_a_selection_boundary():
     m = build_matrix(config)
     ties = 0
     for k in config.k_grid[1:]:
-        _, y = experiments._measure_block(config, m, k, range(config.trials))
+        _, y, _ = experiments._measure_block(config, m, k, range(config.trials))
         s = hermitian_apply(m, y)
         for scores in (np.abs(s), group_norms(s, m.groups)):
             ordered = np.sort(scores, axis=-1)
@@ -226,6 +226,24 @@ def test_noiseless_kerdock_signals_tie_at_a_selection_boundary():
                 if theta < ordered.shape[-1]:
                     ties += np.count_nonzero(ordered[:, theta - 1] == ordered[:, theta])
     assert ties >= 1
+
+
+@pytest.mark.parametrize("amplitudes", [(1.0, 1000.0), (5e-324, 5e-324), (5e-324, 1e-320)])
+@pytest.mark.parametrize("sigma2", [0.0, 500.0])
+@pytest.mark.parametrize("model", ["tone", "group"])
+def test_block_support_masks_are_the_nonzero_entries(model, sigma2, amplitudes):
+    # run_batch scores against the masks the draws give, in place of x != 0; even
+    # subnormal magnitudes must leave every drawn entry nonzero
+    lo, hi = amplitudes
+    config = ExperimentConfig(matrix_family="kerdock", kerdock_m=3, signal_model=model,
+                              group_size=8, sigma2=sigma2, amplitude_lo=lo, amplitude_hi=hi,
+                              k_grid=(1,), theta_grid=(1,), master_seed=5)
+    m = build_matrix(config)
+    domain = m.groups.q if model == "group" else m.p
+    for k in (0, 1, domain // 3, domain - 1, domain):
+        x, _, support = experiments._measure_block(config, m, k, range(3, 10))
+        assert support.dtype == bool and np.array_equal(support, x != 0)
+        assert (support.sum(axis=-1) == k * (m.p // domain)).all()
 
 
 def test_measurements_whose_scores_overflow_are_rejected():

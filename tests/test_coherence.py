@@ -91,6 +91,22 @@ def test_average_kerdock_golden(kerdock16):
     assert abs(average_coherence(kerdock16) - KERDOCK_NU) < 1e-12
 
 
+@pytest.mark.parametrize("degree", [1, 3, 5])
+def test_average_of_a_z4_frame_is_its_dense_row_sum(degree):
+    # nu of a Z4 frame comes from one Walsh pass without its dense array; it must equal
+    # the dense formula bitwise (dyadic entries: every sum is exact), and 1 / (n + 1)
+    built = build_kerdock(KerdockSpec(degree))
+    got = average_coherence(built)
+    assert built._frame[0] is None, "nu filled the dense array"
+    a = built.matrix
+    rowsum = a.conj().T @ a.sum(axis=1) - (np.abs(a) ** 2).sum(axis=0)
+    dense = float(np.abs(rowsum).max() / (built.p - 1))
+    assert got == dense == 1 / (built.n + 1)
+    permuted = MeasurementMatrix(a[np.random.default_rng(degree).permutation(built.n)])
+    assert permuted._walsh_plan is not None
+    assert average_coherence(permuted) == dense
+
+
 def test_average_single_column_rejected():
     with pytest.raises(SingleColumn):
         average_coherence(MeasurementMatrix(np.array([[1.0]])))
